@@ -37,6 +37,23 @@ OUT_DIR_ENV = "SPECVOL_OUT_DIR"
 _FMT = "%.17g"
 
 
+def _shock_tube(left, right, gamma: float, diaphragm: float = 5.0):
+    """u0 of a shock tube: primitive ``left`` for x < diaphragm, ``right`` beyond.
+
+    A scalar position gives a 3-vector, an (n,) array of positions (n, 3).
+    """
+
+    def u0(x):
+        below = np.asarray(x) < diaphragm
+        return np.where(
+            below[..., None],
+            primitive_to_conserved(*left, gamma),
+            primitive_to_conserved(*right, gamma),
+        )
+
+    return u0
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -68,21 +85,14 @@ class Scenario:
         """(u0 callable, jump locations) for this scenario."""
         gamma = self.gamma
         table = {
-            "rectangle": (lambda x: 1.0 if 0.25 <= x <= 0.75 else 0.0, (0.25, 0.75)),
+            "rectangle": (
+                lambda x: np.where((0.25 <= x) & (x <= 0.75), 1.0, 0.0),
+                (0.25, 0.75),
+            ),
             "sine": (lambda x: np.sin(np.pi * x), ()),
-            "step": (lambda x: -1.0 if x <= 1.0 else 1.0, (1.0,)),
-            "sod": (
-                lambda x: primitive_to_conserved(1.0, 0.0, 1.0, gamma)
-                if x < 5.0
-                else primitive_to_conserved(0.125, 0.0, 0.1, gamma),
-                (5.0,),
-            ),
-            "lax": (
-                lambda x: primitive_to_conserved(0.445, 0.698, 3.528, gamma)
-                if x < 5.0
-                else primitive_to_conserved(0.5, 0.0, 0.571, gamma),
-                (5.0,),
-            ),
+            "step": (lambda x: np.where(x <= 1.0, -1.0, 1.0), (1.0,)),
+            "sod": (_shock_tube((1.0, 0.0, 1.0), (0.125, 0.0, 0.1), gamma), (5.0,)),
+            "lax": (_shock_tube((0.445, 0.698, 3.528), (0.5, 0.0, 0.571), gamma), (5.0,)),
             "density-bump": (
                 lambda x: primitive_to_conserved(*exact_euler_density_bump(0.0, x, gamma), gamma),
                 (),

@@ -12,7 +12,7 @@ import numpy as np
 
 from .riemann import PeriodicBC
 from .systems import ConservationSystem
-from .timeint import CellAverageField
+from .timeint import CellAverageField, _evaluate
 
 __all__ = [
     "ReferenceSolution",
@@ -62,7 +62,7 @@ def lax_friedrichs_solver(
         raise ValueError(f"need at least 10 cells, got {n_cells}")
     dx = (b - a) / n_cells
     centers = a + dx * (np.arange(n_cells) + 0.5)
-    u = np.stack([np.reshape(np.asarray(u0(x), dtype=float), (system.m,)) for x in centers])
+    u = _evaluate(u0, centers, system.m)
     system.check_admissible(u, "reference initial data")
 
     periodic = isinstance(bc, PeriodicBC)
@@ -99,12 +99,16 @@ def lax_friedrichs_solver(
 
 
 def exact_advection(u0, velocity: float, t: float, x, a: float, b: float):
-    """Exact periodic advection: u0 evaluated at x - v t wrapped into [a, b]."""
+    """Exact periodic advection: u0 evaluated at x - v t wrapped into [a, b].
+
+    A scalar x gives u0's own return value; an array x gives an array of
+    x's shape, from one call of u0 on all positions when u0 takes arrays.
+    """
     x = np.asarray(x, dtype=float)
     shifted = a + np.mod(x - velocity * t - a, b - a)
     if x.ndim == 0:
         return u0(float(shifted))
-    return np.asarray([u0(float(s)) for s in shifted])
+    return _evaluate(u0, shifted.ravel(), 1).reshape(x.shape)
 
 
 def exact_burgers_rarefaction(t: float, x):

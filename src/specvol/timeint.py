@@ -73,7 +73,10 @@ class SolverConfig:
 
 @dataclass
 class RunDiagnostics:
-    """L2 samples, the last stage's correction report and clamp totals."""
+    """L2 samples, the last stage's correction report and clamp totals.
+
+    ``clamp_totals`` counts, per SV, the ``clamped`` flags of every RK stage.
+    """
 
     l2_times: list = field(default_factory=list)
     l2_values: list = field(default_factory=list)
@@ -92,10 +95,47 @@ class RunDiagnostics:
         self.clamp_totals += report.clamped.astype(int)
 
 
-def _gauss_segments(lo, hi, breakpoints):
-    """Split [lo, hi] at the interior breakpoints, ascending."""
-    cuts = [b for b in breakpoints if lo < b < hi]
-    return list(zip([lo, *cuts], [*cuts, hi]))
+def _evaluate(u0, x: np.ndarray, m: int) -> np.ndarray:
+    """``u0`` at every position of the 1-D array ``x``, as an (n, m) float array.
+
+    One call on the whole array is tried first. Its result is accepted only
+    with shape (n, m), or (n,) when m = 1; if the call raises or returns any
+    other shape (a scalar-only callable, a constant), ``u0`` is called once
+    per position instead. An error that is not about array input therefore
+    re-raises from the per-point calls. With n = m > 1 an (m, n) result could
+    not be told from an (n, m) one, so those few points go per point.
+    """
+    n = x.shape[0]
+    if n != m or m == 1:
+        try:
+            vals = np.asarray(u0(x), dtype=float)
+        except Exception:
+            vals = None
+        if vals is not None and (vals.shape == (n, m) or (m == 1 and vals.shape == (n,))):
+            return vals.reshape(n, m)
+    return np.array([np.reshape(np.asarray(u0(p), dtype=float), (m,)) for p in x]).reshape(n, m)
+
+
+def _segments(edges: np.ndarray, breakpoints):
+    """Gauss-Legendre segments of the CVs with the (N, k + 1) edges ``edges``.
+
+    Each CV is split at the breakpoints strictly inside it. Returns (cvs,
+    mid, half) per segment rank r: the midpoints and half-widths of the r-th
+    segment, left to right, of every CV that has one; ``cvs`` holds flat CV
+    indices, a slice for r = 0, which every CV has.
+    """
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    cuts = np.array(sorted(set(breakpoints)), dtype=float)
+    ends = np.append(cuts, np.inf)
+    first = np.searchsorted(cuts, lo, side="right")  # first cut above lo
+    n_cuts = np.searchsorted(cuts, hi, side="left") - first  # cuts in (lo, hi)
+    segments = []
+    for r in range(int(n_cuts.max()) + 1):
+        cvs = slice(None) if r == 0 else np.flatnonzero(n_cuts >= r)
+        s_lo = lo if r == 0 else cuts[first[cvs] + r - 1]
+        s_hi = np.minimum(hi[cvs], ends[first[cvs] + r])
+        segments.append((cvs, 0.5 * (s_lo + s_hi), 0.5 * (s_hi - s_lo)))
+    return segments
 
 
 def init_field(
@@ -107,22 +147,26 @@ def init_field(
 ) -> CellAverageField:
     """Cell-average the initial condition with Gauss-Legendre quadrature.
 
-    ``u0`` maps a position to an m-vector (or a scalar for m = 1). Known
-    discontinuity locations can be passed as ``breakpoints``; each straddling
-    CV is then integrated piecewise so jumps are averaged exactly to
-    quadrature tolerance.
+    ``u0`` maps an array of n positions to an (n, m) array of states, or to
+    an (n,) array when m = 1, and is called once per quadrature node for all
+    CVs together. A callable that only takes a scalar position and returns an
+    m-vector (or a scalar for m = 1) still works: it is called once per
+    point, which is much slower on large grids. Known discontinuity
+    locations can be passed as ``breakpoints``, in any order; each
+    straddling CV is then integrated piecewise so jumps are averaged exactly
+    to quadrature tolerance.
     """
     nodes, weights = np.polynomial.legendre.leggauss(quad_order)
-    data = np.empty((grid.num_sv, grid.num_cv, system.m))
-    for i in range(grid.num_sv):
-        for j in range(grid.num_cv):
-            lo, hi = grid.cv_edges[i, j], grid.cv_edges[i, j + 1]
-            acc = np.zeros(system.m)
-            for s_lo, s_hi in _gauss_segments(lo, hi, breakpoints):
-                mid, half = 0.5 * (s_lo + s_hi), 0.5 * (s_hi - s_lo)
-                for x, w in zip(mid + half * nodes, half * weights):
-                    acc += w * np.reshape(np.asarray(u0(x), dtype=float), (system.m,))
-            data[i, j] = acc / (hi - lo)
+    edges = grid.cv_edges
+    acc = np.zeros((grid.num_sv * grid.num_cv, system.m))
+    # Rank by rank and node by node: each CV sums its segments left to
+    # right, the order of a per-CV quadrature loop.
+    for cvs, mid, half in _segments(edges, breakpoints):
+        for node, weight in zip(nodes, weights):
+            vals = _evaluate(u0, mid + half * node, system.m)
+            acc[cvs] += (half * weight)[:, None] * vals
+    acc /= (edges[:, 1:] - edges[:, :-1]).reshape(-1, 1)
+    data = acc.reshape(grid.num_sv, grid.num_cv, system.m)
     if not np.all(np.isfinite(data)):
         raise ValueError("initial-condition quadrature produced non-finite averages")
     system.check_admissible(data, "initial cell average")
@@ -238,9 +282,11 @@ def ssp_rk3_step(
     """Third-order SSP Runge-Kutta step built from adapted Euler stages.
 
     u1 = E(u0); u2 = 3/4 u0 + 1/4 E(u1); u_new = 1/3 u0 + 2/3 E(u2). The
-    correction sizes are recomputed inside every stage.
+    correction sizes are recomputed inside every stage. Returns (new_field,
+    reports): the stages' correction reports in stage order, empty with
+    stabilization disabled.
     """
-    stage1, report = euler_adapted(state, dt, op, gen, config)
+    stage1, r1 = euler_adapted(state, dt, op, gen, config)
     stage2_full, r2 = euler_adapted(stage1, dt, op, gen, config)
     stage2 = state.with_data(
         0.75 * state.data + 0.25 * stage2_full.data, time=state.time + 0.5 * dt
@@ -249,7 +295,7 @@ def ssp_rk3_step(
     new = state.with_data(
         state.data / 3.0 + (2.0 / 3.0) * stage3_full.data, time=state.time + dt
     )
-    return new, (r3 or r2 or report)
+    return new, tuple(r for r in (r1, r2, r3) if r is not None)
 
 
 def select_dt(
@@ -303,17 +349,17 @@ def integrate(
         diag.record_l2(state.time, discrete_l2(state))
     try:
         for n in range(n_full):
-            state, report = ssp_rk3_step(state, dt, op, gen, config)
+            state, reports = ssp_rk3_step(state, dt, op, gen, config)
             diag.steps += 1
-            if report is not None:
+            for report in reports:
                 diag.record_report(report)
             if config.diagnostics_every and (n + 1) % config.diagnostics_every == 0:
                 diag.record_l2(state.time, discrete_l2(state))
         dt_last = config.t_end - state.time
         if dt_last > 1e-12 * dt:
-            state, report = ssp_rk3_step(state, dt_last, op, gen, config)
+            state, reports = ssp_rk3_step(state, dt_last, op, gen, config)
             diag.steps += 1
-            if report is not None:
+            for report in reports:
                 diag.record_report(report)
     except (StepFailureError, InadmissibleStateError) as exc:
         # Let callers keep whatever was computed before the failure.

@@ -211,10 +211,10 @@ def test_criterion_6_stability_contrast():
     )
 
 
-def test_criterion_7_convergence_order():
+def test_criterion_7_convergence_order(tmp_path):
     start = time.perf_counter()
     results, _ = run_convergence(
-        BUILTIN_SCENARIOS["density-bump"], [10, 12, 14, 16, 18, 20, 22], "out"
+        BUILTIN_SCENARIOS["density-bump"], [10, 12, 14, 16, 18, 20, 22], str(tmp_path)
     )
     ns = [r[0] for r in results]
     l1 = [r[1] for r in results]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from specvol.cli import BUILTIN_SCENARIOS
 from specvol.mesh import build_grid
 from specvol.reference import (
     ReferenceSolution,
@@ -45,6 +46,25 @@ class TestLaxFriedrichsSolver:
         drop = np.diff(vals).argmin()
         assert ref.positions[drop] == pytest.approx(1.0, abs=0.02)
 
+    @pytest.mark.parametrize("name", ["sod", "lax"])
+    def test_batched_initial_data_match_per_point(self, name):
+        scen = BUILTIN_SCENARIOS[name]
+        u0, _ = scen.initial_condition()
+        calls = []
+
+        def batched(x):
+            calls.append(np.shape(x))
+            return u0(x)
+
+        scalar_only = lambda x: u0(float(x))  # float() rejects arrays: per-point path
+        bc = FixedBC(left=u0(scen.a), right=u0(scen.b))
+        runs = [
+            lax_friedrichs_solver(scen.build_system(), f, scen.a, scen.b, 2000, 0.9, 0.01, bc)
+            for f in (batched, scalar_only)
+        ]
+        assert calls == [(2000,)]
+        assert np.array_equal(runs[0].values, runs[1].values)
+
     def test_too_few_cells_rejected(self):
         with pytest.raises(ValueError):
             lax_friedrichs_solver(
@@ -66,6 +86,15 @@ class TestExactSolutions:
         np.testing.assert_allclose(
             exact_advection(u0, 1.0, 1.0, xs, 0.0, 1.0), [u0(x) for x in xs]
         )
+
+    def test_advection_array_shape_kept_for_scalar_and_array_u0(self):
+        xs = np.linspace(0.01, 0.99, 12).reshape(3, 4)
+        scalar_only = lambda x: 1.0 if 0.25 <= x <= 0.75 else 0.0
+        batched = lambda x: np.where((0.25 <= x) & (x <= 0.75), 1.0, 0.0)
+        a = exact_advection(scalar_only, 1.0, 0.3, xs, 0.0, 1.0)
+        b = exact_advection(batched, 1.0, 0.3, xs, 0.0, 1.0)
+        assert a.shape == b.shape == (3, 4)
+        assert np.array_equal(a, b)
 
     def test_advection_half_period_shift(self):
         u0 = lambda x: 1.0 if 0.25 <= x <= 0.75 else 0.0

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
+from specvol import timeint
+from specvol.cli import BUILTIN_SCENARIOS
 from specvol.exceptions import DegenerateSpeedError
 from specvol.filters import build_generator
 from specvol.mesh import build_grid
@@ -61,6 +65,112 @@ class TestInitField:
         grid = build_grid(0.0, 2.0, 11, 4)
         state = init_field(lambda x: np.sin(np.pi * x), grid, burgers_system(), 8)
         assert state.total_mass()[0] == pytest.approx(0.0, abs=1e-13)
+
+
+def per_point_averages(u0, grid, m, quad_order=8, breakpoints=()):
+    """The CV x segment x node loop that ``init_field`` vectorizes."""
+    nodes, weights = np.polynomial.legendre.leggauss(quad_order)
+    cuts = sorted(set(breakpoints))
+    data = np.empty((grid.num_sv, grid.num_cv, m))
+    for i in range(grid.num_sv):
+        for j in range(grid.num_cv):
+            lo, hi = grid.cv_edges[i, j], grid.cv_edges[i, j + 1]
+            inner = [b for b in cuts if lo < b < hi]
+            acc = np.zeros(m)
+            for s_lo, s_hi in zip([lo, *inner], [*inner, hi]):
+                mid, half = 0.5 * (s_lo + s_hi), 0.5 * (s_hi - s_lo)
+                for x, w in zip(mid + half * nodes, half * weights):
+                    acc += w * np.reshape(np.asarray(u0(x), dtype=float), (m,))
+            data[i, j] = acc / (hi - lo)
+    return data
+
+
+class CountingU0:
+    """Wraps u0 and records whether each call got an array or a scalar."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.array_calls = 0
+        self.scalar_calls = 0
+
+    def __call__(self, x):
+        if np.ndim(x):
+            self.array_calls += 1
+        else:
+            self.scalar_calls += 1
+        return self.fn(x)
+
+
+class TestBatchedInitField:
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    def test_builtin_scenarios_match_per_point(self, name):
+        scen = BUILTIN_SCENARIOS[name]
+        grid = build_grid(scen.a, scen.b, scen.n_sv, scen.n_cv)
+        system = scen.build_system()
+        u0, breaks = scen.initial_condition()
+        state = init_field(u0, grid, system, scen.quad_order, breaks)
+        ref = per_point_averages(u0, grid, system.m, scen.quad_order, breaks)
+        assert np.array_equal(state.data, ref)
+
+    def test_straddling_breakpoints_match_per_point(self):
+        grid = build_grid(0.0, 1.0, 7, 4)  # 0.25 and 0.75 fall inside CVs
+        u0 = BUILTIN_SCENARIOS["advect-rect"].initial_condition()[0]
+        state = init_field(u0, grid, advection_system(1.0), 8, (0.25, 0.75))
+        ref = per_point_averages(u0, grid, 1, 8, (0.25, 0.75))
+        assert np.array_equal(state.data, ref)
+
+    @pytest.mark.parametrize(
+        "u0",
+        [lambda x: 1.0 if x < 0.5 else 0.0, math.sin, lambda x: 2.5],
+        ids=["branch", "math-sin", "constant"],
+    )
+    def test_scalar_only_u0_falls_back(self, u0):
+        grid = build_grid(0.0, 1.0, 7, 4)  # two CVs straddle a breakpoint
+        counted = CountingU0(u0)
+        state = init_field(counted, grid, advection_system(1.0), 8, (0.25, 0.75))
+        # one rejected array call per node and segment rank, then every point
+        assert counted.array_calls == 2 * 8
+        assert counted.scalar_calls == 8 * (grid.num_sv * grid.num_cv + 2)
+        assert np.array_equal(state.data, per_point_averages(u0, grid, 1, 8, (0.25, 0.75)))
+
+    def test_euler_vector_u0_takes_fast_path(self):
+        grid = build_grid(0.0, 10.0, 12, 4)
+        system = euler_system(1.4)
+        u0 = CountingU0(
+            lambda x: primitive_to_conserved(1.0 + np.exp(-0.5 * (x - 5.0) ** 2), 1.0, 1.0)
+        )
+        state = init_field(u0, grid, system, 8)
+        assert (u0.array_calls, u0.scalar_calls) == (8, 0)
+        assert np.array_equal(state.data, per_point_averages(u0.fn, grid, 3, 8))
+
+    def test_component_major_u0_not_mistaken_for_batched(self):
+        # u0 returns (3, n) for arrays; with three straddling CVs the second
+        # segments form a batch of n = m = 3 whose layout cannot be checked.
+        grid = build_grid(0.0, 10.0, 12, 4)
+        breaks = tuple(grid.cv_centers()[[1, 5, 9], 1])
+        u0 = lambda x: np.array([1.5 + np.sin(x), 0.2 * x, 2.5 + 0.0 * x])
+        state = init_field(u0, grid, euler_system(1.4), 8, breaks)
+        assert np.array_equal(state.data, per_point_averages(u0, grid, 3, 8, breaks))
+
+    @pytest.mark.parametrize("breaks", [(), (0.25, 0.75)])
+    def test_one_call_per_node_without_straddling(self, breaks):
+        grid = build_grid(0.0, 1.0, 60, 4)  # 0.25 and 0.75 are SV edges
+        u0 = CountingU0(lambda x: np.sin(np.pi * x))
+        init_field(u0, grid, advection_system(1.0), 6, breaks)
+        assert (u0.array_calls, u0.scalar_calls) == (6, 0)
+
+    def test_breakpoint_order_and_duplicates_do_not_matter(self):
+        rect = BUILTIN_SCENARIOS["advect-rect"].initial_condition()[0]
+        one_cv = build_grid(0.0, 1.0, 1, 1)
+        for breaks in [(0.25, 0.75), (0.75, 0.25), (0.75, 0.25, 0.75)]:
+            state = init_field(rect, one_cv, advection_system(1.0), 8, breaks)
+            assert state.data[0, 0, 0] == pytest.approx(0.5, abs=1e-15)
+        grid = build_grid(0.0, 1.0, 7, 4)
+        runs = [
+            init_field(rect, grid, advection_system(1.0), 8, breaks).data
+            for breaks in [(0.25, 0.75), (0.75, 0.25), (0.25, 0.75, 0.25, 0.75)]
+        ]
+        assert all(np.array_equal(runs[0], other) for other in runs[1:])
 
 
 class TestBaseRhs:
@@ -242,6 +352,28 @@ class TestIntegrate:
         final, _ = integrate(state, cfg)
         assert final.data[0, 0, 0] == pytest.approx(-1.0, abs=1e-10)
         assert final.data[-1, -1, 0] == pytest.approx(1.0, abs=1e-10)
+
+    def test_clamp_totals_count_every_stage(self, monkeypatch):
+        reports = []
+        stage = timeint.euler_adapted
+
+        def recording_stage(*args, **kwargs):
+            new, report = stage(*args, **kwargs)
+            reports.append(report)
+            return new, report
+
+        monkeypatch.setattr(timeint, "euler_adapted", recording_stage)
+        scen = BUILTIN_SCENARIOS["sod"]
+        grid = build_grid(scen.a, scen.b, 40, 4)
+        u0, breaks = scen.initial_condition()
+        state = init_field(u0, grid, scen.build_system(), 8, breaks)
+        bc = FixedBC(left=u0(scen.a), right=u0(scen.b))
+        final, diag = integrate(state, SolverConfig(t_end=0.1, cfl=0.1, bc=bc))
+        assert len(reports) == 3 * diag.steps
+        expected = np.sum([r.clamped for r in reports], axis=0)
+        assert expected.sum() > 0
+        np.testing.assert_array_equal(diag.clamp_totals, expected)
+        assert diag.last_report is reports[-1]
 
     def test_l2_diagnostics_recorded(self):
         grid, system, state, op, gen = setup_burgers(n_sv=10)
