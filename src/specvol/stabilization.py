@@ -171,12 +171,14 @@ def compute_correction(
     scheme degrades to first order. At discontinuities the cap is slack of
     order one and the stabilization acts at full strength.
     """
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
     widths = np.asarray(cv_widths, dtype=float)
-    grad = system.entropy_gradient_raw(averages)  # (N, k, m)
+    ent, grad = system.entropy_terms(averages)  # (N, k), (N, k, m)
     production = np.einsum("ijc,ijc,j->i", grad, base_rhs, widths)
     direction_ip = np.einsum("ijc,ijc,j->i", grad, direction, widths)
-    entropies = np.einsum("j,ij->i", widths, system.entropy_raw(averages))
-    eps_den = DEN_FLOOR * np.maximum(1.0, np.abs(entropies))
+    eps_den = DEN_FLOOR * np.maximum(1.0, np.abs(np.einsum("j,ij->i", widths, ent)))
+    n_sv = direction_ip.size
 
     sigma = np.asarray(sigma, dtype=float)
     if not periodic:
@@ -184,36 +186,41 @@ def compute_correction(
         sigma = sigma.copy()
         sigma[0] = 0.0
         sigma[-1] = 0.0
+    excess = production - (f_star[:-1] - f_star[1:])
     if dissipation_scale is None:
-        cap = None
-        sigma_used = sigma
+        sigma_used, excess_used = sigma, excess
+        capped = np.zeros(n_sv, dtype=bool)
     else:
         cap = np.maximum(np.asarray(dissipation_scale, dtype=float), 0.0)
         sigma_used = np.maximum(sigma, -cap)
-
-    excess = production - (f_star[:-1] - f_star[1:])
-    if cap is not None:
         excess_used = np.minimum(excess, cap[:-1] + cap[1:])
-    else:
-        excess_used = excess
-    capped = (excess_used < excess) | (sigma_used[:-1] > sigma[:-1]) | (sigma_used[1:] > sigma[1:])
-    usable = _den_guard(direction_ip, eps_den)
-    # Signed budget term: positive where production overshoots the entropy
-    # flux balance, negative (slack) where the scheme already dissipates
-    # more, e.g. through the LLF flux at a sonic interface.
-    ed_term = np.where(usable, -excess_used / np.where(usable, direction_ip, 1.0), 0.0)
+        raised = sigma_used > sigma
+        capped = (excess_used < excess) | raised[:-1] | raised[1:]
 
+    # One row per part of the correction, over the SVs. Row 0 is the signed
+    # budget term: positive where production overshoots the entropy flux
+    # balance, negative (slack) where the scheme already dissipates more,
+    # e.g. through the LLF flux at a sonic interface. Rows 1 and 2 are the
+    # entropy-rate parts of the left and right interface: its sigma over
+    # the summed inner products of the two SVs adjoining it, where a
+    # missing neighbour beyond a fixed boundary counts as zero.
+    num = np.empty((3, n_sv))
+    num[0] = -excess_used
+    num[1] = sigma_used[:-1]
+    num[2] = sigma_used[1:]
+    den = np.empty((3, n_sv))
+    den[0] = direction_ip
+    pair_ip = direction_ip[:-1] + direction_ip[1:]
+    den[1, 1:] = pair_ip
+    den[2, :-1] = pair_ip
     if periodic:
-        ip_prev = np.roll(direction_ip, 1)
-        ip_next = np.roll(direction_ip, -1)
+        den[1, 0] = den[2, -1] = direction_ip[-1] + direction_ip[0]
     else:
-        ip_prev = np.concatenate([[0.0], direction_ip[:-1]])
-        ip_next = np.concatenate([direction_ip[1:], [0.0]])
-    lam_er_l, lam_er_r = lambda_er(
-        sigma_used[:-1], sigma_used[1:], ip_prev, direction_ip, ip_next, eps_den
-    )
-    lam_er_l = np.asarray(lam_er_l)
-    lam_er_r = np.asarray(lam_er_r)
+        den[1, 0] = direction_ip[0]
+        den[2, -1] = direction_ip[-1]
+    usable = _den_guard(den, eps_den)
+    parts = np.where(usable, num / np.where(usable, den, 1.0), 0.0)
+    parts[1:] = np.maximum(0.0, parts[1:])
 
     if lambda_max is None:
         limit = np.inf if gen.max_diag == 0.0 else 1.0 / (dt * gen.max_diag)
@@ -223,29 +230,24 @@ def compute_correction(
     # target dissipation: the direction is too weak for the requested rate.
     # Saturating it would flatten the SV's internal structure every step, so
     # such demands are dropped as degenerate (and the SV marked clamped).
-    unrealizable = (ed_term > limit) | (lam_er_l > limit) | (lam_er_r > limit)
-    dropped = int(np.count_nonzero(ed_term > limit))
-    dropped += int(np.count_nonzero(lam_er_l > limit))
-    dropped += int(np.count_nonzero(lam_er_r > limit))
-    ed_term = np.where(ed_term > limit, 0.0, ed_term)
-    lam_er_l = np.where(lam_er_l > limit, 0.0, lam_er_l)
-    lam_er_r = np.where(lam_er_r > limit, 0.0, lam_er_r)
+    unrealizable = parts > limit
+    parts[unrealizable] = 0.0
 
     # The necessary size for the target inequality
     #   <dU/du, du/dt + lambda*v> <= sigma_i + F*_l - F*_r:
     # budget slack offsets the entropy-rate demands, so interfaces whose
     # dissipation already happens inside the scheme are not dissipated twice.
-    lam_sum = np.maximum(0.0, ed_term + lam_er_l + lam_er_r)
-    lam = lambda_final(lam_sum, dt, gen, lambda_max)
-    den_fallbacks = int(np.count_nonzero(~usable))
+    # The sum is then clamped at the positivity limit, as in lambda_final.
+    lam_sum = np.maximum(0.0, parts[0] + parts[1] + parts[2])
+    lam = np.minimum(limit, lam_sum)
     return CorrectionReport(
-        lambda_ed=np.maximum(0.0, ed_term),
-        lambda_er_l=lam_er_l,
-        lambda_er_r=lam_er_r,
-        lambda_sum=np.asarray(lam_sum),
-        lambda_final=np.asarray(lam),
-        clamped=(np.asarray(lam_sum) > np.asarray(lam)) | unrealizable | capped,
-        den_fallbacks=den_fallbacks,
+        lambda_ed=np.maximum(0.0, parts[0]),
+        lambda_er_l=parts[1],
+        lambda_er_r=parts[2],
+        lambda_sum=lam_sum,
+        lambda_final=lam,
+        clamped=(lam_sum > lam) | unrealizable.any(axis=0) | capped,
+        den_fallbacks=n_sv - int(np.count_nonzero(usable[0])),
         sigma_fallbacks=sigma_fallbacks,
-        dropped_demands=dropped,
+        dropped_demands=int(np.count_nonzero(unrealizable)),
     )

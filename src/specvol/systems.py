@@ -26,6 +26,14 @@ __all__ = [
 ]
 
 
+def _stack_last(columns):
+    """``np.stack(columns, axis=-1)`` for equal-shape columns, without its call overhead."""
+    out = np.empty(np.shape(columns[0]) + (len(columns),))
+    for c, column in enumerate(columns):
+        out[..., c] = column
+    return out
+
+
 class ConservationSystem:
     """Interface shared by all systems; immutable value object."""
 
@@ -63,6 +71,25 @@ class ConservationSystem:
 
     def entropy_gradient_raw(self, u):
         return self.entropy_gradient(u)
+
+    def entropy_terms(self, u):
+        """(U, dU/du) of admissible states u in one pass, unchecked."""
+        return self.entropy_raw(u), self.entropy_gradient_raw(u)
+
+    def stage_terms(self, u):
+        """(f, speed, U, F, dU/du) of admissible states u in one pass, unchecked.
+
+        ``speed`` is ``max_signal_speed(u, u)``; every term equals its
+        checked method's value bitwise. Systems whose terms share work
+        override this.
+        """
+        return (
+            self.flux_raw(u),
+            self.max_signal_speed_raw(u, u),
+            self.entropy_raw(u),
+            self.entropy_flux_raw(u),
+            self.entropy_gradient_raw(u),
+        )
 
     def admissible(self, u: np.ndarray) -> np.ndarray:
         """Boolean mask over the leading axes; True where u is admissible."""
@@ -146,6 +173,10 @@ class Euler(ConservationSystem):
         dU/du = (gamma - S - (gamma-1) rho v^2 / (2p),
                  (gamma-1) rho v / p,
                  -(gamma-1) rho / p).
+
+    Every method derives its terms from ``_primitives``, except the flux:
+    its pressure is evaluated as (gamma-1)(E - (rho v) v / 2), which rounds
+    differently from ``pressure``, so the two expressions are kept apart.
     """
 
     m = 3
@@ -156,20 +187,38 @@ class Euler(ConservationSystem):
             raise ValueError(f"adiabatic index must exceed 1, got {gamma}")
         self.gamma = float(gamma)
 
-    def pressure(self, u):
+    def _primitives(self, u):
+        """(rho, rho*v, p) of the states u, p = (gamma-1)(E - (rho v)^2 / (2 rho))."""
         u = np.asarray(u, dtype=float)
-        rho, mom, energy = u[..., 0], u[..., 1], u[..., 2]
-        return (self.gamma - 1.0) * (energy - 0.5 * mom**2 / rho)
+        rho, mom = u[..., 0], u[..., 1]
+        return rho, mom, (self.gamma - 1.0) * (u[..., 2] - 0.5 * mom**2 / rho)
+
+    def _flux(self, mom, energy, v):
+        p = (self.gamma - 1.0) * (energy - 0.5 * mom * v)
+        return _stack_last([mom, mom * v + p, v * (energy + p)])
+
+    def _speed(self, rho, v, p):
+        return np.abs(v) + np.sqrt(self.gamma * p / rho)
+
+    def _log_entropy(self, rho, p):
+        return np.log(p) - self.gamma * np.log(rho)
+
+    def _gradient(self, rho, v, p, s):
+        g = self.gamma
+        g1_rho = (g - 1.0) * rho
+        return _stack_last([g - s - g1_rho * v**2 / (2.0 * p), g1_rho * v / p, -g1_rho / p])
+
+    def pressure(self, u):
+        return self._primitives(u)[2]
 
     def sound_speed(self, u):
         return np.sqrt(self.gamma * self.pressure(u) / np.asarray(u)[..., 0])
 
     def admissible(self, u):
         u = np.asarray(u, dtype=float)
-        rho = u[..., 0]
         with np.errstate(all="ignore"):
-            p = self.pressure(u)
-        return (rho > 0.0) & (p > 0.0) & np.all(np.isfinite(u), axis=-1)
+            rho, _, p = self._primitives(u)
+        return (rho > 0.0) & (p > 0.0) & np.isfinite(u).all(axis=-1)
 
     def flux(self, u):
         u = np.asarray(u, dtype=float)
@@ -178,10 +227,8 @@ class Euler(ConservationSystem):
 
     def flux_raw(self, u):
         u = np.asarray(u, dtype=float)
-        rho, mom, energy = u[..., 0], u[..., 1], u[..., 2]
-        v = mom / rho
-        p = (self.gamma - 1.0) * (energy - 0.5 * mom * v)
-        return np.stack([mom, mom * v + p, v * (energy + p)], axis=-1)
+        mom = u[..., 1]
+        return self._flux(mom, u[..., 2], mom / u[..., 0])
 
     def max_signal_speed(self, u_l, u_r):
         u_l = np.asarray(u_l, dtype=float)
@@ -191,19 +238,11 @@ class Euler(ConservationSystem):
         return self.max_signal_speed_raw(u_l, u_r)
 
     def max_signal_speed_raw(self, u_l, u_r):
-        u_l = np.asarray(u_l, dtype=float)
-        u_r = np.asarray(u_r, dtype=float)
-        s_l = np.abs(u_l[..., 1] / u_l[..., 0]) + np.sqrt(
-            self.gamma * self.pressure(u_l) / u_l[..., 0]
+        rho_l, mom_l, p_l = self._primitives(u_l)
+        rho_r, mom_r, p_r = self._primitives(u_r)
+        return np.maximum(
+            self._speed(rho_l, mom_l / rho_l, p_l), self._speed(rho_r, mom_r / rho_r, p_r)
         )
-        s_r = np.abs(u_r[..., 1] / u_r[..., 0]) + np.sqrt(
-            self.gamma * self.pressure(u_r) / u_r[..., 0]
-        )
-        return np.maximum(s_l, s_r)
-
-    def _log_entropy(self, u):
-        rho = np.asarray(u, dtype=float)[..., 0]
-        return np.log(self.pressure(u)) - self.gamma * np.log(rho)
 
     def entropy(self, u):
         u = np.asarray(u, dtype=float)
@@ -211,8 +250,8 @@ class Euler(ConservationSystem):
         return self.entropy_raw(u)
 
     def entropy_raw(self, u):
-        u = np.asarray(u, dtype=float)
-        return -u[..., 0] * self._log_entropy(u)
+        rho, _, p = self._primitives(u)
+        return -rho * self._log_entropy(rho, p)
 
     def entropy_flux(self, u):
         u = np.asarray(u, dtype=float)
@@ -220,8 +259,8 @@ class Euler(ConservationSystem):
         return self.entropy_flux_raw(u)
 
     def entropy_flux_raw(self, u):
-        u = np.asarray(u, dtype=float)
-        return -u[..., 1] * self._log_entropy(u)
+        rho, mom, p = self._primitives(u)
+        return -mom * self._log_entropy(rho, p)
 
     def entropy_gradient(self, u):
         u = np.asarray(u, dtype=float)
@@ -229,19 +268,25 @@ class Euler(ConservationSystem):
         return self.entropy_gradient_raw(u)
 
     def entropy_gradient_raw(self, u):
+        rho, mom, p = self._primitives(u)
+        return self._gradient(rho, mom / rho, p, self._log_entropy(rho, p))
+
+    def entropy_terms(self, u):
+        rho, mom, p = self._primitives(u)
+        s = self._log_entropy(rho, p)
+        return -rho * s, self._gradient(rho, mom / rho, p, s)
+
+    def stage_terms(self, u):
         u = np.asarray(u, dtype=float)
-        rho, mom = u[..., 0], u[..., 1]
+        rho, mom, p = self._primitives(u)
         v = mom / rho
-        p = self.pressure(u)
-        s = np.log(p) - self.gamma * np.log(rho)
-        g = self.gamma
-        return np.stack(
-            [
-                g - s - (g - 1.0) * rho * v**2 / (2.0 * p),
-                (g - 1.0) * rho * v / p,
-                -(g - 1.0) * rho / p,
-            ],
-            axis=-1,
+        s = self._log_entropy(rho, p)
+        return (
+            self._flux(mom, u[..., 2], v),
+            self._speed(rho, v, p),
+            -rho * s,
+            -mom * s,
+            self._gradient(rho, v, p, s),
         )
 
 

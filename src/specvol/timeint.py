@@ -1,10 +1,17 @@
 """Semidiscrete right-hand side, adapted Euler step and SSP-RK3 driver.
 
-One Euler stage of the stabilized scheme: reconstruct boundary traces, build
-the numerical flux, estimate the interface entropy dissipation speeds and
-numerical entropy fluxes, size the per-SV correction, then update
+One Euler stage of the stabilized scheme reconstructs the boundary traces and
+checks them, then evaluates every interface term of both sides in one pass:
+``system.stage_terms`` on the stacked left and right traces, shape
+(2, N+1, m), gives the fluxes, signal speeds, entropies, entropy fluxes and
+entropy gradients. From these follow the LLF flux, the dissipation estimate
+sigma, the numerical entropy flux F* and the LLF dissipation. The per-SV
+correction is sized from one pass over the cell averages' entropies and
+gradients, then
 
     u_new = u + dt * (D + lambda_i * v_i),   v_i = H u_i.
+
+Without stabilization a stage computes only the signal speeds and fluxes.
 
 The SSP-RK3 method chains three such stages through convex combinations, so
 conservation and the filter positivity bound survive the full step. The time
@@ -12,7 +19,7 @@ step is fixed from the CFL condition at t = 0; a trailing shortened stage
 lands exactly on t_end.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,7 +55,7 @@ class CellAverageField:
     system: ConservationSystem
 
     def with_data(self, data: np.ndarray, time=None) -> "CellAverageField":
-        return replace(self, data=data, time=self.time if time is None else time)
+        return CellAverageField(data, self.time if time is None else time, self.grid, self.system)
 
     def total_mass(self) -> np.ndarray:
         """Width-weighted total per component, shape (m,)."""
@@ -206,12 +213,19 @@ def euler_adapted(
     system.check_admissible(traces, "boundary trace")
     u_l, u_r = interface_states(traces, config.bc)
 
-    # Every interface quantity is a combination of the same per-side pieces;
-    # compute each piece once.
-    c_max = system.max_signal_speed_raw(u_l, u_r)
-    f_l = system.flux_raw(u_l)
-    f_r = system.flux_raw(u_r)
-    interface_flux = 0.5 * (f_l + f_r) - 0.5 * c_max[:, None] * (u_r - u_l)
+    stabilized = config.stabilization_enabled
+    if stabilized:
+        # Every interface term of both sides from one pass over the stacked
+        # traces: the first axis indexes the side (0 left, 1 right).
+        flux_lr, speed_lr, ent_lr, eflux_lr, grad_lr = system.stage_terms(np.stack([u_l, u_r]))
+        f_l, f_r = flux_lr
+        c_max = np.maximum(speed_lr[0], speed_lr[1])
+    else:
+        c_max = system.max_signal_speed_raw(u_l, u_r)
+        f_l = system.flux_raw(u_l)
+        f_r = system.flux_raw(u_r)
+    jump = u_r - u_l
+    interface_flux = 0.5 * (f_l + f_r) - 0.5 * c_max[:, None] * jump
     n_sv, nodes, m = traces.shape
     fluxes = np.empty((n_sv, nodes, m))
     if nodes > 2:
@@ -221,13 +235,11 @@ def euler_adapted(
     rhs = (fluxes[:, :-1] - fluxes[:, 1:]) / widths[None, :, None]
 
     report = None
-    if config.stabilization_enabled:
+    if stabilized:
         periodic = isinstance(config.bc, PeriodicBC)
         counters = {}
-        ent_l = system.entropy_raw(u_l)
-        ent_r = system.entropy_raw(u_r)
-        eflux_l = system.entropy_flux_raw(u_l)
-        eflux_r = system.entropy_flux_raw(u_r)
+        ent_l, ent_r = ent_lr
+        eflux_l, eflux_r = eflux_lr
         sigma = _sigma_from_parts(
             u_l, u_r, f_l, f_r, c_max, ent_l, ent_r, eflux_l, eflux_r, system, counters
         )
@@ -238,9 +250,7 @@ def euler_adapted(
         f_star = 0.5 * (eflux_l + eflux_r) - 0.5 * c_max * (ent_r - ent_l)
         # Entropy the interface LLF flux itself dissipates; the scale on
         # which correction demands are actually realizable.
-        jump = u_r - u_l
-        grad_jump = system.entropy_gradient_raw(u_r) - system.entropy_gradient_raw(u_l)
-        d_llf = 0.5 * c_max * np.einsum("sc,sc->s", jump, grad_jump)
+        d_llf = 0.5 * c_max * np.einsum("sc,sc->s", jump, grad_lr[1] - grad_lr[0])
         direction = apply_generator(gen, state.data)
         report = compute_correction(
             state.data,

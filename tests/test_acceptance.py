@@ -235,9 +235,9 @@ _TUBE_STATES = {
 
 
 def _tube_initial(name):
-    left, right = _TUBE_STATES[name]
-    gamma = 1.4
-    return lambda x: primitive_to_conserved(*(left if x < 5.0 else right), gamma)
+    """u0 of a tube: a 3-vector at a scalar position, (n, 3) at n positions."""
+    left, right = (primitive_to_conserved(*state, 1.4) for state in _TUBE_STATES[name])
+    return lambda x: np.where((np.asarray(x) < 5.0)[..., None], left, right)
 
 
 def _run_tube(name):

@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from specvol.filters import apply_generator, build_generator
 from specvol.mesh import build_grid
 from specvol.stabilization import (
+    DEN_FLOOR,
+    CorrectionReport,
     compute_correction,
     corrected_rhs,
     lambda_ed,
@@ -202,3 +206,105 @@ class TestComputeCorrection:
         # from the domain-end interfaces
         assert rep.lambda_er_l[0] == 0.0
         assert rep.lambda_er_r[-1] == 0.0
+
+
+def composed_correction(averages, rhs, direction, sigma, f_star, widths, system, dt, gen,
+                        periodic, d_llf, lambda_max):
+    """compute_correction spelled out with the per-part functions and checked methods."""
+    grad = system.entropy_gradient(averages)
+    production = np.einsum("ijc,ijc,j->i", grad, rhs, widths)
+    direction_ip = np.einsum("ijc,ijc,j->i", grad, direction, widths)
+    entropies = np.einsum("j,ij->i", widths, system.entropy(averages))
+    eps_den = DEN_FLOOR * np.maximum(1.0, np.abs(entropies))
+    sigma = sigma.copy()
+    if not periodic:
+        sigma[0] = sigma[-1] = 0.0
+    sigma_used, excess = sigma, production - (f_star[:-1] - f_star[1:])
+    excess_used = excess
+    if d_llf is not None:
+        cap = np.maximum(d_llf, 0.0)
+        sigma_used = np.maximum(sigma, -cap)
+        excess_used = np.minimum(excess, cap[:-1] + cap[1:])
+    capped = (excess_used < excess) | (sigma_used[:-1] > sigma[:-1]) | (sigma_used[1:] > sigma[1:])
+    usable = np.abs(direction_ip) > eps_den
+    ed_term = np.where(usable, -excess_used / np.where(usable, direction_ip, 1.0), 0.0)
+    if periodic:
+        ip_prev, ip_next = np.roll(direction_ip, 1), np.roll(direction_ip, -1)
+    else:
+        ip_prev = np.concatenate([[0.0], direction_ip[:-1]])
+        ip_next = np.concatenate([direction_ip[1:], [0.0]])
+    lam_l, lam_r = lambda_er(sigma_used[:-1], sigma_used[1:], ip_prev, direction_ip, ip_next, eps_den)
+    if lambda_max is None:
+        limit = np.inf if gen.max_diag == 0.0 else 1.0 / (dt * gen.max_diag)
+    else:
+        limit = lambda_max
+    over = [part > limit for part in (ed_term, lam_l, lam_r)]
+    ed_term, lam_l, lam_r = (
+        np.where(o, 0.0, part) for o, part in zip(over, (ed_term, lam_l, lam_r))
+    )
+    lam_sum = np.maximum(0.0, ed_term + lam_l + lam_r)
+    lam = lambda_final(lam_sum, dt, gen, lambda_max)
+    return CorrectionReport(
+        lambda_ed=np.maximum(0.0, ed_term),
+        lambda_er_l=lam_l,
+        lambda_er_r=lam_r,
+        lambda_sum=lam_sum,
+        lambda_final=lam,
+        clamped=(lam_sum > lam) | over[0] | over[1] | over[2] | capped,
+        den_fallbacks=int(np.count_nonzero(~usable)),
+        sigma_fallbacks=4,
+        dropped_demands=sum(int(np.count_nonzero(o)) for o in over),
+    )
+
+
+class TestComputeCorrectionComposition:
+    """compute_correction equals its parts composed one by one, bit for bit."""
+
+    def inputs(self, kind, seed, n_sv=9):
+        rng = np.random.default_rng(seed)
+        widths = build_grid(0.0, 2.0, n_sv, 4).cv_widths
+        gen = build_generator(widths)
+        if kind == "euler":
+            system = euler_system(1.4)
+            shape = (n_sv, 4)
+            data = primitive_to_conserved(
+                rng.uniform(0.2, 2.0, shape), rng.uniform(-1.0, 1.0, shape),
+                rng.uniform(0.2, 2.0, shape),
+            )
+        else:
+            system = burgers_system()
+            data = rng.normal(size=(n_sv, 4, 1))
+        # Some constant SVs give degenerate denominators.
+        data[1] = data[1, 0]
+        rhs = rng.normal(size=data.shape)
+        direction = apply_generator(gen, data)
+        sigma = -np.abs(rng.normal(size=n_sv + 1))
+        f_star = rng.normal(size=n_sv + 1)
+        d_llf = np.abs(rng.normal(size=n_sv + 1)) * rng.choice([1e-3, 10.0], n_sv + 1)
+        return data, rhs, direction, sigma, f_star, widths, system, gen, d_llf
+
+    @pytest.mark.parametrize("kind", ["burgers", "euler"])
+    @pytest.mark.parametrize("periodic", [True, False])
+    @pytest.mark.parametrize("capped", [True, False])
+    @pytest.mark.parametrize("dt, lambda_max", [(0.01, None), (10.0, None), (0.01, 1e-3)])
+    def test_matches_composition(self, kind, periodic, capped, dt, lambda_max):
+        dropped = 0
+        for seed in range(6):
+            data, rhs, direction, sigma, f_star, widths, system, gen, d_llf = self.inputs(kind, seed)
+            scale = d_llf if capped else None
+            args = (data, rhs, direction, sigma, f_star, widths, system, dt, gen, periodic)
+            got = compute_correction(*args, scale, lambda_max, sigma_fallbacks=4)
+            want = composed_correction(*args, scale, lambda_max)
+            for f in dataclasses.fields(CorrectionReport):
+                a, b = np.asarray(getattr(got, f.name)), np.asarray(getattr(want, f.name))
+                assert a.shape == b.shape and a.dtype == b.dtype, f.name
+                assert a.tobytes() == b.tobytes(), f.name
+            dropped += got.dropped_demands
+            assert got.den_fallbacks >= 1
+        if dt == 10.0 or lambda_max is not None:
+            assert dropped > 0  # the positivity limit dropped some demands
+
+    def test_nonpositive_dt_rejected(self):
+        data, rhs, direction, sigma, f_star, widths, system, gen, _ = self.inputs("burgers", 0)
+        with pytest.raises(ValueError):
+            compute_correction(data, rhs, direction, sigma, f_star, widths, system, 0.0, gen, True)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from specvol.exceptions import InadmissibleStateError
 from specvol.systems import (
@@ -181,3 +184,60 @@ class TestPrimitiveConversions:
     def test_nonpositive_pressure_in_conserved_rejected(self):
         with pytest.raises(InadmissibleStateError):
             conserved_to_primitive(np.array([1.0, 0.0, -2.0]), 1.4)
+
+
+@st.composite
+def system_and_states(draw):
+    """A system and admissible states with leading shape (n,), (2, n) or (N, k)."""
+    n = st.integers(1, 7)
+    leading = draw(
+        st.one_of(st.tuples(n), st.tuples(st.just(2), n), st.tuples(n, st.integers(1, 5)))
+    )
+    kind = draw(st.sampled_from(["advection", "burgers", "euler"]))
+    if kind == "euler":
+        gamma = draw(st.floats(1.05, 3.0))
+        rho, p = (draw(hnp.arrays(float, leading, elements=st.floats(0.05, 5.0))) for _ in "rp")
+        v = draw(hnp.arrays(float, leading, elements=st.floats(-3.0, 3.0)))
+        return euler_system(gamma), primitive_to_conserved(rho, v, p, gamma)
+    u = draw(hnp.arrays(float, leading + (1,), elements=st.floats(-3.0, 3.0)))
+    if kind == "burgers":
+        return burgers_system(), u
+    return advection_system(draw(st.floats(-3.0, 3.0))), u
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestFusedTerms:
+    """The one-pass terms equal the checked methods bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(system_and_states())
+    def test_stage_terms_match_checked_methods(self, case):
+        system, u = case
+        flux, speed, ent, eflux, grad = system.stage_terms(u)
+        assert_bitwise(flux, system.flux(u))
+        assert_bitwise(speed, system.max_signal_speed(u, u))
+        assert_bitwise(ent, system.entropy(u))
+        assert_bitwise(eflux, system.entropy_flux(u))
+        assert_bitwise(grad, system.entropy_gradient(u))
+
+    @settings(max_examples=150, deadline=None)
+    @given(system_and_states())
+    def test_entropy_terms_match_checked_methods(self, case):
+        system, u = case
+        ent, grad = system.entropy_terms(u)
+        assert_bitwise(ent, system.entropy(u))
+        assert_bitwise(grad, system.entropy_gradient(u))
+
+    @settings(max_examples=100, deadline=None)
+    @given(system_and_states())
+    def test_stacked_sides_give_the_two_sided_speed(self, case):
+        # The stage takes c_max as the larger of the two sides' speeds.
+        system, u = case
+        other = u[::-1]
+        speed = system.stage_terms(np.stack([u, other]))[1]
+        assert_bitwise(np.maximum(speed[0], speed[1]), system.max_signal_speed(u, other))
