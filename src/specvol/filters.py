@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .reconstruction import _per_sv_product
+
 __all__ = [
     "FilterGenerator",
     "build_generator",
@@ -27,6 +29,7 @@ class FilterGenerator:
     matrix: np.ndarray = field(repr=False)  # (k, k) tridiagonal
     cv_widths: np.ndarray = field(repr=False)  # (k,)
     max_diag: float = 0.0
+    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_cv(self) -> int:
@@ -73,7 +76,7 @@ def apply_generator(gen: FilterGenerator, u: np.ndarray) -> np.ndarray:
     if u.ndim == 3:
         if u.shape[1] != gen.num_cv:
             raise ValueError(f"expected (N, k={gen.num_cv}, m) data, got {u.shape}")
-        return np.einsum("jl,ilc->ijc", gen.matrix, u)
+        return _per_sv_product(gen.matrix, gen._blocks, u)
     raise ValueError(f"expected 2-D or 3-D data, got {u.ndim}-D")
 
 

@@ -5,6 +5,16 @@ of degree k-1, expressed in the Legendre basis on [-1, 1]. The moment matrix M
 maps Legendre coefficients to cell averages; A evaluates the basis at the k+1
 CV boundaries; C = A @ inv(M) goes straight from averages to boundary traces.
 M is inverted once and reused for every time step.
+
+Every SV shares the reference subdivision, so applying C (or any other (p, k)
+per-SV operator, such as the filter generator) to all N SVs is one matrix
+product: the (N, k, m) field, read as an (N, k*m) matrix, times the
+Kronecker block kron(C^T, I_m) gives the (N, p, m) result, C-contiguous and
+without transposes. The block is built once per component count m and kept
+on the operator. Compared with the componentwise sum, the product reorders
+each length-k dot product (roundoff-level differences), and a non-finite
+entry of one component reaches the other components of its SV through
+0 * inf; every such state is inadmissible either way.
 """
 
 from dataclasses import dataclass, field
@@ -74,6 +84,7 @@ class ReconstructionOperator:
     moments_inv: np.ndarray = field(repr=False)  # (k, k)
     evaluation: np.ndarray = field(repr=False)  # (k+1, k) Legendre values at nodes
     combined: np.ndarray = field(repr=False)  # (k+1, k) averages -> traces
+    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_cv(self) -> int:
@@ -99,6 +110,20 @@ def build_reconstruction(grid: SpectralGrid) -> ReconstructionOperator:
     return ReconstructionOperator(moments, moments_inv, evaluation, combined)
 
 
+def _per_sv_product(matrix: np.ndarray, blocks: dict, data: np.ndarray) -> np.ndarray:
+    """``matrix`` (p, k) applied to every SV of the (N, k, m) ``data``.
+
+    Equals ``einsum("jl,ilc->ijc", matrix, data)`` up to the order of each
+    sum, as one BLAS product with the block kron(matrix^T, I_m), which
+    ``blocks`` caches per m. The result is a C-contiguous (N, p, m) array.
+    """
+    n, k, m = data.shape
+    block = blocks.get(m)
+    if block is None:
+        block = blocks[m] = np.kron(matrix.T, np.eye(m))
+    return (data.reshape(n, k * m) @ block).reshape(n, matrix.shape[0], m)
+
+
 def reconstruct_all(op: ReconstructionOperator, data: np.ndarray) -> np.ndarray:
     """Boundary traces for every SV and component.
 
@@ -111,4 +136,4 @@ def reconstruct_all(op: ReconstructionOperator, data: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"expected field shaped (N, {op.num_cv}, m), got {data.shape}"
         )
-    return np.einsum("jl,ilc->ijc", op.combined, data)
+    return _per_sv_product(op.combined, op._blocks, data)

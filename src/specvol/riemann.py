@@ -104,14 +104,17 @@ def _sigma_from_parts(u_l, u_r, f_l, f_r, c, ent_l, ent_r, eflux_l, eflux_r, sys
     if np.any(live):
         c_safe = np.where(live, c, 1.0)
         u_lr = 0.5 * (u_l + u_r) + (f_l - f_r) / (2.0 * c_safe[..., None])
-        ok = live & system.admissible(u_lr)
+        admissible, ent_lr = system._admissible_entropy(u_lr)
+        ok = live & admissible
         fallbacks = int(np.count_nonzero(live & ~ok))
         if fallbacks and counters is not None:
             counters["sigma_fallbacks"] = counters.get("sigma_fallbacks", 0) + fallbacks
         if np.any(ok):
-            u_mid = np.where(ok[..., None], u_lr, u_l)
-            raw = c * (2.0 * system.entropy_raw(u_mid) - ent_l - ent_r) + eflux_l - eflux_r
-            sigma = np.where(ok, np.minimum(raw, 0.0), 0.0)
+            # ent_lr is garbage (nan, inf) on the lanes that are not ok; the
+            # final where discards them.
+            with np.errstate(all="ignore"):
+                raw = c * (2.0 * ent_lr - ent_l - ent_r) + eflux_l - eflux_r
+                sigma = np.where(ok, np.minimum(raw, 0.0), 0.0)
     return sigma
 
 

@@ -96,6 +96,14 @@ class ConservationSystem:
         u = np.asarray(u)
         return np.ones(u.shape[:-1], dtype=bool)
 
+    def _admissible_entropy(self, u):
+        """(admissible mask, U) of states u, unchecked and without warnings.
+
+        U equals ``entropy_raw`` bitwise where the mask is True and is
+        meaningless elsewhere. Systems whose two terms share work override this.
+        """
+        return self.admissible(u), self.entropy_raw(u)
+
     def check_admissible(self, u: np.ndarray, context: str = "state") -> None:
         ok = self.admissible(u)
         if not np.all(ok):
@@ -214,11 +222,20 @@ class Euler(ConservationSystem):
     def sound_speed(self, u):
         return np.sqrt(self.gamma * self.pressure(u) / np.asarray(u)[..., 0])
 
+    def _mask(self, u, rho, p):
+        return (rho > 0.0) & (p > 0.0) & np.isfinite(u).all(axis=-1)
+
     def admissible(self, u):
         u = np.asarray(u, dtype=float)
         with np.errstate(all="ignore"):
             rho, _, p = self._primitives(u)
-        return (rho > 0.0) & (p > 0.0) & np.isfinite(u).all(axis=-1)
+        return self._mask(u, rho, p)
+
+    def _admissible_entropy(self, u):
+        u = np.asarray(u, dtype=float)
+        with np.errstate(all="ignore"):
+            rho, _, p = self._primitives(u)
+            return self._mask(u, rho, p), -rho * self._log_entropy(rho, p)
 
     def flux(self, u):
         u = np.asarray(u, dtype=float)
@@ -231,18 +248,22 @@ class Euler(ConservationSystem):
         return self._flux(mom, u[..., 2], mom / u[..., 0])
 
     def max_signal_speed(self, u_l, u_r):
+        same = u_r is u_l
         u_l = np.asarray(u_l, dtype=float)
-        u_r = np.asarray(u_r, dtype=float)
+        u_r = u_l if same else np.asarray(u_r, dtype=float)
         self.check_admissible(u_l, "left state")
-        self.check_admissible(u_r, "right state")
+        if not same:
+            self.check_admissible(u_r, "right state")
         return self.max_signal_speed_raw(u_l, u_r)
 
     def max_signal_speed_raw(self, u_l, u_r):
+        # One pass when both sides are the same array: max(a, a) == a.
         rho_l, mom_l, p_l = self._primitives(u_l)
+        speed_l = self._speed(rho_l, mom_l / rho_l, p_l)
+        if u_r is u_l:
+            return speed_l
         rho_r, mom_r, p_r = self._primitives(u_r)
-        return np.maximum(
-            self._speed(rho_l, mom_l / rho_l, p_l), self._speed(rho_r, mom_r / rho_r, p_r)
-        )
+        return np.maximum(speed_l, self._speed(rho_r, mom_r / rho_r, p_r))
 
     def entropy(self, u):
         u = np.asarray(u, dtype=float)

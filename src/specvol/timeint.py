@@ -13,6 +13,12 @@ gradients, then
 
 Without stabilization a stage computes only the signal speeds and fluxes.
 
+The traces and v = H u each come from one matrix product over all SVs (see
+``reconstruction``). The fluxes go into one (N*k + 1, m) array of CV faces,
+left to right: face i*k + j is boundary j of SV i, so every SV interface has
+one slot shared by its two SVs, and D = (faces[:-1] - faces[1:]) / h is one
+contiguous pass with the CV widths tiled once per grid.
+
 The SSP-RK3 method chains three such stages through convex combinations, so
 conservation and the filter positivity bound survive the full step. The time
 step is fixed from the CFL condition at t = 0; a trailing shortened stage
@@ -226,13 +232,14 @@ def euler_adapted(
         f_r = system.flux_raw(u_r)
     jump = u_r - u_l
     interface_flux = 0.5 * (f_l + f_r) - 0.5 * c_max[:, None] * jump
-    n_sv, nodes, m = traces.shape
-    fluxes = np.empty((n_sv, nodes, m))
-    if nodes > 2:
-        fluxes[:, 1:-1] = system.flux_raw(traces[:, 1:-1])
-    fluxes[:, 0] = interface_flux[:-1]
-    fluxes[:, -1] = interface_flux[1:]
-    rhs = (fluxes[:, :-1] - fluxes[:, 1:]) / widths[None, :, None]
+    # One slot per CV face, left to right: face i*k + j is boundary j of SV
+    # i, so the SV interfaces sit at every k-th face and each is stored once.
+    n_sv, k, m = state.data.shape
+    faces = np.empty((n_sv * k + 1, m))
+    faces[::k] = interface_flux
+    if k > 1:
+        faces[:-1].reshape(n_sv, k, m)[:, 1:] = system.flux_raw(traces[:, 1:-1])
+    rhs = ((faces[:-1] - faces[1:]) / grid._face_widths).reshape(n_sv, k, m)
 
     report = None
     if stabilized:

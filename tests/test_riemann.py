@@ -6,6 +6,7 @@ from specvol.reconstruction import build_reconstruction, reconstruct_all
 from specvol.riemann import (
     FixedBC,
     PeriodicBC,
+    _sigma_from_parts,
     assemble_fluxes,
     dissipation_estimate,
     hll_flux,
@@ -130,6 +131,53 @@ class TestDissipationEstimate:
         sigma = dissipation_estimate(u_l, u_r, sys, counters)
         if counters.get("sigma_fallbacks"):
             assert sigma[0] == 0.0
+
+
+def two_pass_sigma(u_l, u_r, f_l, f_r, c, ent_l, ent_r, eflux_l, eflux_r, system, counters):
+    """sigma with the admissibility of u_lr and its entropy from separate passes."""
+    live = c > 0.0
+    sigma = np.zeros(np.shape(c))
+    if np.any(live):
+        c_safe = np.where(live, c, 1.0)
+        u_lr = 0.5 * (u_l + u_r) + (f_l - f_r) / (2.0 * c_safe[..., None])
+        ok = live & system.admissible(u_lr)
+        fallbacks = int(np.count_nonzero(live & ~ok))
+        if fallbacks:
+            counters["sigma_fallbacks"] = fallbacks
+        if np.any(ok):
+            u_mid = np.where(ok[..., None], u_lr, u_l)
+            raw = c * (2.0 * system.entropy_raw(u_mid) - ent_l - ent_r) + eflux_l - eflux_r
+            sigma = np.where(ok, np.minimum(raw, 0.0), 0.0)
+    return sigma
+
+
+class TestSigmaOnePass:
+    """sigma and its fallback count equal the two-pass formula bitwise."""
+
+    @pytest.mark.parametrize("make", [lambda: advection_system(1.5), burgers_system, euler_system])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_two_pass_formula(self, make, seed):
+        system = make()
+        rng = np.random.default_rng(seed)
+        u_l, u_r = sample_states(system, rng, 400), sample_states(system, rng, 400)
+        u_r[:50] = u_l[:50]
+        if system.m == 1:
+            u_r[:20] = u_l[:20] = 0.0  # c = 0 on these lanes for Burgers
+        c = system.max_signal_speed(u_l, u_r)
+        if system.m == 3:
+            # Below the true signal speed u_lr can lose its pressure: fallbacks.
+            c[100:200] *= 0.05
+        parts = (
+            u_l, u_r, system.flux(u_l), system.flux(u_r), c, system.entropy(u_l),
+            system.entropy(u_r), system.entropy_flux(u_l), system.entropy_flux(u_r), system,
+        )
+        got_counts, want_counts = {}, {}
+        got = _sigma_from_parts(*parts, got_counts)
+        want = two_pass_sigma(*parts, want_counts)
+        assert got.tobytes() == want.tobytes()
+        assert got_counts.get("sigma_fallbacks") == want_counts.get("sigma_fallbacks")
+        if system.m == 3:
+            assert want_counts["sigma_fallbacks"] > 0
 
 
 class TestLlfEntropyFlux:

@@ -235,6 +235,15 @@ class TestFusedTerms:
 
     @settings(max_examples=100, deadline=None)
     @given(system_and_states())
+    def test_speed_of_one_array_against_itself_is_one_pass(self, case):
+        # max_signal_speed_raw(u, u) skips the second side; max(a, a) == a.
+        system, u = case
+        two_sided = system.max_signal_speed_raw(u, u.copy())
+        assert_bitwise(system.max_signal_speed_raw(u, u), two_sided)
+        assert_bitwise(system.max_signal_speed(u, u), two_sided)
+
+    @settings(max_examples=100, deadline=None)
+    @given(system_and_states())
     def test_stacked_sides_give_the_two_sided_speed(self, case):
         # The stage takes c_max as the larger of the two sides' speeds.
         system, u = case
