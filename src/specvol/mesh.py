@@ -81,12 +81,6 @@ class SpectralGrid:
     ref_widths: np.ndarray = field(repr=False)  # (k,)
     cv_edges: np.ndarray = field(repr=False)  # (N, k+1) physical coordinates
     cv_widths: np.ndarray = field(repr=False)  # (k,) physical, same in every SV
-    # Widths of all N*k CVs left to right, (N*k, 1): the divisor of the
-    # stage's flux divergence, built with the grid rather than per stage.
-    _face_widths: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_face_widths", np.tile(self.cv_widths, self.num_sv)[:, None])
 
     @property
     def sv_edges(self) -> np.ndarray:

@@ -10,11 +10,20 @@ Every SV shares the reference subdivision, so applying C (or any other (p, k)
 per-SV operator, such as the filter generator) to all N SVs is one matrix
 product: the (N, k, m) field, read as an (N, k*m) matrix, times the
 Kronecker block kron(C^T, I_m) gives the (N, p, m) result, C-contiguous and
-without transposes. The block is built once per component count m and kept
+without transposes. The blocks are built once per component count m and kept
 on the operator. Compared with the componentwise sum, the product reorders
 each length-k dot product (roundoff-level differences), and a non-finite
 entry of one component reaches the other components of its SV through
 0 * inf; every such state is inadmissible either way.
+
+The solver takes the traces in CV-face order (``reconstruct_faces``): one
+(N*(k+1), m) array whose first N*k rows are the traces j < k of every SV,
+row i*k + j being the left boundary of CV j of SV i, and whose last N rows
+are each SV's right-end trace. The first block lines up with the CV faces
+the flux divergence runs over, so the interior analytical fluxes are one
+contiguous pass. It comes from two products, with the blocks of C's first k
+rows and of its last row. ``reconstruct_all`` assembles the same traces into
+the (N, k+1, m) layout, so both layouts hold identical values.
 """
 
 from dataclasses import dataclass, field
@@ -30,6 +39,7 @@ __all__ = [
     "moment_matrix",
     "build_reconstruction",
     "reconstruct_all",
+    "reconstruct_faces",
 ]
 
 
@@ -124,16 +134,60 @@ def _per_sv_product(matrix: np.ndarray, blocks: dict, data: np.ndarray) -> np.nd
     return (data.reshape(n, k * m) @ block).reshape(n, matrix.shape[0], m)
 
 
-def reconstruct_all(op: ReconstructionOperator, data: np.ndarray) -> np.ndarray:
-    """Boundary traces for every SV and component.
+def reconstruct_faces(op: ReconstructionOperator, data: np.ndarray, out=None) -> np.ndarray:
+    """Boundary traces for every SV and component, in CV-face order.
 
-    ``data`` has shape (N, k, m); the result has shape (N, k+1, m). The trace
-    is continuous inside each SV; at a shared SV boundary the left SV's last
-    trace and the right SV's first trace generally differ.
+    ``data`` has shape (N, k, m); the result has shape (N*(k+1), m). Row
+    i*k + j (j < k) is trace j of SV i and row N*k + i is SV i's right-end
+    trace k. ``out``, when given, is a C-contiguous float array of that
+    shape that receives the result.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 3 or data.shape[1] != op.num_cv:
         raise ValueError(
             f"expected field shaped (N, {op.num_cv}, m), got {data.shape}"
         )
-    return _per_sv_product(op.combined, op._blocks, data)
+    n, k, m = data.shape
+    blocks = op._blocks.get(m)
+    if blocks is None:
+        # With m = 1 the right-end block also yields trace k-1; see below.
+        eye = np.eye(m)
+        blocks = op._blocks[m] = (
+            np.kron(op.combined[:k].T, eye),
+            np.kron(op.combined[k - (m == 1) :].T, eye),
+        )
+    if out is None:
+        out = np.empty((n * (k + 1), m))
+    flat = data.reshape(n, k * m)
+    if m == 1:
+        # A one-column product runs as a matrix-vector kernel, which sums in
+        # another order than the matrix product. Two columns, traces k-1 and
+        # k, keep it a matrix product: written column-major, trace k lands in
+        # the last N rows and trace k-1 in rows the left block overwrites.
+        np.matmul(flat, blocks[1], out=out[n * (k - 1) :, 0].reshape(2, n).T)
+    else:
+        np.matmul(flat, blocks[1], out=out[n * k :])
+    np.matmul(flat, blocks[0], out=out[: n * k].reshape(n, k * m))
+    return out
+
+
+def _sv_traces(faces: np.ndarray, n_sv: int) -> np.ndarray:
+    """The CV-face ordered traces ``faces`` as an (N, k+1, m) array."""
+    m = faces.shape[1]
+    k = faces.shape[0] // n_sv - 1
+    traces = np.empty((n_sv, k + 1, m))
+    traces[:, :k] = faces[: n_sv * k].reshape(n_sv, k, m)
+    traces[:, k] = faces[n_sv * k :]
+    return traces
+
+
+def reconstruct_all(op: ReconstructionOperator, data: np.ndarray) -> np.ndarray:
+    """Boundary traces for every SV and component.
+
+    ``data`` has shape (N, k, m); the result has shape (N, k+1, m). The trace
+    is continuous inside each SV; at a shared SV boundary the left SV's last
+    trace and the right SV's first trace generally differ. The values are
+    those of ``reconstruct_faces``, bit for bit.
+    """
+    faces = reconstruct_faces(op, data)
+    return _sv_traces(faces, faces.shape[0] // (op.num_cv + 1))

@@ -92,9 +92,11 @@ class ConservationSystem:
         )
 
     def admissible(self, u: np.ndarray) -> np.ndarray:
-        """Boolean mask over the leading axes; True where u is admissible."""
-        u = np.asarray(u)
-        return np.ones(u.shape[:-1], dtype=bool)
+        """Boolean mask over the leading axes; True where u is admissible.
+
+        Every finite state is admissible unless a system says otherwise.
+        """
+        return np.isfinite(u).all(axis=-1)
 
     def _admissible_entropy(self, u):
         """(admissible mask, U) of states u, unchecked and without warnings.

@@ -13,11 +13,26 @@ gradients, then
 
 Without stabilization a stage computes only the signal speeds and fluxes.
 
-The traces and v = H u each come from one matrix product over all SVs (see
-``reconstruction``). The fluxes go into one (N*k + 1, m) array of CV faces,
-left to right: face i*k + j is boundary j of SV i, so every SV interface has
-one slot shared by its two SVs, and D = (faces[:-1] - faces[1:]) / h is one
-contiguous pass with the CV widths tiled once per grid.
+The traces come in CV-face order from ``reconstruct_faces`` and v = H u from
+one matrix product over all SVs (see ``reconstruction``). The fluxes go into
+one (N*k + 1, m) array of CV faces, left to right: face i*k + j is boundary j
+of SV i, so every SV interface has one slot shared by its two SVs. The
+analytical flux of the first N*k traces fills faces[:-1] in one contiguous
+pass, the interface fluxes then overwrite the SV interfaces faces[::k], and
+D = (faces[:-1] - faces[1:]) / h is one contiguous pass with the CV widths
+tiled once per run.
+
+A run keeps its arrays in a stage plan that ``integrate`` builds once: the
+traces, the CV faces, the stacked interface states (with the fixed ghost
+states written once), the tiled widths and three (N, k, m) arrays, one for
+the RK state and two that the stages write D and their new averages into,
+each stage into the one that is not its input. The RK combinations run in
+place with ``out=``, so a step allocates no array of the field's size
+beyond what the system methods, the filter direction and the correction
+return. ``euler_adapted`` and ``ssp_rk3_step`` take the plan as the keyword
+``plan``. Without one they build a fresh plan, so the fields they return own
+their data; with one, those fields live in the plan's arrays until its next
+stage or step. ``integrate`` returns, and attaches to a failure, copies.
 
 The SSP-RK3 method chains three such stages through convex combinations, so
 conservation and the filter positivity bound survive the full step. The time
@@ -32,8 +47,16 @@ import numpy as np
 from .exceptions import DegenerateSpeedError, InadmissibleStateError, StepFailureError
 from .filters import FilterGenerator, apply_generator, build_generator
 from .mesh import SpectralGrid
-from .reconstruction import ReconstructionOperator, build_reconstruction, reconstruct_all
-from .riemann import PeriodicBC, _sigma_from_parts, assemble_fluxes, interface_states
+from .reconstruction import (
+    ReconstructionOperator,
+    _sv_traces,
+    build_reconstruction,
+    reconstruct_all,
+    reconstruct_faces,
+)
+# interface_states is not called here; the benchmark's tracer wraps it as a
+# module attribute, so it stays importable from timeint.
+from .riemann import FixedBC, PeriodicBC, _sigma_from_parts, assemble_fluxes, interface_states
 from .stabilization import CorrectionReport, compute_correction, corrected_rhs
 from .systems import ConservationSystem, LinearAdvection
 
@@ -199,51 +222,70 @@ def base_rhs(
     return (fluxes[:, :-1] - fluxes[:, 1:]) / cv_widths[None, :, None]
 
 
-def euler_adapted(
-    state: CellAverageField,
-    dt: float,
-    op: ReconstructionOperator,
-    gen: FilterGenerator,
-    config: SolverConfig,
-):
-    """One (possibly corrected) Euler stage; returns (new_field, report).
+class _StagePlan:
+    """The arrays of one run's stages, for one grid, system and boundary condition."""
 
-    With stabilization disabled the entropy machinery is skipped entirely and
-    the report is None.
+    def __init__(self, grid: SpectralGrid, system: ConservationSystem, bc):
+        n_sv, k, m = grid.num_sv, grid.num_cv, system.m
+        self.periodic = isinstance(bc, PeriodicBC)
+        self.traces = np.empty((n_sv * (k + 1), m))
+        self.faces = np.empty((n_sv * k + 1, m))
+        self.widths = np.tile(grid.cv_widths, n_sv)[:, None]
+        # Interface states, side first (0 left, 1 right), as stage_terms takes
+        # them. A fixed run's ghost states sit in slots no stage writes.
+        self.sides = np.empty((2, n_sv + 1, m))
+        if isinstance(bc, FixedBC):
+            self.sides[0, 0] = bc.left
+            self.sides[1, -1] = bc.right
+        elif not self.periodic:
+            raise ValueError(f"unknown boundary condition {bc!r}")
+        self.state = np.empty((n_sv, k, m))
+        self.stages = (np.empty((n_sv, k, m)), np.empty((n_sv, k, m)))
+
+
+def _stage(state, dt, op, gen, config, plan):
+    """One Euler stage from ``state``; returns (new averages, report).
+
+    The new averages are written into the plan's stage array that is not
+    ``state.data``; the correction's arrays are freshly allocated.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    grid, system = state.grid, state.system
-    widths = grid.cv_widths
-    traces = reconstruct_all(op, state.data)
-    system.check_admissible(traces, "boundary trace")
-    u_l, u_r = interface_states(traces, config.bc)
+    u, system = state.data, state.system
+    n_sv, k, m = plan.state.shape
+    out = plan.stages[1] if u is plan.stages[0] else plan.stages[0]
+    traces = reconstruct_faces(op, u, out=plan.traces)
+    if not np.all(system.admissible(traces)):
+        # Name the first bad trace in (sv, node) order, as for (N, k+1, m).
+        system.check_admissible(_sv_traces(traces, n_sv), "boundary trace")
+    u_l, u_r = plan.sides
+    u_l[1:] = traces[n_sv * k :]
+    u_r[:-1] = traces[: n_sv * k : k]
+    if plan.periodic:
+        u_l[0] = u_l[-1]
+        u_r[-1] = u_r[0]
 
+    faces = plan.faces
+    if k > 1:
+        # Every trace j < k in one pass; the SV interfaces are overwritten below.
+        faces[:-1] = system.flux_raw(traces[: n_sv * k])
     stabilized = config.stabilization_enabled
     if stabilized:
         # Every interface term of both sides from one pass over the stacked
         # traces: the first axis indexes the side (0 left, 1 right).
-        flux_lr, speed_lr, ent_lr, eflux_lr, grad_lr = system.stage_terms(np.stack([u_l, u_r]))
-        f_l, f_r = flux_lr
+        flux_lr, speed_lr, ent_lr, eflux_lr, grad_lr = system.stage_terms(plan.sides)
         c_max = np.maximum(speed_lr[0], speed_lr[1])
     else:
+        flux_lr = system.flux_raw(plan.sides)
         c_max = system.max_signal_speed_raw(u_l, u_r)
-        f_l = system.flux_raw(u_l)
-        f_r = system.flux_raw(u_r)
+    f_l, f_r = flux_lr
     jump = u_r - u_l
-    interface_flux = 0.5 * (f_l + f_r) - 0.5 * c_max[:, None] * jump
-    # One slot per CV face, left to right: face i*k + j is boundary j of SV
-    # i, so the SV interfaces sit at every k-th face and each is stored once.
-    n_sv, k, m = state.data.shape
-    faces = np.empty((n_sv * k + 1, m))
-    faces[::k] = interface_flux
-    if k > 1:
-        faces[:-1].reshape(n_sv, k, m)[:, 1:] = system.flux_raw(traces[:, 1:-1])
-    rhs = ((faces[:-1] - faces[1:]) / grid._face_widths).reshape(n_sv, k, m)
+    faces[::k] = 0.5 * (f_l + f_r) - 0.5 * c_max[:, None] * jump
+    d = out.reshape(n_sv * k, m)
+    np.subtract(faces[:-1], faces[1:], out=d)
+    np.divide(d, plan.widths, out=d)
+    rhs = out
 
     report = None
     if stabilized:
-        periodic = isinstance(config.bc, PeriodicBC)
         counters = {}
         ent_l, ent_r = ent_lr
         eflux_l, eflux_r = eflux_lr
@@ -258,26 +300,27 @@ def euler_adapted(
         # Entropy the interface LLF flux itself dissipates; the scale on
         # which correction demands are actually realizable.
         d_llf = 0.5 * c_max * np.einsum("sc,sc->s", jump, grad_lr[1] - grad_lr[0])
-        direction = apply_generator(gen, state.data)
+        direction = apply_generator(gen, u)
         report = compute_correction(
-            state.data,
+            u,
             rhs,
             direction,
             sigma,
             f_star,
-            widths,
+            state.grid.cv_widths,
             system,
             dt,
             gen,
-            periodic,
+            plan.periodic,
             dissipation_scale=d_llf,
             lambda_max=config.lambda_max,
             sigma_fallbacks=counters.get("sigma_fallbacks", 0),
         )
         rhs = corrected_rhs(rhs, report.lambda_final, direction)
 
-    new_data = state.data + dt * rhs
-    ok = system.admissible(new_data)
+    np.multiply(rhs, dt, out=rhs)
+    new = np.add(u, rhs, out=out)
+    ok = system.admissible(new)
     if not np.all(ok):
         i, j = map(int, np.argwhere(~ok)[0])
         raise StepFailureError(
@@ -286,7 +329,30 @@ def euler_adapted(
             cv=j,
             time=state.time + dt,
         )
-    return state.with_data(new_data, time=state.time + dt), report
+    return new, report
+
+
+def euler_adapted(
+    state: CellAverageField,
+    dt: float,
+    op: ReconstructionOperator,
+    gen: FilterGenerator,
+    config: SolverConfig,
+    *,
+    plan=None,
+):
+    """One (possibly corrected) Euler stage; returns (new_field, report).
+
+    With stabilization disabled the entropy machinery is skipped entirely and
+    the report is None. ``plan`` is a run's stage plan (see the module
+    docstring); without one the new field owns its data.
+    """
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if plan is None:
+        plan = _StagePlan(state.grid, state.system, config.bc)
+    new, report = _stage(state, dt, op, gen, config, plan)
+    return state.with_data(new, time=state.time + dt), report
 
 
 def ssp_rk3_step(
@@ -295,24 +361,32 @@ def ssp_rk3_step(
     op: ReconstructionOperator,
     gen: FilterGenerator,
     config: SolverConfig,
+    *,
+    plan=None,
 ):
     """Third-order SSP Runge-Kutta step built from adapted Euler stages.
 
     u1 = E(u0); u2 = 3/4 u0 + 1/4 E(u1); u_new = 1/3 u0 + 2/3 E(u2). The
     correction sizes are recomputed inside every stage. Returns (new_field,
     reports): the stages' correction reports in stage order, empty with
-    stabilization disabled.
+    stabilization disabled. With a ``plan`` the new field is the plan's RK
+    state array, which may be ``state``'s own; without one it owns its data.
     """
-    stage1, r1 = euler_adapted(state, dt, op, gen, config)
-    stage2_full, r2 = euler_adapted(stage1, dt, op, gen, config)
-    stage2 = state.with_data(
-        0.75 * state.data + 0.25 * stage2_full.data, time=state.time + 0.5 * dt
+    if plan is None:
+        plan = _StagePlan(state.grid, state.system, config.bc)
+    u0 = state.data
+    stage1, r1 = euler_adapted(state, dt, op, gen, config, plan=plan)
+    stage2_full, r2 = euler_adapted(stage1, dt, op, gen, config, plan=plan)
+    # The combinations reuse the stage arrays an earlier stage is done with.
+    u2 = np.multiply(stage2_full.data, 0.25, out=stage2_full.data)
+    np.add(np.multiply(u0, 0.75, out=stage1.data), u2, out=u2)
+    stage2 = state.with_data(u2, time=state.time + 0.5 * dt)
+    stage3_full, r3 = euler_adapted(stage2, dt, op, gen, config, plan=plan)
+    u3 = np.multiply(stage3_full.data, 2.0 / 3.0, out=stage3_full.data)
+    new = np.add(np.divide(u0, 3.0, out=u2), u3, out=plan.state)
+    return state.with_data(new, time=state.time + dt), tuple(
+        r for r in (r1, r2, r3) if r is not None
     )
-    stage3_full, r3 = euler_adapted(stage2, dt, op, gen, config)
-    new = state.with_data(
-        state.data / 3.0 + (2.0 / 3.0) * stage3_full.data, time=state.time + dt
-    )
-    return new, tuple(r for r in (r1, r2, r3) if r is not None)
 
 
 def select_dt(
@@ -349,7 +423,8 @@ def integrate(
 
     The step size is frozen at the start (T = floor(t_end / dt) full steps);
     a final shortened step hits t_end exactly. Identical inputs produce
-    bitwise-identical results.
+    bitwise-identical results. Every step runs on one stage plan; the
+    returned field, and ``last_state`` of a failure, own their data.
     """
     if op is None:
         op = build_reconstruction(state.grid)
@@ -361,12 +436,13 @@ def integrate(
         raise ValueError(f"t_end={config.t_end} is not ahead of t={state.time}")
     n_full = int(np.floor(remaining / dt))
 
+    plan = _StagePlan(state.grid, state.system, config.bc)
     diag = RunDiagnostics()
     if config.diagnostics_every:
         diag.record_l2(state.time, discrete_l2(state))
     try:
         for n in range(n_full):
-            state, reports = ssp_rk3_step(state, dt, op, gen, config)
+            state, reports = ssp_rk3_step(state, dt, op, gen, config, plan=plan)
             diag.steps += 1
             for report in reports:
                 diag.record_report(report)
@@ -374,16 +450,17 @@ def integrate(
                 diag.record_l2(state.time, discrete_l2(state))
         dt_last = config.t_end - state.time
         if dt_last > 1e-12 * dt:
-            state, reports = ssp_rk3_step(state, dt_last, op, gen, config)
+            state, reports = ssp_rk3_step(state, dt_last, op, gen, config, plan=plan)
             diag.steps += 1
             for report in reports:
                 diag.record_report(report)
     except (StepFailureError, InadmissibleStateError) as exc:
-        # Let callers keep whatever was computed before the failure.
-        exc.last_state = state
+        # Let callers keep whatever was computed before the failure, in an
+        # array of its own: the plan's arrays belong to this run.
+        exc.last_state = state.with_data(state.data.copy())
         exc.diagnostics = diag
         raise
-    state = state.with_data(state.data, time=config.t_end)
+    state = state.with_data(state.data.copy(), time=config.t_end)
     if config.diagnostics_every:
         diag.record_l2(state.time, discrete_l2(state))
     return state, diag

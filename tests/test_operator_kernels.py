@@ -1,10 +1,12 @@
 """The per-SV operator kernels against the componentwise einsum formula.
 
-``reconstruct_all`` and ``apply_generator`` apply one (p, k) matrix to every
-SV as a single matrix product, which reorders each length-k sum. They must
-agree with ``einsum("jl,ilc->ijc", ...)`` to roundoff, return C-contiguous
-arrays of the documented shape for any input layout, and leave the solver's
-admissibility decisions unchanged, including on non-finite input.
+``reconstruct_faces``, ``reconstruct_all`` and ``apply_generator`` apply one
+(p, k) matrix to every SV as matrix products, which reorder each length-k
+sum. They must agree with ``einsum("jl,ilc->ijc", ...)`` to roundoff, return
+C-contiguous arrays of the documented shape for any input layout, and leave
+the solver's admissibility decisions unchanged, including on non-finite
+input. The stage takes its traces from ``timeint.reconstruct_faces``, so the
+kernel swaps below replace that name.
 """
 
 import numpy as np
@@ -17,7 +19,7 @@ from specvol.cli import BUILTIN_SCENARIOS
 from specvol.exceptions import InadmissibleStateError
 from specvol.filters import apply_generator, build_generator
 from specvol.mesh import build_grid
-from specvol.reconstruction import build_reconstruction, reconstruct_all
+from specvol.reconstruction import build_reconstruction, reconstruct_all, reconstruct_faces
 from specvol.riemann import FixedBC, PeriodicBC
 from specvol.systems import euler_system, primitive_to_conserved
 from specvol.timeint import SolverConfig, euler_adapted, init_field, select_dt
@@ -29,6 +31,27 @@ def einsum_reconstruct(op, data):
 
 def einsum_generator(gen, u):
     return np.einsum("jl,ilc->ijc", gen.matrix, np.asarray(u, dtype=float))
+
+
+def einsum_faces(op, data, out=None):
+    """The einsum traces in CV-face order: traces j < k of every SV, then the right ends."""
+    traces = einsum_reconstruct(op, data)
+    m = traces.shape[2]
+    faces = np.concatenate([traces[:, :-1].reshape(-1, m), traces[:, -1]])
+    if out is None:
+        return faces
+    out[...] = faces
+    return out
+
+
+def counted(fn, calls):
+    """``fn``, appending to ``calls`` on every call, so a swap can be shown to act."""
+
+    def wrapper(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+
+    return wrapper
 
 
 def in_layout(data, layout):
@@ -71,6 +94,38 @@ class TestPerSvProduct:
         assert got.shape == (n_sv, k + 1, m) and got.dtype == np.float64
         assert got.flags.c_contiguous
         assert_close_to(got, einsum_reconstruct(op, data), data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(fields())
+    def test_reconstruct_faces_matches_einsum(self, case):
+        grid, data = case
+        op = build_reconstruction(grid)
+        got = reconstruct_faces(op, data)
+        n_sv, k, m = data.shape
+        assert got.shape == (n_sv * (k + 1), m) and got.dtype == np.float64
+        assert got.flags.c_contiguous
+        assert_close_to(got, einsum_faces(op, data), data)
+        # reconstruct_all holds the same values in the (N, k+1, m) layout.
+        traces = reconstruct_all(op, data)
+        assert traces[:, :k].tobytes() == got[: n_sv * k].tobytes()
+        assert traces[:, k].tobytes() == got[n_sv * k :].tobytes()
+        # Written into a given array, bit for bit the same.
+        out = np.full_like(got, np.nan)
+        assert reconstruct_faces(op, data, out=out) is out
+        assert out.tobytes() == got.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 50), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_scalar_faces_equal_one_product(self, n_sv, k, seed):
+        # A scalar field's traces are those of one (N, k) @ (k, k+1) matrix
+        # product, bit for bit: no trace comes from a matrix-vector kernel,
+        # which would sum in another order.
+        op = build_reconstruction(build_grid(0.0, 1.0, n_sv, k))
+        data = np.random.default_rng(seed).normal(size=(n_sv, k, 1))
+        traces = data.reshape(n_sv, k) @ op.combined.T
+        got = reconstruct_faces(op, data)
+        assert got[: n_sv * k, 0].tobytes() == np.ascontiguousarray(traces[:, :k]).tobytes()
+        assert got[n_sv * k :, 0].tobytes() == np.ascontiguousarray(traces[:, k]).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(fields())
@@ -134,13 +189,14 @@ class TestNonFiniteInput:
         state = timeint.CellAverageField(data, 0.0, grid, system)
         args = (state, 1e-4, build_reconstruction(grid), build_generator(grid.cv_widths),
                 SolverConfig(t_end=1.0, bc=PeriodicBC()))
-        wheres = []
+        wheres, calls = [], []
         for swap in (False, True):
             if swap:
-                monkeypatch.setattr(timeint, "reconstruct_all", einsum_reconstruct)
+                monkeypatch.setattr(timeint, "reconstruct_faces", counted(einsum_faces, calls))
             with pytest.raises(InadmissibleStateError) as err:
                 euler_adapted(*args)
             wheres.append(err.value.where)
+        assert calls == ["einsum_faces"]
         assert wheres[0] == wheres[1] == (6, 0)
 
 
@@ -170,9 +226,11 @@ class TestStageAgainstEinsumKernels:
         op, gen = build_reconstruction(grid), build_generator(grid.cv_widths)
         dt = select_dt(grid, state, state.system, config.cfl)
         new, report = euler_adapted(state, dt, op, gen, config)
-        monkeypatch.setattr(timeint, "reconstruct_all", einsum_reconstruct)
-        monkeypatch.setattr(timeint, "apply_generator", einsum_generator)
+        calls = []
+        monkeypatch.setattr(timeint, "reconstruct_faces", counted(einsum_faces, calls))
+        monkeypatch.setattr(timeint, "apply_generator", counted(einsum_generator, calls))
         want, want_report = euler_adapted(state, dt, op, gen, config)
+        assert calls == ["einsum_faces", "einsum_generator"]
         assert_close_to(new.data, want.data, want.data)
         v_max = np.abs(einsum_generator(gen, state.data)).max(axis=(1, 2))
         assert_close_to(dt * report.lambda_final * v_max, dt * want_report.lambda_final * v_max,

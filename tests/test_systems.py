@@ -81,6 +81,25 @@ class TestBurgers:
         assert sys.max_signal_speed(np.array([1.0]), np.array([-1.0])) == 1.0
 
 
+@pytest.mark.parametrize("make", [lambda: advection_system(1.0), burgers_system],
+                         ids=["advection", "burgers"])
+class TestScalarAdmissible:
+    def test_finite_states_admissible(self, make):
+        u = np.array([[-1e300], [0.0], [-0.0], [2.5], [1e-320]])
+        np.testing.assert_array_equal(make().admissible(u), np.ones(5, dtype=bool))
+
+    def test_non_finite_states_rejected_with_location(self, make):
+        sys = make()
+        u = np.zeros((3, 4, 1))
+        u[1, 2, 0], u[2, 0, 0], u[0, 3, 0] = np.nan, np.inf, -np.inf
+        want = np.ones((3, 4), dtype=bool)
+        want[1, 2] = want[2, 0] = want[0, 3] = False
+        np.testing.assert_array_equal(sys.admissible(u), want)
+        with pytest.raises(InadmissibleStateError) as err:
+            sys.check_admissible(u, "state")
+        assert err.value.where == (0, 3)
+
+
 class TestEuler:
     def test_unit_state_flux(self):
         sys = euler_system(1.4)

@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from specvol import timeint
 from specvol.cli import BUILTIN_SCENARIOS
-from specvol.exceptions import DegenerateSpeedError
+from specvol.exceptions import DegenerateSpeedError, InadmissibleStateError, StepFailureError
 from specvol.filters import apply_generator, build_generator
 from specvol.mesh import build_grid
 from specvol.reconstruction import build_reconstruction, reconstruct_all
@@ -452,3 +453,246 @@ class TestIntegrate:
         assert diag.l2_times[0] == 0.0
         assert diag.l2_times[-1] == pytest.approx(0.02)
         assert diag.l2_values[0] == pytest.approx(discrete_l2(state))
+
+
+def plan_arrays(plan):
+    return (plan.traces, plan.faces, plan.sides, plan.widths, plan.state, *plan.stages)
+
+
+def capture_plans(monkeypatch):
+    """Record every stage plan built from now on."""
+    plans = []
+    build = timeint._StagePlan
+
+    def recording(*args, **kwargs):
+        plan = build(*args, **kwargs)
+        plans.append(plan)
+        return plan
+
+    monkeypatch.setattr(timeint, "_StagePlan", recording)
+    return plans
+
+
+def assert_owns_data(array, plan):
+    assert not any(np.shares_memory(array, buf) for buf in plan_arrays(plan))
+
+
+def burgers_setup(n_sv, k=4, bc=PeriodicBC(), stab=True, u0=lambda x: np.sin(np.pi * x) + 0.5):
+    grid = build_grid(0.0, 2.0, n_sv, k)
+    state = init_field(u0, grid, burgers_system(), 8)
+    config = SolverConfig(t_end=1.0, bc=bc, stabilization_enabled=stab)
+    return state, config, build_reconstruction(grid), build_generator(grid.cv_widths)
+
+
+def sod_setup(n_sv=40, cfl=0.1, t_end=0.1, stab=True):
+    scen = BUILTIN_SCENARIOS["sod"]
+    grid = build_grid(scen.a, scen.b, n_sv, 4)
+    u0, breaks = scen.initial_condition()
+    state = init_field(u0, grid, scen.build_system(), 8, breaks)
+    bc = FixedBC(left=u0(scen.a), right=u0(scen.b))
+    config = SolverConfig(t_end=t_end, cfl=cfl, bc=bc, stabilization_enabled=stab)
+    return state, config, build_reconstruction(grid), build_generator(grid.cv_widths)
+
+
+class TestStagePlan:
+    """A run's stages on reused arrays give the fresh-array results, bit for bit."""
+
+    @pytest.mark.parametrize("case", ["burgers-periodic", "burgers-pure", "sod-fixed"])
+    def test_integrate_equals_fresh_steps(self, case):
+        if case == "sod-fixed":
+            state, config, op, gen = sod_setup()
+        else:
+            state, config, op, gen = burgers_setup(20, stab=case == "burgers-periodic")
+            config = dataclasses.replace(config, t_end=0.05)
+        before = state.data.copy()
+        final, diag = integrate(state, config, op, gen)
+        assert state.data.tobytes() == before.tobytes()
+        dt = select_dt(state.grid, state, state.system, config.cfl)
+        fresh, reports = state, []
+        for _ in range(int(np.floor(config.t_end / dt))):
+            fresh, step_reports = ssp_rk3_step(fresh, dt, op, gen, config)
+            reports.extend(step_reports)
+        if config.t_end - fresh.time > 1e-12 * dt:
+            fresh, step_reports = ssp_rk3_step(fresh, config.t_end - fresh.time, op, gen, config)
+            reports.extend(step_reports)
+        assert len(reports) == (3 * diag.steps if config.stabilization_enabled else 0)
+        assert final.data.tobytes() == fresh.data.tobytes()
+        if config.stabilization_enabled:
+            assert diag.last_report.lambda_final.tobytes() == reports[-1].lambda_final.tobytes()
+
+    def test_stage_with_plan_equals_fresh_stage(self):
+        state, config, op, gen = sod_setup()
+        plan = timeint._StagePlan(state.grid, state.system, config.bc)
+        dt = select_dt(state.grid, state, state.system, config.cfl)
+        # Twice on one plan, so the second stage starts from used arrays.
+        for _ in range(2):
+            got, got_report = euler_adapted(state, dt, op, gen, config, plan=plan)
+        want, want_report = euler_adapted(state, dt, op, gen, config)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert got_report.lambda_final.tobytes() == want_report.lambda_final.tobytes()
+        assert_owns_data(want.data, plan)
+
+    def test_unknown_boundary_condition_rejected(self):
+        state, config, op, gen = burgers_setup(5)
+        with pytest.raises(ValueError, match="unknown boundary condition"):
+            integrate(state, dataclasses.replace(config, bc="open"), op, gen)
+
+
+class TestResultsOwnTheirData:
+    """Nothing a run hands out aliases its plan's arrays, and it stays unchanged."""
+
+    def test_integrate_result_and_reports(self, monkeypatch):
+        plans = capture_plans(monkeypatch)
+        reports = []
+        stage = timeint.euler_adapted
+
+        def recording_stage(*args, **kwargs):
+            new, report = stage(*args, **kwargs)
+            reports.append(report)
+            return new, report
+
+        monkeypatch.setattr(timeint, "euler_adapted", recording_stage)
+        state, config, op, gen = sod_setup()
+        final, diag = integrate(state, config, op, gen)
+        (plan,) = plans
+        held = [final.data] + [
+            getattr(r, f.name) for r in reports for f in dataclasses.fields(CorrectionReport)
+            if isinstance(getattr(r, f.name), np.ndarray)
+        ]
+        copies = [a.copy() for a in held]
+        for a in held:
+            assert_owns_data(a, plan)
+        # Keep running on the same plan.
+        dt = select_dt(state.grid, state, state.system, config.cfl)
+        s = state
+        for _ in range(3):
+            s, _ = ssp_rk3_step(s, dt, op, gen, config, plan=plan)
+        for a, c in zip(held, copies):
+            assert a.tobytes() == c.tobytes()
+
+    def test_last_state_of_a_step_failure(self, monkeypatch):
+        # The frozen t = 0 step of sod at CFL 0.8 fails after a few steps.
+        plans = capture_plans(monkeypatch)
+        scen = BUILTIN_SCENARIOS["sod"]
+        state, config, op, gen = sod_setup(n_sv=scen.n_sv, cfl=0.8, t_end=scen.t_end)
+        with pytest.raises(StepFailureError) as err:
+            integrate(state, config, op, gen)
+        (plan,) = plans
+        last = err.value.last_state
+        assert err.value.diagnostics.steps > 0 and last.time > 0.0
+        assert_owns_data(last.data, plan)
+        kept = last.data.copy()
+        dt = select_dt(state.grid, state, state.system, 0.1)
+        s = state
+        for _ in range(3):
+            s, _ = ssp_rk3_step(s, dt, op, gen, config, plan=plan)
+        assert last.data.tobytes() == kept.tobytes()
+        assert np.all(last.system.admissible(last.data))
+
+    def test_fresh_stage_and_step_own_their_data(self):
+        state, config, op, gen = burgers_setup(10)
+        for step in (euler_adapted, ssp_rk3_step):
+            new, _ = step(state, 1e-3, op, gen, config)
+            assert not np.shares_memory(new.data, state.data)
+            again, _ = step(state, 1e-3, op, gen, config)
+            assert not np.shares_memory(new.data, again.data)
+
+
+class TestStepAllocation:
+    def test_pure_step_on_a_plan_allocates_little(self):
+        # Measured: 2.02 * N*k*m*8 bytes at N = 2000, the two temporaries of
+        # Burgers' flux over the N*k interior traces; without the plan a step
+        # peaked at 10.0 times the field's size.
+        n_sv, k = 2000, 4
+        state, config, op, gen = burgers_setup(n_sv, k, stab=False)
+        plan = timeint._StagePlan(state.grid, state.system, config.bc)
+        state, _ = ssp_rk3_step(state, 1e-4, op, gen, config, plan=plan)  # warm-up
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ssp_rk3_step(state, 1e-4, op, gen, config, plan=plan)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * n_sv * k * 1 * 8
+
+
+def sv_with_bad_trace(system, node, k=4):
+    """Admissible averages of one SV whose reconstruction fails at ``node`` (0 or k) only."""
+    end = 0 if node == 0 else -1
+    if system.m == 1:
+        # Overflow: an end trace weighs the average beside it by 1.73.
+        avg = np.zeros(k)
+        avg[end] = 1.5e308
+        return avg[:, None]
+    rho = np.ones(k)
+    rho[end] = 0.2  # the density's trace at that end is negative
+    return primitive_to_conserved(rho, 0.0, 1.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestTraceCheckLocation:
+    """The stage names the first bad trace in (sv, node) order, as for (N, k+1, m).
+
+    In CV-face order the right-end traces come after every other trace, so
+    a bad right end of an earlier SV must still be named before a bad first
+    trace of a later one.
+    """
+
+    @pytest.mark.parametrize("system_name", ["euler", "burgers"])
+    @pytest.mark.parametrize(
+        "bad, where",
+        [({3: 4}, (3, 4)), ({7: 4}, (7, 4)), ({0: 0}, (0, 0)), ({2: 4, 5: 0}, (2, 4)),
+         ({1: 0, 6: 4}, (1, 0))],
+    )
+    def test_where_matches_sv_layout(self, system_name, bad, where):
+        n_sv, k = 8, 4
+        system = euler_system() if system_name == "euler" else burgers_system()
+        grid = build_grid(0.0, 1.0, n_sv, k)
+        op = build_reconstruction(grid)
+        constant = np.zeros(1) if system.m == 1 else primitive_to_conserved(1.0, 0.0, 1.0)
+        data = np.tile(constant, (n_sv, k, 1))
+        for sv, node in bad.items():
+            data[sv] = sv_with_bad_trace(system, node, k)
+        assert np.all(system.admissible(data))
+        with pytest.raises(InadmissibleStateError) as want:
+            system.check_admissible(reconstruct_all(op, data), "boundary trace")
+        assert want.value.where == where
+        state = timeint.CellAverageField(data, 0.0, grid, system)
+        for stab in (False, True):
+            config = SolverConfig(t_end=1.0, bc=PeriodicBC(), stabilization_enabled=stab)
+            with pytest.raises(InadmissibleStateError) as got:
+                euler_adapted(state, 1e-4, op, build_generator(grid.cv_widths), config)
+            assert got.value.where == where
+            assert str(got.value) == str(want.value)
+
+
+class TestScalarNonFinite:
+    """Scalar runs reject non-finite states with the same named errors as Euler."""
+
+    @pytest.mark.parametrize("system", [advection_system(1.0), burgers_system()],
+                             ids=["advection", "burgers"])
+    @pytest.mark.parametrize("stab", [False, True])
+    def test_nan_average_fails_the_trace_check(self, system, stab):
+        grid = build_grid(0.0, 2.0, 10, 4)
+        state = init_field(lambda x: np.sin(np.pi * x) + 0.5, grid, system, 8)
+        data = state.data.copy()
+        data[6, 2, 0] = np.nan
+        config = SolverConfig(t_end=1.0, bc=PeriodicBC(), stabilization_enabled=stab)
+        op, gen = build_reconstruction(grid), build_generator(grid.cv_widths)
+        with pytest.raises(InadmissibleStateError, match="boundary trace") as err:
+            euler_adapted(state.with_data(data), 1e-3, op, gen, config)
+        assert err.value.where == (6, 0)
+
+    @pytest.mark.parametrize("system", [advection_system(1.0), burgers_system()],
+                             ids=["advection", "burgers"])
+    @pytest.mark.parametrize("stab", [False, True])
+    def test_non_finite_stage_end_fails_the_step(self, system, stab):
+        # An infinite step turns every average non-finite: inf * 0 is nan.
+        grid = build_grid(0.0, 2.0, 10, 4)
+        state = init_field(lambda x: np.sin(np.pi * x) + 0.5, grid, system, 8)
+        config = SolverConfig(t_end=1.0, bc=PeriodicBC(), stabilization_enabled=stab)
+        op, gen = build_reconstruction(grid), build_generator(grid.cv_widths)
+        with np.errstate(all="ignore"), pytest.raises(StepFailureError) as err:
+            euler_adapted(state, np.inf, op, gen, config)
+        assert (err.value.sv, err.value.cv) == (0, 0)
