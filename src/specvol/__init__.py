@@ -14,25 +14,8 @@ from .reference import (
     least_squares_order,
     observed_order,
 )
-from .riemann import (
-    FixedBC,
-    PeriodicBC,
-    assemble_fluxes,
-    dissipation_estimate,
-    hll_flux,
-    intermediate_state,
-    llf_entropy_flux,
-    llf_flux,
-)
-from .stabilization import (
-    CorrectionReport,
-    corrected_rhs,
-    lambda_ed,
-    lambda_er,
-    lambda_final,
-    sv_entropy,
-    sv_inner_product,
-)
+from .riemann import FixedBC, PeriodicBC
+from .stabilization import CorrectionReport, corrected_rhs
 from .systems import (
     Burgers,
     ConservationSystem,
@@ -47,7 +30,6 @@ from .systems import (
 from .timeint import (
     CellAverageField,
     SolverConfig,
-    base_rhs,
     discrete_l2,
     euler_adapted,
     init_field,

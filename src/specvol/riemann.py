@@ -1,10 +1,12 @@
-"""Numerical fluxes and interface entropy estimates.
+"""Interface terms of the SV stage: LLF flux, dissipation estimate, entropy flux.
 
 Inside a spectral volume the reconstruction is a single polynomial, so the
 analytical flux applies at interior CV boundaries. At SV boundaries two
 one-sided traces meet; there the local Lax-Friedrichs flux resolves the
 Riemann problem. The same interfaces supply the entropy dissipation estimate
-sigma and the numerical entropy flux F* used by the stabilization.
+sigma, the numerical entropy flux F* and the LLF entropy dissipation that
+size the stabilization. ``interface_terms`` computes all of them, for the
+solver's stage and for the tests alike.
 
 Interface arrays are indexed s = 0..N where interface s is the left boundary
 of SV s and interface N is the right end of the domain. Under periodic
@@ -13,6 +15,7 @@ carry identical values.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,13 +24,9 @@ from .systems import ConservationSystem
 __all__ = [
     "PeriodicBC",
     "FixedBC",
-    "llf_flux",
-    "hll_flux",
-    "intermediate_state",
-    "dissipation_estimate",
-    "llf_entropy_flux",
+    "InterfaceTerms",
     "interface_states",
-    "assemble_fluxes",
+    "interface_terms",
 ]
 
 
@@ -45,122 +44,90 @@ class FixedBC:
     kind: str = "fixed"
 
 
-def _llf(f_l, f_r, u_l, u_r, c_max):
-    c = np.asarray(c_max, dtype=float)[..., None]
-    return 0.5 * (f_l + f_r) - 0.5 * c * (u_r - u_l)
+class InterfaceTerms(NamedTuple):
+    """Per-interface results of ``interface_terms``.
 
-
-def llf_flux(u_l, u_r, system: ConservationSystem) -> np.ndarray:
-    """Local Lax-Friedrichs flux 0.5(f_l + f_r) - (c_max/2)(u_r - u_l)."""
-    u_l = np.atleast_1d(np.asarray(u_l, dtype=float))
-    u_r = np.atleast_1d(np.asarray(u_r, dtype=float))
-    c = system.max_signal_speed(u_l, u_r)
-    return _llf(system.flux(u_l), system.flux(u_r), u_l, u_r, c)
-
-
-def hll_flux(u_l, u_r, a_l, a_r, system: ConservationSystem) -> np.ndarray:
-    """HLL flux with signal-speed bounds a_l <= a_r.
-
-    Upwind cases: f(u_l) when a_l >= 0, f(u_r) when a_r <= 0, otherwise the
-    weighted two-state formula. Choosing a_r = -a_l = c_max recovers the
-    local Lax-Friedrichs flux.
+    ``sigma``, ``f_star`` and ``d_llf`` are None without stabilization.
     """
-    u_l = np.atleast_1d(np.asarray(u_l, dtype=float))
-    u_r = np.atleast_1d(np.asarray(u_r, dtype=float))
-    a_l = np.asarray(a_l, dtype=float)
-    a_r = np.asarray(a_r, dtype=float)
-    if np.any(a_l > a_r):
-        raise ValueError("need a_l <= a_r")
-    f_l = system.flux(u_l)
-    f_r = system.flux(u_r)
-    span = np.where(a_r - a_l > 0.0, a_r - a_l, 1.0)[..., None]
-    middle = (
-        a_r[..., None] * f_l - a_l[..., None] * f_r
-        + (a_l * a_r)[..., None] * (u_r - u_l)
-    ) / span
-    out = np.where(a_l[..., None] >= 0.0, f_l, middle)
-    return np.where(a_r[..., None] <= 0.0, f_r, out)
+
+    flux: np.ndarray  # LLF flux, (S, m)
+    speed: np.ndarray  # c_max (S,), the larger signal speed of the two sides
+    sigma: np.ndarray | None = None
+    sigma_fallbacks: int = 0
+    f_star: np.ndarray | None = None
+    d_llf: np.ndarray | None = None
 
 
-def intermediate_state(u_l, u_r, c_max, system: ConservationSystem) -> np.ndarray:
-    """Mean state of the interface Riemann fan.
+def _sigma_from_parts(u_l, u_r, f_l, f_r, c, ent_l, ent_r, eflux_l, eflux_r, system):
+    """(sigma clamped <= 0, fallback count) given fluxes, entropies and speed bounds.
 
-    u_lr = (u_l + u_r)/2 + (f(u_l) - f(u_r)) / (2 c_max).
+    sigma = c (2 U(u_lr) - U(u_l) - U(u_r)) + F(u_l) - F(u_r) with the mean
+    state u_lr = (u_l + u_r)/2 + (f_l - f_r) / (2c) of the Riemann fan. The
+    raw value can come out positive for some trace pairs; it is clamped to
+    min(sigma, 0) so the correction never injects entropy. Interfaces with
+    c = 0 get 0; so do those whose u_lr leaves the admissible set (possible
+    for Euler), which the fallback count reports.
     """
-    u_l = np.atleast_1d(np.asarray(u_l, dtype=float))
-    u_r = np.atleast_1d(np.asarray(u_r, dtype=float))
-    c = np.asarray(c_max, dtype=float)
-    if np.any(c <= 0.0):
-        if np.array_equal(u_l, u_r):
-            return u_l.copy()
-        raise ValueError("degenerate interface: c_max = 0 with u_l != u_r")
-    return 0.5 * (u_l + u_r) + (system.flux(u_l) - system.flux(u_r)) / (2.0 * c[..., None])
-
-
-def _sigma_from_parts(u_l, u_r, f_l, f_r, c, ent_l, ent_r, eflux_l, eflux_r, system, counters):
-    """Clamped sigma given precomputed fluxes, entropies and speed bounds."""
     live = c > 0.0
     sigma = np.zeros(np.shape(c))
+    fallbacks = 0
     if np.any(live):
         c_safe = np.where(live, c, 1.0)
         u_lr = 0.5 * (u_l + u_r) + (f_l - f_r) / (2.0 * c_safe[..., None])
         admissible, ent_lr = system._admissible_entropy(u_lr)
         ok = live & admissible
         fallbacks = int(np.count_nonzero(live & ~ok))
-        if fallbacks and counters is not None:
-            counters["sigma_fallbacks"] = counters.get("sigma_fallbacks", 0) + fallbacks
         if np.any(ok):
             # ent_lr is garbage (nan, inf) on the lanes that are not ok; the
             # final where discards them.
             with np.errstate(all="ignore"):
                 raw = c * (2.0 * ent_lr - ent_l - ent_r) + eflux_l - eflux_r
                 sigma = np.where(ok, np.minimum(raw, 0.0), 0.0)
-    return sigma
+    return sigma, fallbacks
 
 
-def dissipation_estimate(u_l, u_r, system: ConservationSystem, counters=None):
-    """Entropy dissipation speed estimate sigma at an interface, clamped <= 0.
+def interface_terms(
+    sides: np.ndarray, system: ConservationSystem, stabilized: bool = False
+) -> InterfaceTerms:
+    """Every interface term of the one-sided states ``sides``, shape (2, S, m).
 
-    sigma = c_max (2 U(u_lr) - U(u_l) - U(u_r)) + F(u_l) - F(u_r). The raw
-    value can come out positive for some trace pairs; it is clamped to
-    min(sigma, 0) so the correction never injects entropy. Interfaces where
-    u_lr leaves the admissible set (possible for Euler) fall back to 0 and
-    bump ``counters["sigma_fallbacks"]`` when a dict is supplied.
+    ``sides[0]`` holds the left states u_l and ``sides[1]`` the right states
+    u_r, which must be admissible; nothing is checked here. Always computed:
+    the LLF flux 0.5 (f_l + f_r) - (c_max/2)(u_r - u_l) and c_max. With
+    ``stabilized`` also the dissipation estimate sigma with its fallback count,
+    the numerical entropy flux F* = 0.5 (F_l + F_r) - (c_max/2)(U_r - U_l)
+    and the entropy the LLF flux dissipates,
+    d_llf = (c_max/2)(u_r - u_l).(dU/du_r - dU/du_l) >= 0. F* uses the same
+    one-sided traces as the state flux: on smooth data the two traces agree
+    to reconstruction order, so the entropy budget F*_l - F*_r tracks the
+    actual production instead of drowning it in O(h) dissipation from
+    adjacent-average jumps.
     """
-    u_l = np.atleast_1d(np.asarray(u_l, dtype=float))
-    u_r = np.atleast_1d(np.asarray(u_r, dtype=float))
-    c = system.max_signal_speed(u_l, u_r)
-    return _sigma_from_parts(
-        u_l,
-        u_r,
-        system.flux(u_l),
-        system.flux(u_r),
-        c,
-        system.entropy(u_l),
-        system.entropy(u_r),
-        system.entropy_flux(u_l),
-        system.entropy_flux(u_r),
-        system,
-        counters,
+    u_l, u_r = sides
+    if stabilized:
+        # One pass over both sides: every system term of the stacked states.
+        flux_lr, speed_lr, ent_lr, eflux_lr, grad_lr = system.stage_terms(sides)
+        c_max = np.maximum(speed_lr[0], speed_lr[1])
+    else:
+        flux_lr = system.flux_raw(sides)
+        c_max = system.max_signal_speed_raw(u_l, u_r)
+    f_l, f_r = flux_lr
+    jump = u_r - u_l
+    flux = 0.5 * (f_l + f_r) - 0.5 * c_max[:, None] * jump
+    if not stabilized:
+        return InterfaceTerms(flux, c_max)
+    ent_l, ent_r = ent_lr
+    eflux_l, eflux_r = eflux_lr
+    sigma, fallbacks = _sigma_from_parts(
+        u_l, u_r, f_l, f_r, c_max, ent_l, ent_r, eflux_l, eflux_r, system
     )
-
-
-def llf_entropy_flux(u_l, u_r, system: ConservationSystem, c_max) -> np.ndarray:
-    """Lax-Friedrichs numerical entropy flux on adjacent cell averages.
-
-    F* = 0.5 (F(u_l) + F(u_r)) - (c_max/2)(U(u_r) - U(u_l)), with the same
-    interface speed bound the state flux uses.
-    """
-    u_l = np.atleast_1d(np.asarray(u_l, dtype=float))
-    u_r = np.atleast_1d(np.asarray(u_r, dtype=float))
-    c = np.asarray(c_max, dtype=float)
-    return 0.5 * (system.entropy_flux(u_l) + system.entropy_flux(u_r)) - 0.5 * c * (
-        system.entropy(u_r) - system.entropy(u_l)
-    )
+    f_star = 0.5 * (eflux_l + eflux_r) - 0.5 * c_max * (ent_r - ent_l)
+    d_llf = 0.5 * c_max * np.einsum("sc,sc->s", jump, grad_lr[1] - grad_lr[0])
+    return InterfaceTerms(flux, c_max, sigma, fallbacks, f_star, d_llf)
 
 
 def interface_states(traces: np.ndarray, bc):
-    """One-sided states at the N+1 SV interfaces.
+    """One-sided states at the N+1 SV interfaces of (N, k+1, m) traces.
 
     Returns (u_left, u_right), each shaped (N+1, m). Periodic runs wrap the
     domain ends onto the same interface; fixed runs pair the end traces with
@@ -181,21 +148,3 @@ def interface_states(traces: np.ndarray, bc):
     else:
         raise ValueError(f"unknown boundary condition {bc!r}")
     return u_left, u_right
-
-
-def assemble_fluxes(traces: np.ndarray, system: ConservationSystem, bc) -> np.ndarray:
-    """Numerical flux at every CV boundary, shaped (N, k+1, m).
-
-    Interior CV boundaries get the analytical flux of the single trace; SV
-    interfaces get the LLF flux of the two one-sided traces, stored once and
-    shared by both adjoining SVs so the scheme telescopes exactly.
-    """
-    n_sv, nodes, m = traces.shape
-    u_l, u_r = interface_states(traces, bc)
-    interface_flux = llf_flux(u_l, u_r, system)
-    fluxes = np.empty((n_sv, nodes, m))
-    if nodes > 2:
-        fluxes[:, 1:-1] = system.flux(traces[:, 1:-1])
-    fluxes[:, 0] = interface_flux[:-1]
-    fluxes[:, -1] = interface_flux[1:]
-    return fluxes

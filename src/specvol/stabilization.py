@@ -23,11 +23,6 @@ from .filters import FilterGenerator
 
 __all__ = [
     "CorrectionReport",
-    "sv_inner_product",
-    "sv_entropy",
-    "lambda_ed",
-    "lambda_er",
-    "lambda_final",
     "corrected_rhs",
     "compute_correction",
 ]
@@ -54,80 +49,6 @@ class CorrectionReport:
         return self.lambda_final.size
 
 
-def sv_inner_product(f_vals, g_vals, cv_widths) -> float:
-    """Discrete inner product sum_j h_j (f_j . g_j) on one SV.
-
-    ``f_vals`` and ``g_vals`` are (k, m); the dot product contracts the m
-    components.
-    """
-    f_vals = np.asarray(f_vals, dtype=float)
-    g_vals = np.asarray(g_vals, dtype=float)
-    if f_vals.shape != g_vals.shape:
-        raise ValueError(f"shape mismatch {f_vals.shape} vs {g_vals.shape}")
-    return float(np.einsum("j,jc,jc->", np.asarray(cv_widths, dtype=float), f_vals, g_vals))
-
-
-def sv_entropy(u, system, cv_widths) -> float:
-    """Discrete total entropy of one SV: sum_j h_j U(u_j)."""
-    u = np.asarray(u, dtype=float)
-    return float(np.dot(np.asarray(cv_widths, dtype=float), system.entropy(u)))
-
-
-def _den_guard(den, eps_den):
-    """True where a denominator is usable (clearly negative, not roundoff)."""
-    return np.abs(den) > eps_den
-
-
-def lambda_ed(entropy_production, f_star_left, f_star_right, direction_ip, eps_den=DEN_FLOOR):
-    """Entropy-dissipativity part of the correction (vectorized).
-
-    max(0, -(production - (F*_l - F*_r)) / <dU/du, v>); zero where the
-    direction inner product is below the denominator guard.
-    """
-    production = np.asarray(entropy_production, dtype=float)
-    excess = production - (np.asarray(f_star_left) - np.asarray(f_star_right))
-    den = np.asarray(direction_ip, dtype=float)
-    usable = _den_guard(den, eps_den)
-    safe = np.where(usable, den, 1.0)
-    lam = np.where(usable, np.maximum(0.0, -excess / safe), 0.0)
-    return lam if lam.ndim else float(lam)
-
-
-def lambda_er(sigma_left, sigma_right, ip_prev, ip_self, ip_next, eps_den=DEN_FLOOR):
-    """Entropy-rate parts from the two adjacent interface estimates.
-
-    lambda_ER_l = max(0, sigma_l / (ip_prev + ip_self)) and mirrored for the
-    right; parts with a degenerate denominator are zero.
-    """
-    den_l = np.asarray(ip_prev, dtype=float) + np.asarray(ip_self, dtype=float)
-    den_r = np.asarray(ip_self, dtype=float) + np.asarray(ip_next, dtype=float)
-    usable_l = _den_guard(den_l, eps_den)
-    usable_r = _den_guard(den_r, eps_den)
-    lam_l = np.where(
-        usable_l, np.maximum(0.0, np.asarray(sigma_left) / np.where(usable_l, den_l, 1.0)), 0.0
-    )
-    lam_r = np.where(
-        usable_r, np.maximum(0.0, np.asarray(sigma_right) / np.where(usable_r, den_r, 1.0)), 0.0
-    )
-    if lam_l.ndim:
-        return lam_l, lam_r
-    return float(lam_l), float(lam_r)
-
-
-def lambda_final(lambda_sum, dt: float, gen: FilterGenerator, lambda_max=None):
-    """Clamp the summed correction at lambda_max = 1 / (dt * max|H_jj|).
-
-    The clamp realizes the positivity condition dt * lambda * max|H_jj| <= 1
-    of the generated filter. ``lambda_max`` overrides the computed limit.
-    """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if lambda_max is None:
-        lambda_max = np.inf if gen.max_diag == 0.0 else 1.0 / (dt * gen.max_diag)
-    lam = np.minimum(lambda_max, np.asarray(lambda_sum, dtype=float))
-    return lam if lam.ndim else float(lam)
-
-
 def corrected_rhs(base_rhs: np.ndarray, lam: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Time derivative with the per-SV correction added: D + lambda_i v_i."""
     base_rhs = np.asarray(base_rhs, dtype=float)
@@ -149,14 +70,15 @@ def compute_correction(
     dt: float,
     gen: FilterGenerator,
     periodic: bool,
-    dissipation_scale=None,
+    dissipation_scale: np.ndarray,
     lambda_max=None,
     sigma_fallbacks: int = 0,
 ) -> CorrectionReport:
     """Assemble all per-SV correction sizes for one Euler stage.
 
     ``sigma``, ``f_star`` and ``dissipation_scale`` are interface arrays
-    (N+1,), indexed like :func:`specvol.riemann.interface_states`. For
+    (N+1,), indexed like :func:`specvol.riemann.interface_states`, as
+    :func:`specvol.riemann.interface_terms` returns them. For
     non-periodic runs the missing-neighbour inner products at the domain ends
     count as zero.
 
@@ -187,15 +109,11 @@ def compute_correction(
         sigma[0] = 0.0
         sigma[-1] = 0.0
     excess = production - (f_star[:-1] - f_star[1:])
-    if dissipation_scale is None:
-        sigma_used, excess_used = sigma, excess
-        capped = np.zeros(n_sv, dtype=bool)
-    else:
-        cap = np.maximum(np.asarray(dissipation_scale, dtype=float), 0.0)
-        sigma_used = np.maximum(sigma, -cap)
-        excess_used = np.minimum(excess, cap[:-1] + cap[1:])
-        raised = sigma_used > sigma
-        capped = (excess_used < excess) | raised[:-1] | raised[1:]
+    cap = np.maximum(np.asarray(dissipation_scale, dtype=float), 0.0)
+    sigma_used = np.maximum(sigma, -cap)
+    excess_used = np.minimum(excess, cap[:-1] + cap[1:])
+    raised = sigma_used > sigma
+    capped = (excess_used < excess) | raised[:-1] | raised[1:]
 
     # One row per part of the correction, over the SVs. Row 0 is the signed
     # budget term: positive where production overshoots the entropy flux
@@ -218,7 +136,7 @@ def compute_correction(
     else:
         den[1, 0] = direction_ip[0]
         den[2, -1] = direction_ip[-1]
-    usable = _den_guard(den, eps_den)
+    usable = np.abs(den) > eps_den  # clearly nonzero, not roundoff
     parts = np.where(usable, num / np.where(usable, den, 1.0), 0.0)
     parts[1:] = np.maximum(0.0, parts[1:])
 
@@ -237,7 +155,8 @@ def compute_correction(
     #   <dU/du, du/dt + lambda*v> <= sigma_i + F*_l - F*_r:
     # budget slack offsets the entropy-rate demands, so interfaces whose
     # dissipation already happens inside the scheme are not dissipated twice.
-    # The sum is then clamped at the positivity limit, as in lambda_final.
+    # The sum is then clamped at the positivity limit, lambda_max =
+    # 1 / (dt * max|H_jj|) unless ``lambda_max`` overrides it.
     lam_sum = np.maximum(0.0, parts[0] + parts[1] + parts[2])
     lam = np.minimum(limit, lam_sum)
     return CorrectionReport(

@@ -7,6 +7,13 @@ sample batches). Scalar systems use m = 1.
 Entropy pairs (U, F) satisfy the compatibility relation U'(u) f'(u) = F'(u);
 for Euler the physical pair U = -rho*S, F = -rho*v*S with S = ln(p rho^-gamma)
 is used.
+
+Each quantity has one method (``flux_raw``, ``max_signal_speed_raw``,
+``entropy_raw``, ``entropy_flux_raw``, ``entropy_gradient_raw``), and
+``stage_terms`` / ``entropy_terms`` give several of them in one pass. None of
+them checks its input: states are checked once where they enter the solver,
+with ``admissible`` / ``check_admissible``, and the methods assume
+admissible states.
 """
 
 import numpy as np
@@ -40,37 +47,22 @@ class ConservationSystem:
     m: int = 1
     name: str = "abstract"
 
-    def flux(self, u: np.ndarray) -> np.ndarray:
+    # The benchmark's tracer wraps these methods by name, hence the suffix.
+    def flux_raw(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def max_signal_speed(self, u_l: np.ndarray, u_r: np.ndarray) -> np.ndarray:
+    def max_signal_speed_raw(self, u_l: np.ndarray, u_r: np.ndarray) -> np.ndarray:
         """Bound on |signal speed| over the two states, shape = leading dims."""
         raise NotImplementedError
 
-    def entropy(self, u: np.ndarray) -> np.ndarray:
+    def entropy_raw(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def entropy_flux(self, u: np.ndarray) -> np.ndarray:
+    def entropy_flux_raw(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def entropy_gradient(self, u: np.ndarray) -> np.ndarray:
+    def entropy_gradient_raw(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    # Unchecked variants for hot loops that validate states once per stage.
-    def flux_raw(self, u):
-        return self.flux(u)
-
-    def max_signal_speed_raw(self, u_l, u_r):
-        return self.max_signal_speed(u_l, u_r)
-
-    def entropy_raw(self, u):
-        return self.entropy(u)
-
-    def entropy_flux_raw(self, u):
-        return self.entropy_flux(u)
-
-    def entropy_gradient_raw(self, u):
-        return self.entropy_gradient(u)
 
     def entropy_terms(self, u):
         """(U, dU/du) of admissible states u in one pass, unchecked."""
@@ -79,9 +71,8 @@ class ConservationSystem:
     def stage_terms(self, u):
         """(f, speed, U, F, dU/du) of admissible states u in one pass, unchecked.
 
-        ``speed`` is ``max_signal_speed(u, u)``; every term equals its
-        checked method's value bitwise. Systems whose terms share work
-        override this.
+        ``speed`` is ``max_signal_speed_raw(u, u)``; every term equals its
+        method's value bitwise. Systems whose terms share work override this.
         """
         return (
             self.flux_raw(u),
@@ -127,22 +118,22 @@ class LinearAdvection(ConservationSystem):
             raise ValueError(f"velocity must be finite, got {velocity}")
         self.velocity = float(velocity)
 
-    def flux(self, u):
+    def flux_raw(self, u):
         return self.velocity * np.asarray(u, dtype=float)
 
-    def max_signal_speed(self, u_l, u_r):
+    def max_signal_speed_raw(self, u_l, u_r):
         u_l = np.asarray(u_l, dtype=float)
         return np.full(u_l.shape[:-1], abs(self.velocity))
 
-    def entropy(self, u):
+    def entropy_raw(self, u):
         u = np.asarray(u, dtype=float)
         return 0.5 * u[..., 0] ** 2
 
-    def entropy_flux(self, u):
+    def entropy_flux_raw(self, u):
         u = np.asarray(u, dtype=float)
         return 0.5 * self.velocity * u[..., 0] ** 2
 
-    def entropy_gradient(self, u):
+    def entropy_gradient_raw(self, u):
         return np.asarray(u, dtype=float).copy()
 
 
@@ -152,24 +143,24 @@ class Burgers(ConservationSystem):
     m = 1
     name = "burgers"
 
-    def flux(self, u):
+    def flux_raw(self, u):
         u = np.asarray(u, dtype=float)
         return 0.5 * u * u
 
-    def max_signal_speed(self, u_l, u_r):
+    def max_signal_speed_raw(self, u_l, u_r):
         u_l = np.asarray(u_l, dtype=float)
         u_r = np.asarray(u_r, dtype=float)
         return np.maximum(np.abs(u_l[..., 0]), np.abs(u_r[..., 0]))
 
-    def entropy(self, u):
+    def entropy_raw(self, u):
         u = np.asarray(u, dtype=float)
         return 0.5 * u[..., 0] ** 2
 
-    def entropy_flux(self, u):
+    def entropy_flux_raw(self, u):
         u = np.asarray(u, dtype=float)
         return u[..., 0] ** 3 / 3.0
 
-    def entropy_gradient(self, u):
+    def entropy_gradient_raw(self, u):
         return np.asarray(u, dtype=float).copy()
 
 
@@ -186,7 +177,8 @@ class Euler(ConservationSystem):
 
     Every method derives its terms from ``_primitives``, except the flux:
     its pressure is evaluated as (gamma-1)(E - (rho v) v / 2), which rounds
-    differently from ``pressure``, so the two expressions are kept apart.
+    differently from the pressure of ``_primitives``, so the two expressions
+    are kept apart.
     """
 
     m = 3
@@ -218,12 +210,6 @@ class Euler(ConservationSystem):
         g1_rho = (g - 1.0) * rho
         return _stack_last([g - s - g1_rho * v**2 / (2.0 * p), g1_rho * v / p, -g1_rho / p])
 
-    def pressure(self, u):
-        return self._primitives(u)[2]
-
-    def sound_speed(self, u):
-        return np.sqrt(self.gamma * self.pressure(u) / np.asarray(u)[..., 0])
-
     def _mask(self, u, rho, p):
         return (rho > 0.0) & (p > 0.0) & np.isfinite(u).all(axis=-1)
 
@@ -239,24 +225,10 @@ class Euler(ConservationSystem):
             rho, _, p = self._primitives(u)
             return self._mask(u, rho, p), -rho * self._log_entropy(rho, p)
 
-    def flux(self, u):
-        u = np.asarray(u, dtype=float)
-        self.check_admissible(u, "flux argument")
-        return self.flux_raw(u)
-
     def flux_raw(self, u):
         u = np.asarray(u, dtype=float)
         mom = u[..., 1]
         return self._flux(mom, u[..., 2], mom / u[..., 0])
-
-    def max_signal_speed(self, u_l, u_r):
-        same = u_r is u_l
-        u_l = np.asarray(u_l, dtype=float)
-        u_r = u_l if same else np.asarray(u_r, dtype=float)
-        self.check_admissible(u_l, "left state")
-        if not same:
-            self.check_admissible(u_r, "right state")
-        return self.max_signal_speed_raw(u_l, u_r)
 
     def max_signal_speed_raw(self, u_l, u_r):
         # One pass when both sides are the same array: max(a, a) == a.
@@ -267,28 +239,13 @@ class Euler(ConservationSystem):
         rho_r, mom_r, p_r = self._primitives(u_r)
         return np.maximum(speed_l, self._speed(rho_r, mom_r / rho_r, p_r))
 
-    def entropy(self, u):
-        u = np.asarray(u, dtype=float)
-        self.check_admissible(u, "entropy argument")
-        return self.entropy_raw(u)
-
     def entropy_raw(self, u):
         rho, _, p = self._primitives(u)
         return -rho * self._log_entropy(rho, p)
 
-    def entropy_flux(self, u):
-        u = np.asarray(u, dtype=float)
-        self.check_admissible(u, "entropy-flux argument")
-        return self.entropy_flux_raw(u)
-
     def entropy_flux_raw(self, u):
         rho, mom, p = self._primitives(u)
         return -mom * self._log_entropy(rho, p)
-
-    def entropy_gradient(self, u):
-        u = np.asarray(u, dtype=float)
-        self.check_admissible(u, "entropy-gradient argument")
-        return self.entropy_gradient_raw(u)
 
     def entropy_gradient_raw(self, u):
         rho, mom, p = self._primitives(u)

@@ -1,17 +1,17 @@
 """Semidiscrete right-hand side, adapted Euler step and SSP-RK3 driver.
 
 One Euler stage of the stabilized scheme reconstructs the boundary traces and
-checks them, then evaluates every interface term of both sides in one pass:
-``system.stage_terms`` on the stacked left and right traces, shape
-(2, N+1, m), gives the fluxes, signal speeds, entropies, entropy fluxes and
-entropy gradients. From these follow the LLF flux, the dissipation estimate
-sigma, the numerical entropy flux F* and the LLF dissipation. The per-SV
-correction is sized from one pass over the cell averages' entropies and
-gradients, then
+checks them, then hands the stacked left and right interface states, shape
+(2, N+1, m), to ``riemann.interface_terms``. In one pass of
+``system.stage_terms`` over both sides it gives the LLF flux, the
+dissipation estimate sigma, the numerical entropy flux F* and the LLF
+dissipation. The per-SV correction is sized from one pass over the cell
+averages' entropies and gradients, then
 
     u_new = u + dt * (D + lambda_i * v_i),   v_i = H u_i.
 
-Without stabilization a stage computes only the signal speeds and fluxes.
+Without stabilization ``interface_terms`` computes only the signal speeds and
+the LLF flux.
 
 The traces come in CV-face order from ``reconstruct_faces`` and v = H u from
 one matrix product over all SVs (see ``reconstruction``). The fluxes go into
@@ -28,16 +28,22 @@ states written once), the tiled widths and three (N, k, m) arrays, one for
 the RK state and two that the stages write D and their new averages into,
 each stage into the one that is not its input. The RK combinations run in
 place with ``out=``, so a step allocates no array of the field's size
-beyond what the system methods, the filter direction and the correction
-return. ``euler_adapted`` and ``ssp_rk3_step`` take the plan as the keyword
-``plan``. Without one they build a fresh plan, so the fields they return own
-their data; with one, those fields live in the plan's arrays until its next
-stage or step. ``integrate`` returns, and attaches to a failure, copies.
+beyond what the system methods, the interface terms, the filter direction
+and the correction return. ``euler_adapted`` and ``ssp_rk3_step`` take the
+plan as the keyword ``plan``. Without one they build a fresh plan, so the
+fields they return own their data; with one, those fields live in the plan's
+arrays until its next stage or step. ``integrate`` returns, and attaches to a
+failure, copies.
 
 The SSP-RK3 method chains three such stages through convex combinations, so
 conservation and the filter positivity bound survive the full step. The time
 step is fixed from the CFL condition at t = 0; a trailing shortened stage
 lands exactly on t_end.
+
+The system methods check nothing. States are checked where they enter or
+leave a stage: ``init_field``'s averages, the state ``select_dt`` (and so
+``integrate``) is given, each stage's boundary traces and each stage's new
+averages.
 """
 
 from dataclasses import dataclass, field
@@ -54,9 +60,10 @@ from .reconstruction import (
     reconstruct_all,
     reconstruct_faces,
 )
-# interface_states is not called here; the benchmark's tracer wraps it as a
-# module attribute, so it stays importable from timeint.
-from .riemann import FixedBC, PeriodicBC, _sigma_from_parts, assemble_fluxes, interface_states
+# reconstruct_all, interface_states and _sigma_from_parts are not called here;
+# the benchmark's tracer wraps them as attributes of this module, so they stay
+# importable from it.
+from .riemann import FixedBC, PeriodicBC, _sigma_from_parts, interface_states, interface_terms
 from .stabilization import CorrectionReport, compute_correction, corrected_rhs
 from .systems import ConservationSystem, LinearAdvection
 
@@ -65,7 +72,6 @@ __all__ = [
     "SolverConfig",
     "RunDiagnostics",
     "init_field",
-    "base_rhs",
     "euler_adapted",
     "ssp_rk3_step",
     "select_dt",
@@ -209,19 +215,6 @@ def init_field(
     return CellAverageField(data=data, time=0.0, grid=grid, system=system)
 
 
-def base_rhs(
-    field_data: np.ndarray,
-    op: ReconstructionOperator,
-    system: ConservationSystem,
-    bc,
-    cv_widths: np.ndarray,
-) -> np.ndarray:
-    """Pure SV time derivative D = (f*_{j-1/2} - f*_{j+1/2}) / h_j."""
-    traces = reconstruct_all(op, field_data)
-    fluxes = assemble_fluxes(traces, system, bc)
-    return (fluxes[:, :-1] - fluxes[:, 1:]) / cv_widths[None, :, None]
-
-
 class _StagePlan:
     """The arrays of one run's stages, for one grid, system and boundary condition."""
 
@@ -268,17 +261,8 @@ def _stage(state, dt, op, gen, config, plan):
         # Every trace j < k in one pass; the SV interfaces are overwritten below.
         faces[:-1] = system.flux_raw(traces[: n_sv * k])
     stabilized = config.stabilization_enabled
-    if stabilized:
-        # Every interface term of both sides from one pass over the stacked
-        # traces: the first axis indexes the side (0 left, 1 right).
-        flux_lr, speed_lr, ent_lr, eflux_lr, grad_lr = system.stage_terms(plan.sides)
-        c_max = np.maximum(speed_lr[0], speed_lr[1])
-    else:
-        flux_lr = system.flux_raw(plan.sides)
-        c_max = system.max_signal_speed_raw(u_l, u_r)
-    f_l, f_r = flux_lr
-    jump = u_r - u_l
-    faces[::k] = 0.5 * (f_l + f_r) - 0.5 * c_max[:, None] * jump
+    terms = interface_terms(plan.sides, system, stabilized)
+    faces[::k] = terms.flux
     d = out.reshape(n_sv * k, m)
     np.subtract(faces[:-1], faces[1:], out=d)
     np.divide(d, plan.widths, out=d)
@@ -286,35 +270,21 @@ def _stage(state, dt, op, gen, config, plan):
 
     report = None
     if stabilized:
-        counters = {}
-        ent_l, ent_r = ent_lr
-        eflux_l, eflux_r = eflux_lr
-        sigma = _sigma_from_parts(
-            u_l, u_r, f_l, f_r, c_max, ent_l, ent_r, eflux_l, eflux_r, system, counters
-        )
-        # F* on the same one-sided traces the state flux uses: on smooth data
-        # the two traces agree to reconstruction order, so the entropy budget
-        # F*_l - F*_r tracks the actual production instead of drowning it in
-        # O(h) dissipation from adjacent-average jumps.
-        f_star = 0.5 * (eflux_l + eflux_r) - 0.5 * c_max * (ent_r - ent_l)
-        # Entropy the interface LLF flux itself dissipates; the scale on
-        # which correction demands are actually realizable.
-        d_llf = 0.5 * c_max * np.einsum("sc,sc->s", jump, grad_lr[1] - grad_lr[0])
         direction = apply_generator(gen, u)
         report = compute_correction(
             u,
             rhs,
             direction,
-            sigma,
-            f_star,
+            terms.sigma,
+            terms.f_star,
             state.grid.cv_widths,
             system,
             dt,
             gen,
             plan.periodic,
-            dissipation_scale=d_llf,
+            dissipation_scale=terms.d_llf,
             lambda_max=config.lambda_max,
-            sigma_fallbacks=counters.get("sigma_fallbacks", 0),
+            sigma_fallbacks=terms.sigma_fallbacks,
         )
         rhs = corrected_rhs(rhs, report.lambda_final, direction)
 
@@ -396,10 +366,12 @@ def select_dt(
 
     dt = cfl * min_j h_j / c_global with c_global the largest per-cell signal
     speed. Advection at velocity zero carries no CFL constraint; any other
-    system with vanishing c_global is degenerate.
+    system with vanishing c_global is degenerate. An inadmissible state
+    raises ``InadmissibleStateError``.
     """
+    system.check_admissible(state.data, "initial state")
     cells = state.data.reshape(-1, system.m)
-    c_global = float(np.max(system.max_signal_speed(cells, cells)))
+    c_global = float(np.max(system.max_signal_speed_raw(cells, cells)))
     min_width = float(np.min(grid.cv_widths))
     if c_global <= 0.0:
         if isinstance(system, LinearAdvection):

@@ -1,21 +1,20 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from specvol.filters import build_generator
 from specvol.mesh import build_grid
 from specvol.reconstruction import build_reconstruction, reconstruct_all
 from specvol.riemann import (
     FixedBC,
     PeriodicBC,
     _sigma_from_parts,
-    assemble_fluxes,
-    dissipation_estimate,
-    hll_flux,
-    intermediate_state,
     interface_states,
-    llf_entropy_flux,
-    llf_flux,
+    interface_terms,
 )
 from specvol.systems import advection_system, burgers_system, euler_system, primitive_to_conserved
+from specvol.timeint import CellAverageField, SolverConfig, _StagePlan, euler_adapted
 
 
 def sample_states(system, rng, n):
@@ -26,91 +25,56 @@ def sample_states(system, rng, n):
     )
 
 
+def terms(u_l, u_r, system, stabilized=True):
+    """interface_terms of the left states u_l and right states u_r, each (S, m)."""
+    u_l, u_r = np.atleast_2d(u_l), np.atleast_2d(u_r)
+    return interface_terms(np.stack([u_l, u_r]), system, stabilized)
+
+
+SYSTEMS = [lambda: advection_system(1.3), burgers_system, euler_system]
+
+
 class TestLlfFlux:
-    @pytest.mark.parametrize(
-        "make", [lambda: advection_system(1.3), burgers_system, euler_system]
-    )
+    @pytest.mark.parametrize("make", SYSTEMS)
     def test_consistency(self, make):
         system = make()
         rng = np.random.default_rng(1)
         u = sample_states(system, rng, 1000)
-        np.testing.assert_allclose(llf_flux(u, u, system), system.flux(u), atol=1e-13)
+        got = terms(u, u, system, stabilized=False).flux
+        np.testing.assert_allclose(got, system.flux_raw(u), atol=1e-13)
+
+    @pytest.mark.parametrize("make", SYSTEMS)
+    def test_pure_and_stabilized_flux_agree(self, make):
+        system = make()
+        rng = np.random.default_rng(3)
+        u_l, u_r = sample_states(system, rng, 300), sample_states(system, rng, 300)
+        pure = terms(u_l, u_r, system, False)
+        full = terms(u_l, u_r, system, True)
+        assert pure.sigma is None and pure.f_star is None and pure.d_llf is None
+        assert pure.flux.tobytes() == full.flux.tobytes()
+        assert pure.speed.tobytes() == full.speed.tobytes()
 
     def test_advection_upwind(self):
-        flux = llf_flux(np.array([1.0]), np.array([0.0]), advection_system(1.0))
-        assert flux[0] == pytest.approx(1.0, abs=1e-15)
+        flux = terms(np.array([1.0]), np.array([0.0]), advection_system(1.0)).flux
+        assert flux[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_burgers_opposed_states(self):
-        flux = llf_flux(np.array([1.0]), np.array([-1.0]), burgers_system())
-        assert flux[0] == pytest.approx(1.5, abs=1e-15)
-
-
-class TestHllFlux:
-    def test_right_moving_waves_take_left_flux(self):
-        sys = burgers_system()
-        out = hll_flux(np.array([2.0]), np.array([1.0]), 0.5, 3.0, sys)
-        np.testing.assert_allclose(out, sys.flux(np.array([2.0])))
-
-    def test_left_moving_waves_take_right_flux(self):
-        sys = burgers_system()
-        out = hll_flux(np.array([-2.0]), np.array([-1.0]), -3.0, -0.5, sys)
-        np.testing.assert_allclose(out, sys.flux(np.array([-1.0])))
-
-    def test_consistency_with_straddling_speeds(self):
-        sys = burgers_system()
-        u = np.array([0.7])
-        np.testing.assert_allclose(hll_flux(u, u, -1.0, 1.0, sys), sys.flux(u), atol=1e-15)
-
-    @pytest.mark.parametrize("make", [burgers_system, euler_system])
-    def test_symmetric_speeds_reduce_to_llf(self, make):
-        system = make()
-        rng = np.random.default_rng(9)
-        u_l = sample_states(system, rng, 200)
-        u_r = sample_states(system, rng, 200)
-        c = system.max_signal_speed(u_l, u_r)
-        np.testing.assert_allclose(
-            hll_flux(u_l, u_r, -c, c, system), llf_flux(u_l, u_r, system), atol=1e-14
-        )
-
-    def test_misordered_speeds_rejected(self):
-        with pytest.raises(ValueError):
-            hll_flux(np.array([1.0]), np.array([0.0]), 1.0, -1.0, burgers_system())
-
-
-class TestIntermediateState:
-    def test_equal_states(self):
-        u = np.array([0.3])
-        np.testing.assert_array_equal(
-            intermediate_state(u, u, 1.0, burgers_system()), u
-        )
-
-    def test_burgers_opposed(self):
-        out = intermediate_state(np.array([1.0]), np.array([-1.0]), 1.0, burgers_system())
-        assert out[0] == pytest.approx(0.0, abs=1e-15)
-
-    def test_advection_example(self):
-        out = intermediate_state(
-            np.array([1.0]), np.array([0.0]), 1.0, advection_system(1.0)
-        )
-        assert out[0] == pytest.approx(1.0, abs=1e-15)
-
-    def test_zero_speed_unequal_states_rejected(self):
-        with pytest.raises(ValueError):
-            intermediate_state(np.array([1.0]), np.array([0.0]), 0.0, advection_system(0.0))
+        flux = terms(np.array([1.0]), np.array([-1.0]), burgers_system()).flux
+        assert flux[0, 0] == pytest.approx(1.5, abs=1e-15)
 
 
 class TestDissipationEstimate:
     def test_equal_states_zero(self):
         sys = burgers_system()
-        assert dissipation_estimate(np.array([0.8]), np.array([0.8]), sys)[()] == 0.0
+        assert terms(np.array([0.8]), np.array([0.8]), sys).sigma[0] == 0.0
 
     def test_burgers_shock_value(self):
-        sigma = dissipation_estimate(np.array([1.0]), np.array([-1.0]), burgers_system())
-        assert sigma[()] == pytest.approx(-1.0 / 3.0, abs=1e-14)
+        sigma = terms(np.array([1.0]), np.array([-1.0]), burgers_system()).sigma
+        assert sigma[0] == pytest.approx(-1.0 / 3.0, abs=1e-14)
 
     def test_advection_positive_raw_clamped(self):
-        sigma = dissipation_estimate(np.array([1.0]), np.array([0.0]), advection_system(1.0))
-        assert sigma[()] == 0.0
+        sigma = terms(np.array([1.0]), np.array([0.0]), advection_system(1.0)).sigma
+        assert sigma[0] == 0.0
 
     @pytest.mark.parametrize(
         "make", [lambda: advection_system(1.5), burgers_system, euler_system]
@@ -120,35 +84,33 @@ class TestDissipationEstimate:
         rng = np.random.default_rng(13)
         u_l = sample_states(system, rng, 500)
         u_r = sample_states(system, rng, 500)
-        assert np.all(dissipation_estimate(u_l, u_r, system) <= 0.0)
+        assert np.all(terms(u_l, u_r, system).sigma <= 0.0)
 
     def test_inadmissible_intermediate_counts_fallback(self):
         sys = euler_system()
         # near-vacuum opposed jets: the mean state loses pressure
         u_l = primitive_to_conserved(1e-2, -2.0, 1e-3)[None, :]
         u_r = primitive_to_conserved(1e-2, 2.0, 1e-3)[None, :]
-        counters = {}
-        sigma = dissipation_estimate(u_l, u_r, sys, counters)
-        if counters.get("sigma_fallbacks"):
-            assert sigma[0] == 0.0
+        got = terms(u_l, u_r, sys)
+        if got.sigma_fallbacks:
+            assert got.sigma[0] == 0.0
 
 
-def two_pass_sigma(u_l, u_r, f_l, f_r, c, ent_l, ent_r, eflux_l, eflux_r, system, counters):
+def two_pass_sigma(u_l, u_r, f_l, f_r, c, ent_l, ent_r, eflux_l, eflux_r, system):
     """sigma with the admissibility of u_lr and its entropy from separate passes."""
     live = c > 0.0
     sigma = np.zeros(np.shape(c))
+    fallbacks = 0
     if np.any(live):
         c_safe = np.where(live, c, 1.0)
         u_lr = 0.5 * (u_l + u_r) + (f_l - f_r) / (2.0 * c_safe[..., None])
         ok = live & system.admissible(u_lr)
         fallbacks = int(np.count_nonzero(live & ~ok))
-        if fallbacks:
-            counters["sigma_fallbacks"] = fallbacks
         if np.any(ok):
             u_mid = np.where(ok[..., None], u_lr, u_l)
             raw = c * (2.0 * system.entropy_raw(u_mid) - ent_l - ent_r) + eflux_l - eflux_r
             sigma = np.where(ok, np.minimum(raw, 0.0), 0.0)
-    return sigma
+    return sigma, fallbacks
 
 
 class TestSigmaOnePass:
@@ -163,21 +125,21 @@ class TestSigmaOnePass:
         u_r[:50] = u_l[:50]
         if system.m == 1:
             u_r[:20] = u_l[:20] = 0.0  # c = 0 on these lanes for Burgers
-        c = system.max_signal_speed(u_l, u_r)
+        c = system.max_signal_speed_raw(u_l, u_r)
         if system.m == 3:
             # Below the true signal speed u_lr can lose its pressure: fallbacks.
             c[100:200] *= 0.05
         parts = (
-            u_l, u_r, system.flux(u_l), system.flux(u_r), c, system.entropy(u_l),
-            system.entropy(u_r), system.entropy_flux(u_l), system.entropy_flux(u_r), system,
+            u_l, u_r, system.flux_raw(u_l), system.flux_raw(u_r), c, system.entropy_raw(u_l),
+            system.entropy_raw(u_r), system.entropy_flux_raw(u_l), system.entropy_flux_raw(u_r),
+            system,
         )
-        got_counts, want_counts = {}, {}
-        got = _sigma_from_parts(*parts, got_counts)
-        want = two_pass_sigma(*parts, want_counts)
+        got, got_fallbacks = _sigma_from_parts(*parts)
+        want, want_fallbacks = two_pass_sigma(*parts)
         assert got.tobytes() == want.tobytes()
-        assert got_counts.get("sigma_fallbacks") == want_counts.get("sigma_fallbacks")
+        assert got_fallbacks == want_fallbacks
         if system.m == 3:
-            assert want_counts["sigma_fallbacks"] > 0
+            assert want_fallbacks > 0
 
 
 class TestLlfEntropyFlux:
@@ -188,39 +150,99 @@ class TestLlfEntropyFlux:
         system = make()
         rng = np.random.default_rng(21)
         u = sample_states(system, rng, 1000)
-        c = system.max_signal_speed(u, u)
-        np.testing.assert_allclose(
-            llf_entropy_flux(u, u, system, c), system.entropy_flux(u), atol=1e-13
-        )
+        got = terms(u, u, system)
+        np.testing.assert_allclose(got.f_star, system.entropy_flux_raw(u), atol=1e-13)
+        assert np.all(got.d_llf == 0.0)
 
     def test_burgers_opposed(self):
-        out = llf_entropy_flux(np.array([1.0]), np.array([-1.0]), burgers_system(), 1.0)
-        assert out[()] == pytest.approx(0.0, abs=1e-15)
+        out = terms(np.array([1.0]), np.array([-1.0]), burgers_system()).f_star
+        assert out[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_advection_example(self):
-        out = llf_entropy_flux(np.array([1.0]), np.array([0.0]), advection_system(1.0), 1.0)
-        assert out[()] == pytest.approx(0.5, abs=1e-15)
+        out = terms(np.array([1.0]), np.array([0.0]), advection_system(1.0)).f_star
+        assert out[0] == pytest.approx(0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("make", SYSTEMS)
+    def test_llf_dissipation_nonnegative(self, make):
+        system = make()
+        rng = np.random.default_rng(31)
+        u_l, u_r = sample_states(system, rng, 500), sample_states(system, rng, 500)
+        assert np.all(terms(u_l, u_r, system).d_llf >= 0.0)
+
+
+class TestIntermediateState:
+    """The mean state u_lr of the Riemann fan that sigma evaluates U at."""
+
+    def u_lr(self, u_l, u_r, system):
+        with mock.patch.object(
+            system, "_admissible_entropy", wraps=system._admissible_entropy
+        ) as spy:
+            terms(u_l, u_r, system)
+        (u_lr,), _ = spy.call_args
+        return u_lr[0]
+
+    def test_equal_states(self):
+        u = np.array([0.3])
+        np.testing.assert_array_equal(self.u_lr(u, u, burgers_system()), u)
+
+    def test_burgers_opposed(self):
+        out = self.u_lr(np.array([1.0]), np.array([-1.0]), burgers_system())
+        assert out[0] == pytest.approx(0.0, abs=1e-15)
+
+    def test_advection_example(self):
+        out = self.u_lr(np.array([1.0]), np.array([0.0]), advection_system(1.0))
+        assert out[0] == pytest.approx(1.0, abs=1e-15)
+
+
+class TestInterfaceSpeed:
+    @pytest.mark.parametrize("make", SYSTEMS)
+    def test_speed_is_the_larger_side_speed(self, make):
+        system = make()
+        rng = np.random.default_rng(41)
+        u_l, u_r = sample_states(system, rng, 300), sample_states(system, rng, 300)
+        want = np.maximum(
+            system.max_signal_speed_raw(u_l, u_l), system.max_signal_speed_raw(u_r, u_r)
+        )
+        for stabilized in (False, True):
+            got = terms(u_l, u_r, system, stabilized).speed
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 class TestAssembleFluxes:
+    """The CV-face fluxes one stage assembles, read from its plan as (N, k+1, m)."""
+
     def grid_traces(self, data, k=4):
         grid = build_grid(0.0, 1.0, data.shape[0], k)
         op = build_reconstruction(grid)
         return grid, reconstruct_all(op, data)
 
+    def stage_fluxes(self, data, system, bc, k=4):
+        n_sv = data.shape[0]
+        grid = build_grid(0.0, 1.0, n_sv, k)
+        plan = _StagePlan(grid, system, bc)
+        state = CellAverageField(data=data, time=0.0, grid=grid, system=system)
+        cfg = SolverConfig(t_end=1.0, bc=bc, stabilization_enabled=False)
+        euler_adapted(
+            state, 1e-3, build_reconstruction(grid), build_generator(grid.cv_widths), cfg,
+            plan=plan,
+        )
+        faces = plan.faces
+        fluxes = np.empty((n_sv, k + 1, system.m))
+        fluxes[:, :-1] = faces[:-1].reshape(n_sv, k, system.m)
+        fluxes[:, -1] = faces[k::k]
+        return fluxes
+
     def test_constant_field(self):
         sys = advection_system(1.0)
         data = np.full((6, 4, 1), 2.0)
-        _, traces = self.grid_traces(data)
-        fluxes = assemble_fluxes(traces, sys, PeriodicBC())
+        fluxes = self.stage_fluxes(data, sys, PeriodicBC())
         np.testing.assert_allclose(fluxes, 2.0, atol=1e-13)
 
     def test_shared_interface_values_identical(self):
         sys = burgers_system()
         rng = np.random.default_rng(2)
         data = rng.normal(size=(8, 4, 1))
-        _, traces = self.grid_traces(data)
-        fluxes = assemble_fluxes(traces, sys, PeriodicBC())
+        fluxes = self.stage_fluxes(data, sys, PeriodicBC())
         np.testing.assert_array_equal(fluxes[:-1, -1], fluxes[1:, 0])
         np.testing.assert_array_equal(fluxes[-1, -1], fluxes[0, 0])
 
@@ -229,27 +251,25 @@ class TestAssembleFluxes:
         rng = np.random.default_rng(4)
         data = rng.normal(size=(5, 4, 1))
         _, traces = self.grid_traces(data)
-        fluxes = assemble_fluxes(traces, sys, PeriodicBC())
-        np.testing.assert_allclose(fluxes[:, 1:-1], sys.flux(traces[:, 1:-1]), atol=1e-15)
+        fluxes = self.stage_fluxes(data, sys, PeriodicBC())
+        np.testing.assert_array_equal(fluxes[:, 1:-1], sys.flux_raw(traces[:, 1:-1]))
 
     def test_periodic_telescoping(self):
         sys = burgers_system()
         rng = np.random.default_rng(6)
         data = rng.normal(size=(10, 4, 1))
-        grid, traces = self.grid_traces(data)
-        fluxes = assemble_fluxes(traces, sys, PeriodicBC())
+        fluxes = self.stage_fluxes(data, sys, PeriodicBC())
         total = np.sum(fluxes[:, :-1] - fluxes[:, 1:])
         assert abs(total) <= 1e-12
 
     def test_fixed_bc_uses_ghost_states(self):
         sys = burgers_system()
         data = np.full((4, 4, 1), 1.0)
-        _, traces = self.grid_traces(data)
         bc = FixedBC(left=np.array([-1.0]), right=np.array([1.0]))
-        fluxes = assemble_fluxes(traces, sys, bc)
+        fluxes = self.stage_fluxes(data, sys, bc)
         # left boundary: llf(-1, 1) = 0.5*(0.5+0.5) - 0.5*1*(1-(-1)) = -0.5
         assert fluxes[0, 0, 0] == pytest.approx(-0.5, abs=1e-15)
-        assert fluxes[-1, -1, 0] == pytest.approx(sys.flux(np.array([1.0]))[0], abs=1e-15)
+        assert fluxes[-1, -1, 0] == pytest.approx(sys.flux_raw(np.array([1.0]))[0], abs=1e-15)
 
     def test_interface_states_wrap(self):
         data = np.arange(8.0).reshape(2, 4, 1)

@@ -5,110 +5,8 @@ import pytest
 
 from specvol.filters import apply_generator, build_generator
 from specvol.mesh import build_grid
-from specvol.stabilization import (
-    DEN_FLOOR,
-    CorrectionReport,
-    compute_correction,
-    corrected_rhs,
-    lambda_ed,
-    lambda_er,
-    lambda_final,
-    sv_entropy,
-    sv_inner_product,
-)
+from specvol.stabilization import DEN_FLOOR, CorrectionReport, compute_correction, corrected_rhs
 from specvol.systems import burgers_system, euler_system, primitive_to_conserved
-
-
-class TestSvInnerProduct:
-    def test_zero_factor(self):
-        widths = np.array([0.5, 0.5])
-        assert sv_inner_product(np.ones((2, 1)), np.zeros((2, 1)), widths) == 0.0
-
-    def test_quadrature_gap_example(self):
-        # u = x averaged over four equidistant CVs on [-1, 1]; g(u) = u^2
-        # integrates to 0.625 instead of the exact 2/3.
-        widths = np.full(4, 0.5)
-        mids = np.array([-0.75, -0.25, 0.25, 0.75])
-        value = sv_inner_product((mids**2)[:, None], np.ones((4, 1)), widths)
-        assert value == pytest.approx(0.625, abs=1e-15)
-        assert value != pytest.approx(2.0 / 3.0, abs=1e-3)
-
-    def test_constants(self):
-        widths = np.array([0.2, 0.3, 0.5])
-        a, b = 2.0, -3.0
-        got = sv_inner_product(np.full((3, 1), a), np.full((3, 1), b), widths)
-        assert got == pytest.approx(a * b * widths.sum(), rel=1e-15)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            sv_inner_product(np.ones((2, 1)), np.ones((3, 1)), np.ones(2))
-
-
-class TestSvEntropy:
-    def test_zero_state(self):
-        assert sv_entropy(np.zeros((4, 1)), burgers_system(), np.full(4, 0.25)) == 0.0
-
-    def test_unit_state(self):
-        widths = build_grid(0.0, 1.0, 2, 4).cv_widths
-        val = sv_entropy(np.ones((4, 1)), burgers_system(), widths)
-        assert val == pytest.approx(0.5 * widths.sum(), rel=1e-14)
-
-    def test_euler_unit_state(self):
-        sys = euler_system(1.4)
-        u = np.tile(primitive_to_conserved(1.0, 0.0, 1.0), (4, 1))
-        assert sv_entropy(u, sys, np.full(4, 0.25)) == pytest.approx(0.0, abs=1e-14)
-
-
-class TestLambdaEd:
-    def test_within_budget(self):
-        assert lambda_ed(1.0, 2.0, 0.5, -1.0) == 0.0
-
-    def test_excess_production(self):
-        assert lambda_ed(0.1, 0.0, 0.0, -0.5) == pytest.approx(0.2, abs=1e-15)
-
-    def test_degenerate_denominator(self):
-        assert lambda_ed(0.0, 0.0, 0.0, 0.0) == 0.0
-        assert lambda_ed(1.0, 0.0, 0.0, -1e-15) == 0.0
-
-
-class TestLambdaEr:
-    def test_zero_sigma(self):
-        assert lambda_er(0.0, 0.0, -1.0, -1.0, -1.0) == (0.0, 0.0)
-
-    def test_burgers_example(self):
-        lam_l, lam_r = lambda_er(-1.0 / 3.0, 0.0, -1.0 / 3.0, -1.0 / 3.0, -1.0)
-        assert lam_l == pytest.approx(0.5, abs=1e-15)
-        assert lam_r == 0.0
-
-    def test_degenerate_denominators(self):
-        lam_l, lam_r = lambda_er(-1.0, -1.0, -1e-15, 0.0, -1e-16)
-        assert lam_l == 0.0 and lam_r == 0.0
-
-
-class TestLambdaFinal:
-    def setup_method(self):
-        self.gen = build_generator(np.array([1.0, 1.0]))  # max_diag = 1
-
-    def test_zero_sum(self):
-        assert lambda_final(0.0, 0.1, self.gen) == 0.0
-
-    def test_large_sum_clamps_to_limit(self):
-        assert lambda_final(1e9, 0.1, self.gen) == pytest.approx(10.0, rel=1e-15)
-
-    def test_example_values(self):
-        assert lambda_final(20.0, 0.1, self.gen) == pytest.approx(10.0, rel=1e-15)
-        assert lambda_final(5.0, 0.1, self.gen) == 5.0
-
-    def test_override(self):
-        assert lambda_final(20.0, 0.1, self.gen, lambda_max=2.0) == 2.0
-
-    def test_degenerate_generator_unbounded(self):
-        gen1 = build_generator(np.array([1.0]))
-        assert lambda_final(7.0, 0.1, gen1) == 7.0
-
-    def test_nonpositive_dt_rejected(self):
-        with pytest.raises(ValueError):
-            lambda_final(1.0, 0.0, self.gen)
 
 
 class TestCorrectedRhs:
@@ -187,7 +85,7 @@ class TestComputeCorrection:
         rep = compute_correction(
             data, rhs, direction, sigma, f_star, widths, system, 1e-4, gen, True, d_llf
         )
-        grad = system.entropy_gradient(data)
+        grad = system.entropy_gradient_raw(data)
         corrected = rhs + rep.lambda_final[:, None, None] * direction
         lhs = np.einsum("ijc,ijc,j->i", grad, corrected, widths)
         budget = f_star[:-1] - f_star[1:]
@@ -207,24 +105,207 @@ class TestComputeCorrection:
         assert rep.lambda_er_l[0] == 0.0
         assert rep.lambda_er_r[-1] == 0.0
 
+    def test_fixed_bc_leaves_caller_sigma_intact(self):
+        data, rhs, direction, sigma, f_star, d_llf, widths, system, gen = self.make_inputs(seed=7)
+        before = sigma.copy()
+        compute_correction(
+            data, rhs, direction, sigma, f_star, widths, system, 0.01, gen, False, d_llf
+        )
+        np.testing.assert_array_equal(sigma, before)
+
+    def test_den_floor_scales_with_sv_entropy(self):
+        # The same small perturbation has <dU/du, v> ~ 1e-8 with or without an
+        # offset (H removes constants); the floor 1e-12 * max(1, |sum h U|)
+        # rejects it only beside the offset's entropy 5e5.
+        shape = np.array([1.0, 0.0, 0.0, -1.0]) * 1e-4
+        rhs = shape.reshape(1, 4, 1)  # production > 0 in both
+        bare = correct_one_sv(one_sv(data=shape), rhs=rhs)
+        offset = correct_one_sv(one_sv(data=shape + 1e3), rhs=rhs)
+        assert bare.den_fallbacks == 0 and bare.lambda_ed[0] > 0.0
+        assert offset.den_fallbacks == 1 and offset.lambda_ed[0] == 0.0
+
+    def one_sv_demands(self):
+        """One periodic SV whose two entropy-rate demands are 1 each.
+
+        With one SV both interfaces pair it with itself, so each demand is
+        sigma / (2 <dU/du, v>); no budget demand, no cap.
+        """
+        widths = build_grid(0.0, 1.0, 1, 4).cv_widths
+        gen = build_generator(widths)
+        data = np.array([[[1.0], [0.0], [0.0], [-1.0]]])
+        direction = apply_generator(gen, data)
+        ip = float(np.einsum("jc,jc,j->", data[0], direction[0], widths))
+        assert ip < 0.0
+        sigma = np.full(2, 2.0 * ip)
+        args = (data, np.zeros_like(data), direction, sigma, np.zeros(2), widths,
+                burgers_system(), gen)
+        return args, np.full(2, 1e9)
+
+    def test_sum_clamps_at_positivity_limit(self):
+        # Each demand (1) is below the limit 1 / (dt max|H_jj|) = 1.5, their sum is not.
+        (data, rhs, direction, sigma, f_star, widths, system, gen), d_llf = self.one_sv_demands()
+        dt = 1.0 / (1.5 * gen.max_diag)
+        rep = compute_correction(
+            data, rhs, direction, sigma, f_star, widths, system, dt, gen, True, d_llf
+        )
+        assert rep.lambda_er_l[0] == pytest.approx(1.0, rel=1e-14)
+        assert rep.lambda_er_r[0] == pytest.approx(1.0, rel=1e-14)
+        assert rep.lambda_sum[0] == pytest.approx(2.0, rel=1e-14)
+        assert rep.lambda_final[0] == 1.0 / (dt * gen.max_diag)
+        assert rep.clamped[0] and rep.dropped_demands == 0
+
+    def test_lambda_max_overrides_the_limit(self):
+        (data, rhs, direction, sigma, f_star, widths, system, gen), d_llf = self.one_sv_demands()
+        rep = compute_correction(
+            data, rhs, direction, sigma, f_star, widths, system, 1e-6, gen, True, d_llf,
+            lambda_max=1.5,
+        )
+        assert rep.lambda_final[0] == 1.5 and rep.clamped[0]
+
+    def test_one_cv_per_sv_has_no_limit_and_no_correction(self):
+        # k = 1: the generator is zero, so is max|H_jj|, and no SV has a direction.
+        widths = build_grid(0.0, 1.0, 5, 1).cv_widths
+        gen = build_generator(widths)
+        assert gen.max_diag == 0.0
+        data = np.arange(5.0).reshape(5, 1, 1)
+        direction = apply_generator(gen, data)
+        rep = compute_correction(
+            data, np.ones_like(data), direction, -np.ones(6), np.zeros(6), widths,
+            burgers_system(), 0.1, gen, True, np.ones(6),
+        )
+        assert np.all(rep.lambda_final == 0.0)
+        assert rep.den_fallbacks == 5 and rep.dropped_demands == 0
+
+
+def one_sv(scale_to_ip=None, data=(1.0, 0.0, 0.0, -1.0)):
+    """One periodic Burgers SV of four CVs: (data, direction, <dU/du, v>, widths, gen).
+
+    With ``scale_to_ip`` the data is scaled so that <dU/du, v> takes that value.
+    """
+    widths = build_grid(0.0, 1.0, 1, 4).cv_widths
+    gen = build_generator(widths)
+    data = np.asarray(data, dtype=float).reshape(1, 4, 1)
+    ip = float(np.einsum("jc,jc,j->", data[0], apply_generator(gen, data)[0], widths))
+    if scale_to_ip is not None:
+        data = data * np.sqrt(scale_to_ip / ip)
+    direction = apply_generator(gen, data)
+    ip = float(np.einsum("jc,jc,j->", data[0], direction[0], widths))
+    return data, direction, ip, widths, gen
+
+
+def correct_one_sv(sv, rhs=None, sigma=(0.0, 0.0), f_star=(0.0, 0.0), dt=1e-6):
+    """compute_correction of ``one_sv`` with an uncapping dissipation scale."""
+    data, direction, _, widths, gen = sv
+    rhs = np.zeros_like(data) if rhs is None else rhs
+    return compute_correction(
+        data, rhs, direction, np.array(sigma), np.array(f_star), widths, burgers_system(),
+        dt, gen, True, np.full(2, 1e9),
+    )
+
+
+class TestLambdaEd:
+    """The budget part: production over the F* balance, per <dU/du, v>."""
+
+    def test_within_budget(self):
+        rep = correct_one_sv(one_sv(), f_star=(1.0, 0.0))
+        assert rep.lambda_ed[0] == 0.0 and rep.lambda_final[0] == 0.0
+
+    def test_excess_production(self):
+        # production 0.1 over an empty budget with <dU/du, v> = -0.5
+        sv = one_sv(scale_to_ip=-0.5)
+        data, _, ip, widths, _ = sv
+        assert ip == pytest.approx(-0.5, rel=1e-14)
+        rhs = data * (0.1 / np.einsum("jc,jc,j->", data[0], data[0], widths))
+        rep = correct_one_sv(sv, rhs=rhs)
+        assert rep.lambda_ed[0] == pytest.approx(0.2, rel=1e-13)
+        assert rep.lambda_final[0] == rep.lambda_ed[0]
+
+    def test_degenerate_denominator(self):
+        sv = one_sv(data=(1.0, 1.0, 1.0, 1.0))
+        assert abs(sv[2]) < 1e-12
+        rep = correct_one_sv(sv, rhs=np.ones((1, 4, 1)))
+        assert rep.lambda_ed[0] == 0.0 and rep.den_fallbacks == 1
+
+
+class TestLambdaEr:
+    """The entropy-rate parts: each interface's sigma over its SVs' <dU/du, v>."""
+
+    def test_zero_sigma(self):
+        rep = correct_one_sv(one_sv())
+        assert rep.lambda_er_l[0] == 0.0 and rep.lambda_er_r[0] == 0.0
+        assert rep.lambda_final[0] == 0.0
+
+    def test_burgers_example(self):
+        # The Burgers shock's sigma -1/3 at the left interface, <dU/du, v> = -1/3
+        # on both of its sides.
+        rep = correct_one_sv(one_sv(scale_to_ip=-1.0 / 3.0), sigma=(-1.0 / 3.0, 0.0))
+        assert rep.lambda_er_l[0] == pytest.approx(0.5, rel=1e-14)
+        assert rep.lambda_er_r[0] == 0.0
+
+    def test_degenerate_denominators(self):
+        rep = correct_one_sv(one_sv(data=(1.0, 1.0, 1.0, 1.0)), sigma=(-1.0, -1.0))
+        assert rep.lambda_er_l[0] == 0.0 and rep.lambda_er_r[0] == 0.0
+
+
+class TestLambdaFinal:
+    """The sum of the parts, clamped at 1 / (dt * max|H_jj|)."""
+
+    def test_zero_sum(self):
+        rep = correct_one_sv(one_sv())
+        assert rep.lambda_sum[0] == 0.0 and rep.lambda_final[0] == 0.0
+        assert not rep.clamped[0]
+
+    def test_example_values(self):
+        sv = one_sv()
+        ip, gen = sv[2], sv[4]
+        dt = 0.1 / gen.max_diag  # limit 10
+        # each interface demands sigma / (2 ip): 2.5 + 2.5 stays, 8 + 8 clamps
+        below = correct_one_sv(sv, sigma=(5.0 * ip, 5.0 * ip), dt=dt)
+        assert below.lambda_final[0] == pytest.approx(5.0, rel=1e-14)
+        assert not below.clamped[0]
+        above = correct_one_sv(sv, sigma=(16.0 * ip, 16.0 * ip), dt=dt)
+        assert above.lambda_sum[0] == pytest.approx(16.0, rel=1e-14)
+        assert above.lambda_final[0] == pytest.approx(10.0, rel=1e-15)
+        assert above.clamped[0] and above.dropped_demands == 0
+
+
+def lambda_er(sigma_left, sigma_right, ip_prev, ip_self, ip_next, eps_den):
+    """Entropy-rate parts from the two adjacent interface estimates.
+
+    lambda_ER_l = max(0, sigma_l / (ip_prev + ip_self)) and mirrored for the
+    right; parts with a denominator within eps_den of zero are zero.
+    """
+    den_l = ip_prev + ip_self
+    den_r = ip_self + ip_next
+    usable_l = np.abs(den_l) > eps_den
+    usable_r = np.abs(den_r) > eps_den
+    lam_l = np.where(usable_l, np.maximum(0.0, sigma_left / np.where(usable_l, den_l, 1.0)), 0.0)
+    lam_r = np.where(usable_r, np.maximum(0.0, sigma_right / np.where(usable_r, den_r, 1.0)), 0.0)
+    return lam_l, lam_r
+
+
+def lambda_final(lambda_sum, dt, gen, lambda_max=None):
+    """Clamp the summed correction at lambda_max = 1 / (dt * max|H_jj|), or the override."""
+    if lambda_max is None:
+        lambda_max = np.inf if gen.max_diag == 0.0 else 1.0 / (dt * gen.max_diag)
+    return np.minimum(lambda_max, lambda_sum)
+
 
 def composed_correction(averages, rhs, direction, sigma, f_star, widths, system, dt, gen,
                         periodic, d_llf, lambda_max):
-    """compute_correction spelled out with the per-part functions and checked methods."""
-    grad = system.entropy_gradient(averages)
+    """compute_correction spelled out part by part, with np.roll for the neighbours."""
+    grad = system.entropy_gradient_raw(averages)
     production = np.einsum("ijc,ijc,j->i", grad, rhs, widths)
     direction_ip = np.einsum("ijc,ijc,j->i", grad, direction, widths)
-    entropies = np.einsum("j,ij->i", widths, system.entropy(averages))
+    entropies = np.einsum("j,ij->i", widths, system.entropy_raw(averages))
     eps_den = DEN_FLOOR * np.maximum(1.0, np.abs(entropies))
     sigma = sigma.copy()
     if not periodic:
         sigma[0] = sigma[-1] = 0.0
-    sigma_used, excess = sigma, production - (f_star[:-1] - f_star[1:])
-    excess_used = excess
-    if d_llf is not None:
-        cap = np.maximum(d_llf, 0.0)
-        sigma_used = np.maximum(sigma, -cap)
-        excess_used = np.minimum(excess, cap[:-1] + cap[1:])
+    excess = production - (f_star[:-1] - f_star[1:])
+    cap = np.maximum(d_llf, 0.0)
+    sigma_used = np.maximum(sigma, -cap)
+    excess_used = np.minimum(excess, cap[:-1] + cap[1:])
     capped = (excess_used < excess) | (sigma_used[:-1] > sigma[:-1]) | (sigma_used[1:] > sigma[1:])
     usable = np.abs(direction_ip) > eps_den
     ed_term = np.where(usable, -excess_used / np.where(usable, direction_ip, 1.0), 0.0)
@@ -285,16 +366,14 @@ class TestComputeCorrectionComposition:
 
     @pytest.mark.parametrize("kind", ["burgers", "euler"])
     @pytest.mark.parametrize("periodic", [True, False])
-    @pytest.mark.parametrize("capped", [True, False])
     @pytest.mark.parametrize("dt, lambda_max", [(0.01, None), (10.0, None), (0.01, 1e-3)])
-    def test_matches_composition(self, kind, periodic, capped, dt, lambda_max):
+    def test_matches_composition(self, kind, periodic, dt, lambda_max):
         dropped = 0
         for seed in range(6):
             data, rhs, direction, sigma, f_star, widths, system, gen, d_llf = self.inputs(kind, seed)
-            scale = d_llf if capped else None
             args = (data, rhs, direction, sigma, f_star, widths, system, dt, gen, periodic)
-            got = compute_correction(*args, scale, lambda_max, sigma_fallbacks=4)
-            want = composed_correction(*args, scale, lambda_max)
+            got = compute_correction(*args, d_llf, lambda_max, sigma_fallbacks=4)
+            want = composed_correction(*args, d_llf, lambda_max)
             for f in dataclasses.fields(CorrectionReport):
                 a, b = np.asarray(getattr(got, f.name)), np.asarray(getattr(want, f.name))
                 assert a.shape == b.shape and a.dtype == b.dtype, f.name
@@ -305,6 +384,8 @@ class TestComputeCorrectionComposition:
             assert dropped > 0  # the positivity limit dropped some demands
 
     def test_nonpositive_dt_rejected(self):
-        data, rhs, direction, sigma, f_star, widths, system, gen, _ = self.inputs("burgers", 0)
+        data, rhs, direction, sigma, f_star, widths, system, gen, d_llf = self.inputs("burgers", 0)
         with pytest.raises(ValueError):
-            compute_correction(data, rhs, direction, sigma, f_star, widths, system, 0.0, gen, True)
+            compute_correction(
+                data, rhs, direction, sigma, f_star, widths, system, 0.0, gen, True, d_llf
+            )

@@ -48,21 +48,21 @@ def fd_jacobian(fn, u, h=1e-6):
 class TestAdvection:
     def test_flux_speed_one(self):
         sys = advection_system(1.0)
-        assert sys.flux(np.array([2.0]))[0] == 2.0
+        assert sys.flux_raw(np.array([2.0]))[0] == 2.0
 
     def test_entropy_flux(self):
         sys = advection_system(1.0)
-        assert sys.entropy_flux(np.array([2.0])) == pytest.approx(2.0)
+        assert sys.entropy_flux_raw(np.array([2.0])) == pytest.approx(2.0)
 
     def test_zero_speed(self):
         sys = advection_system(0.0)
         xs = np.linspace(-5, 5, 11)[:, None]
-        np.testing.assert_array_equal(sys.flux(xs), np.zeros_like(xs))
+        np.testing.assert_array_equal(sys.flux_raw(xs), np.zeros_like(xs))
 
     def test_velocity_scales_entropy_flux(self):
         sys = advection_system(-2.5)
         u = np.array([1.5])
-        assert sys.entropy_flux(u) == pytest.approx(-2.5 * 1.5**2 / 2)
+        assert sys.entropy_flux_raw(u) == pytest.approx(-2.5 * 1.5**2 / 2)
 
     def test_nonfinite_velocity_rejected(self):
         with pytest.raises(ValueError):
@@ -71,14 +71,14 @@ class TestAdvection:
 
 class TestBurgers:
     def test_cubic_entropy_flux(self):
-        assert burgers_system().entropy_flux(np.array([1.0])) == pytest.approx(1 / 3)
+        assert burgers_system().entropy_flux_raw(np.array([1.0])) == pytest.approx(1 / 3)
 
     def test_even_flux(self):
-        assert burgers_system().flux(np.array([-2.0]))[0] == pytest.approx(2.0)
+        assert burgers_system().flux_raw(np.array([-2.0]))[0] == pytest.approx(2.0)
 
     def test_signal_speed(self):
         sys = burgers_system()
-        assert sys.max_signal_speed(np.array([1.0]), np.array([-1.0])) == 1.0
+        assert sys.max_signal_speed_raw(np.array([1.0]), np.array([-1.0])) == 1.0
 
 
 @pytest.mark.parametrize("make", [lambda: advection_system(1.0), burgers_system],
@@ -105,33 +105,34 @@ class TestEuler:
         sys = euler_system(1.4)
         u = primitive_to_conserved(1.0, 0.0, 1.0, 1.4)
         assert u[2] == pytest.approx(2.5)
-        np.testing.assert_allclose(sys.flux(u), [0.0, 1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(sys.flux_raw(u), [0.0, 1.0, 0.0], atol=1e-15)
 
     def test_unit_state_entropy(self):
         sys = euler_system(1.4)
         u = primitive_to_conserved(1.0, 0.0, 1.0, 1.4)
-        assert sys.entropy(u) == pytest.approx(0.0, abs=1e-15)
+        assert sys.entropy_raw(u) == pytest.approx(0.0, abs=1e-15)
 
     def test_gamma_below_one_rejected(self):
         with pytest.raises(ValueError):
             euler_system(1.0)
 
-    def test_inadmissible_flux_raises_with_location(self):
+    def test_inadmissible_state_raises_with_location(self):
         sys = euler_system()
         states = np.stack(
             [primitive_to_conserved(1.0, 0.0, 1.0), np.array([1.0, 0.0, -1.0])]
         )
+        np.testing.assert_array_equal(sys.admissible(states), [True, False])
         with pytest.raises(InadmissibleStateError) as err:
-            sys.flux(states)
+            sys.check_admissible(states, "state")
         assert err.value.where == (1,)
 
     def test_entropy_gradient_matches_finite_differences(self):
         sys = euler_system(1.4)
         rng = np.random.default_rng(11)
         states = random_states(sys, rng, 200)
-        grads = sys.entropy_gradient(states)
+        grads = sys.entropy_gradient_raw(states)
         for u, g in zip(states, grads):
-            fd = fd_gradient(lambda w: float(sys.entropy(w)), u)
+            fd = fd_gradient(lambda w: float(sys.entropy_raw(w)), u)
             np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-7)
 
 
@@ -144,9 +145,9 @@ class TestEntropyPairCompatibility:
         rng = np.random.default_rng(5)
         states = random_states(system, rng, 1000)
         for u in states:
-            du = system.entropy_gradient(u)
-            jac = fd_jacobian(lambda w: system.flux(w), u)
-            df = fd_gradient(lambda w: float(system.entropy_flux(w)), u)
+            du = system.entropy_gradient_raw(u)
+            jac = fd_jacobian(lambda w: system.flux_raw(w), u)
+            df = fd_gradient(lambda w: float(system.entropy_flux_raw(w)), u)
             scale = max(1.0, np.max(np.abs(df)))
             np.testing.assert_allclose(du @ jac, df, atol=1e-5 * scale)
 
@@ -161,8 +162,8 @@ class TestEntropyPairCompatibility:
         theta = rng.uniform(0.0, 1.0, 400)
         mix = theta[:, None] * u1 + (1 - theta[:, None]) * u2
         ok = system.admissible(mix)
-        lhs = system.entropy(mix[ok])
-        rhs = theta[ok] * system.entropy(u1[ok]) + (1 - theta[ok]) * system.entropy(u2[ok])
+        lhs = system.entropy_raw(mix[ok])
+        rhs = theta[ok] * system.entropy_raw(u1[ok]) + (1 - theta[ok]) * system.entropy_raw(u2[ok])
         assert np.all(lhs <= rhs + 1e-12)
 
     @pytest.mark.parametrize(
@@ -172,7 +173,7 @@ class TestEntropyPairCompatibility:
         system = make()
         rng = np.random.default_rng(23)
         states = random_states(system, rng, 500)
-        assert np.all(np.isfinite(system.flux(states)))
+        assert np.all(np.isfinite(system.flux_raw(states)))
 
 
 class TestPrimitiveConversions:
@@ -231,26 +232,26 @@ def assert_bitwise(got, want):
 
 
 class TestFusedTerms:
-    """The one-pass terms equal the checked methods bit for bit."""
+    """The one-pass terms equal the single methods bit for bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(system_and_states())
-    def test_stage_terms_match_checked_methods(self, case):
+    def test_stage_terms_match_single_methods(self, case):
         system, u = case
         flux, speed, ent, eflux, grad = system.stage_terms(u)
-        assert_bitwise(flux, system.flux(u))
-        assert_bitwise(speed, system.max_signal_speed(u, u))
-        assert_bitwise(ent, system.entropy(u))
-        assert_bitwise(eflux, system.entropy_flux(u))
-        assert_bitwise(grad, system.entropy_gradient(u))
+        assert_bitwise(flux, system.flux_raw(u))
+        assert_bitwise(speed, system.max_signal_speed_raw(u, u))
+        assert_bitwise(ent, system.entropy_raw(u))
+        assert_bitwise(eflux, system.entropy_flux_raw(u))
+        assert_bitwise(grad, system.entropy_gradient_raw(u))
 
     @settings(max_examples=150, deadline=None)
     @given(system_and_states())
-    def test_entropy_terms_match_checked_methods(self, case):
+    def test_entropy_terms_match_single_methods(self, case):
         system, u = case
         ent, grad = system.entropy_terms(u)
-        assert_bitwise(ent, system.entropy(u))
-        assert_bitwise(grad, system.entropy_gradient(u))
+        assert_bitwise(ent, system.entropy_raw(u))
+        assert_bitwise(grad, system.entropy_gradient_raw(u))
 
     @settings(max_examples=100, deadline=None)
     @given(system_and_states())
@@ -259,7 +260,6 @@ class TestFusedTerms:
         system, u = case
         two_sided = system.max_signal_speed_raw(u, u.copy())
         assert_bitwise(system.max_signal_speed_raw(u, u), two_sided)
-        assert_bitwise(system.max_signal_speed(u, u), two_sided)
 
     @settings(max_examples=100, deadline=None)
     @given(system_and_states())
@@ -268,4 +268,4 @@ class TestFusedTerms:
         system, u = case
         other = u[::-1]
         speed = system.stage_terms(np.stack([u, other]))[1]
-        assert_bitwise(np.maximum(speed[0], speed[1]), system.max_signal_speed(u, other))
+        assert_bitwise(np.maximum(speed[0], speed[1]), system.max_signal_speed_raw(u, other))

@@ -1,9 +1,13 @@
 import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from specvol import timeint
 from specvol.cli import BUILTIN_SCENARIOS
@@ -11,19 +15,11 @@ from specvol.exceptions import DegenerateSpeedError, InadmissibleStateError, Ste
 from specvol.filters import apply_generator, build_generator
 from specvol.mesh import build_grid
 from specvol.reconstruction import build_reconstruction, reconstruct_all
-from specvol.riemann import (
-    FixedBC,
-    PeriodicBC,
-    assemble_fluxes,
-    dissipation_estimate,
-    interface_states,
-    llf_entropy_flux,
-)
+from specvol.riemann import FixedBC, PeriodicBC, interface_states
 from specvol.stabilization import CorrectionReport, compute_correction, corrected_rhs
 from specvol.systems import advection_system, burgers_system, euler_system, primitive_to_conserved
 from specvol.timeint import (
     SolverConfig,
-    base_rhs,
     discrete_l2,
     euler_adapted,
     init_field,
@@ -184,15 +180,21 @@ class TestBatchedInitField:
 
 
 class TestBaseRhs:
+    """D, the stage's time derivative without correction: (E(u) - u) / dt."""
+
+    def base_rhs(self, state, op, gen, dt=1e-3):
+        cfg = SolverConfig(t_end=1.0, bc=PeriodicBC(), stabilization_enabled=False)
+        new, _ = euler_adapted(state, dt, op, gen, cfg)
+        return (new.data - state.data) / dt
+
     def test_constant_field_zero(self):
-        grid, system, state, op, _ = setup_burgers()
+        grid, system, state, op, gen = setup_burgers()
         state = state.with_data(np.full_like(state.data, 1.7))
-        rhs = base_rhs(state.data, op, system, PeriodicBC(), grid.cv_widths)
-        np.testing.assert_allclose(rhs, 0.0, atol=1e-13)
+        np.testing.assert_allclose(self.base_rhs(state, op, gen), 0.0, atol=1e-13)
 
     def test_periodic_total_telescopes(self):
-        grid, system, state, op, _ = setup_burgers()
-        rhs = base_rhs(state.data, op, system, PeriodicBC(), grid.cv_widths)
+        grid, system, state, op, gen = setup_burgers()
+        rhs = self.base_rhs(state, op, gen)
         assert abs(np.einsum("j,ijc->", grid.cv_widths, rhs)) <= 1e-12
 
 
@@ -225,26 +227,77 @@ class TestEulerAdapted:
         with pytest.raises(ValueError):
             euler_adapted(state, 0.0, op, gen, cfg)
 
+    def test_fixed_bc_uses_ghost_states(self):
+        # A constant 1 between the ghost states -1 and 1: only the left
+        # interface flux changes, to llf(-1, 1) = 0.5*(0.5+0.5) - 0.5*1*(1-(-1)) = -0.5.
+        grid = build_grid(0.0, 1.0, 4, 4)
+        state = init_field(lambda x: 1.0, grid, burgers_system())
+        bc = FixedBC(left=np.array([-1.0]), right=np.array([1.0]))
+        cfg = SolverConfig(t_end=1.0, bc=bc, stabilization_enabled=False)
+        dt = 1e-3
+        op, gen = build_reconstruction(grid), build_generator(grid.cv_widths)
+        new, _ = euler_adapted(state, dt, op, gen, cfg)
+        h0 = grid.cv_widths[0]
+        # D of the first CV is (-0.5 - f(1)) / h0 with f(1) = 0.5 from its right face.
+        assert new.data[0, 0, 0] == pytest.approx(1.0 - dt / h0, abs=1e-13)
+        rest = new.data.reshape(-1)[1:]
+        np.testing.assert_allclose(rest, 1.0, atol=1e-13)
+
+
+def llf_flux(u_l, u_r, system):
+    """Local Lax-Friedrichs flux 0.5(f_l + f_r) - (c_max/2)(u_r - u_l)."""
+    c = system.max_signal_speed_raw(u_l, u_r)
+    return 0.5 * (system.flux_raw(u_l) + system.flux_raw(u_r)) - 0.5 * c[:, None] * (u_r - u_l)
+
+
+def dissipation_estimate(u_l, u_r, system):
+    """(sigma, fallbacks) via the mean state u_lr of the Riemann fan, clamped <= 0.
+
+    sigma = c_max (2 U(u_lr) - U(u_l) - U(u_r)) + F(u_l) - F(u_r), 0 where
+    c_max = 0 or u_lr is inadmissible.
+    """
+    f_l, f_r = system.flux_raw(u_l), system.flux_raw(u_r)
+    c = system.max_signal_speed_raw(u_l, u_r)
+    live = c > 0.0
+    u_lr = 0.5 * (u_l + u_r) + (f_l - f_r) / (2.0 * np.where(live, c, 1.0)[:, None])
+    ok = live & system.admissible(u_lr)
+    u_mid = np.where(ok[:, None], u_lr, u_l)
+    raw = (
+        c * (2.0 * system.entropy_raw(u_mid) - system.entropy_raw(u_l) - system.entropy_raw(u_r))
+        + system.entropy_flux_raw(u_l) - system.entropy_flux_raw(u_r)
+    )
+    return np.where(ok, np.minimum(raw, 0.0), 0.0), int(np.count_nonzero(live & ~ok))
+
+
+def llf_entropy_flux(u_l, u_r, system):
+    """F* = 0.5 (F(u_l) + F(u_r)) - (c_max/2)(U(u_r) - U(u_l))."""
+    c = system.max_signal_speed_raw(u_l, u_r)
+    return 0.5 * (system.entropy_flux_raw(u_l) + system.entropy_flux_raw(u_r)) - 0.5 * c * (
+        system.entropy_raw(u_r) - system.entropy_raw(u_l)
+    )
+
 
 def reference_stage(state, dt, op, gen, config):
-    """One stabilized stage from the checked public API, as criterion 5 builds it."""
+    """One stabilized stage from the formulas above, on (N, k+1, m) traces."""
     system, widths = state.system, state.grid.cv_widths
     traces = reconstruct_all(op, state.data)
-    fluxes = assemble_fluxes(traces, system, config.bc)
-    rhs = (fluxes[:, :-1] - fluxes[:, 1:]) / widths[None, :, None]
     u_l, u_r = interface_states(traces, config.bc)
-    c = system.max_signal_speed(u_l, u_r)
-    counters = {}
-    sigma = dissipation_estimate(u_l, u_r, system, counters)
-    f_star = llf_entropy_flux(u_l, u_r, system, c)
+    interface_flux = llf_flux(u_l, u_r, system)
+    fluxes = system.flux_raw(traces)
+    fluxes[:, 0] = interface_flux[:-1]
+    fluxes[:, -1] = interface_flux[1:]
+    rhs = (fluxes[:, :-1] - fluxes[:, 1:]) / widths[None, :, None]
+    c = system.max_signal_speed_raw(u_l, u_r)
+    sigma, fallbacks = dissipation_estimate(u_l, u_r, system)
+    f_star = llf_entropy_flux(u_l, u_r, system)
     d_llf = 0.5 * c * np.einsum(
-        "sc,sc->s", u_r - u_l, system.entropy_gradient(u_r) - system.entropy_gradient(u_l)
+        "sc,sc->s", u_r - u_l,
+        system.entropy_gradient_raw(u_r) - system.entropy_gradient_raw(u_l),
     )
     direction = apply_generator(gen, state.data)
     report = compute_correction(
         state.data, rhs, direction, sigma, f_star, widths, system, dt, gen,
-        isinstance(config.bc, PeriodicBC), d_llf, config.lambda_max,
-        counters.get("sigma_fallbacks", 0),
+        isinstance(config.bc, PeriodicBC), d_llf, config.lambda_max, fallbacks,
     )
     return state.data + dt * corrected_rhs(rhs, report.lambda_final, direction), report
 
@@ -263,7 +316,7 @@ def scenario_state(name, t_end, n_sv=None):
 
 
 class TestStageMatchesCheckedApi:
-    """The solver's stage equals the same stage built from the checked API, bitwise."""
+    """The solver's stage equals the same stage built from the textbook formulas, bitwise."""
 
     @pytest.mark.parametrize(
         "name, t_end, n_sv",
@@ -696,3 +749,117 @@ class TestScalarNonFinite:
         with np.errstate(all="ignore"), pytest.raises(StepFailureError) as err:
             euler_adapted(state, np.inf, op, gen, config)
         assert (err.value.sv, err.value.cv) == (0, 0)
+
+
+def smooth_state(name, n_sv=6, k=4):
+    grid = build_grid(0.0, 2.0, n_sv, k)
+    if name == "euler":
+        system = euler_system()
+        u0 = lambda x: primitive_to_conserved(1.0 + 0.2 * np.sin(np.pi * x), 0.5, 1.0)
+    else:
+        system = advection_system(1.0) if name == "advection" else burgers_system()
+        u0 = lambda x: np.sin(np.pi * x) + 0.5
+    return init_field(u0, grid, system, 8)
+
+
+def state_with_bad_average(name, bad):
+    """A smooth field whose average (2, 2) is nan, inf or of negative pressure."""
+    state = smooth_state(name)
+    data = state.data.copy()
+    if bad == "pressure":
+        rho, mom = data[2, 2, 0], data[2, 2, 1]
+        data[2, 2, 2] = 0.5 * mom**2 / rho - 0.1
+    else:
+        data[2, 2, 0] = float(bad)
+    return state.with_data(data)
+
+
+BAD_AVERAGES = pytest.mark.parametrize(
+    "name, bad",
+    [("advection", "nan"), ("advection", "inf"), ("burgers", "nan"), ("burgers", "inf"),
+     ("euler", "nan"), ("euler", "inf"), ("euler", "pressure")],
+)
+
+
+class TestIntegrateChecksItsInput:
+    """integrate, and select_dt on its own, name the first bad average of the state."""
+
+    @BAD_AVERAGES
+    @pytest.mark.parametrize("stab", [False, True])
+    def test_bad_average_is_named(self, name, bad, stab):
+        state = state_with_bad_average(name, bad)
+        config = SolverConfig(t_end=0.1, bc=PeriodicBC(), stabilization_enabled=stab)
+        with pytest.raises(InadmissibleStateError, match="initial state") as err:
+            integrate(state, config)
+        assert err.value.where == (2, 2)
+
+    @BAD_AVERAGES
+    def test_select_dt_rejects_bad_average(self, name, bad):
+        state = state_with_bad_average(name, bad)
+        with pytest.raises(InadmissibleStateError, match="initial state") as err:
+            select_dt(state.grid, state, state.system, 0.1)
+        assert err.value.where == (2, 2)
+
+
+@st.composite
+def stage_cases(draw):
+    """A system and an admissible (N, k, m) field of it."""
+    kind = draw(st.sampled_from(["advection", "burgers", "euler"]))
+    shape = (draw(st.integers(2, 12)), draw(st.integers(2, 5)))
+    if kind == "euler":
+        rho, p = (draw(hnp.arrays(float, shape, elements=st.floats(0.1, 3.0))) for _ in "rp")
+        v = draw(hnp.arrays(float, shape, elements=st.floats(-2.0, 2.0)))
+        system, data = euler_system(), primitive_to_conserved(rho, v, p)
+    else:
+        data = draw(hnp.arrays(float, shape + (1,), elements=st.floats(-3.0, 3.0)))
+        if kind == "burgers":
+            system = burgers_system()
+        else:
+            system = advection_system(draw(st.sampled_from([-1.5, 0.7, 2.0])))
+    return system, data
+
+
+class TestStageInvariants:
+    """One real stage on random admissible fields: a named error, or an admissible
+    field of the same total mass, with sigma <= 0 on every interface."""
+
+    @pytest.mark.parametrize("stab", [False, True])
+    @settings(max_examples=100, deadline=None)
+    @given(case=stage_cases())
+    def test_stage_keeps_invariants(self, stab, case):
+        system, data = case
+        n_sv, k, _ = data.shape
+        grid = build_grid(0.0, 1.0, n_sv, k)
+        state = timeint.CellAverageField(data, 0.0, grid, system)
+        config = SolverConfig(t_end=1.0, bc=PeriodicBC(), stabilization_enabled=stab)
+        try:
+            dt = select_dt(grid, state, system, 0.1)
+        except DegenerateSpeedError:
+            assume(False)
+        op, gen = build_reconstruction(grid), build_generator(grid.cv_widths)
+        seen = []
+        real = timeint.interface_terms
+
+        def recording(*args, **kwargs):
+            seen.append(real(*args, **kwargs))
+            return seen[-1]
+
+        with mock.patch.object(timeint, "interface_terms", recording):
+            try:
+                new, _ = euler_adapted(state, dt, op, gen, config)
+            except (InadmissibleStateError, StepFailureError):
+                return
+        assert np.all(system.admissible(new.data))
+        # Roundoff: 1e-13 of the largest component's width-weighted L1 total,
+        # plus an absolute floor where the arithmetic is subnormal and has no
+        # relative precision: a few half-ulps per CV in the update and the
+        # mass sum, and in the flux differences, which dt ~ h/|u| magnifies
+        # (a Burgers field of |u| ~ 1e-160 has a subnormal flux).
+        scale = np.max(np.einsum("j,ijc->c", grid.cv_widths, np.abs(data)))
+        floor = 8 * data.size * (1.0 + dt) * np.finfo(float).smallest_subnormal
+        assert np.all(np.abs(new.total_mass() - state.total_mass()) <= 1e-13 * scale + floor)
+        (terms,) = seen
+        if stab:
+            assert np.all(terms.sigma <= 0.0)
+        else:
+            assert terms.sigma is None
