@@ -6,7 +6,9 @@ one-sided traces meet; there the local Lax-Friedrichs flux resolves the
 Riemann problem. The same interfaces supply the entropy dissipation estimate
 sigma, the numerical entropy flux F* and the LLF entropy dissipation that
 size the stabilization. ``interface_terms`` computes all of them, for the
-solver's stage and for the tests alike.
+solver's stage and for the tests alike. For the stabilization terms it takes
+the sides' flux, speeds, entropies, entropy fluxes and gradients from the
+caller, one ``stage_terms`` pass that the stage shares with the cell averages.
 
 Interface arrays are indexed s = 0..N where interface s is the left boundary
 of SV s and interface N is the right end of the domain. Under periodic
@@ -69,15 +71,15 @@ def _sigma_from_parts(u_l, u_r, f_l, f_r, c, ent_l, ent_r, eflux_l, eflux_r, sys
     for Euler), which the fallback count reports.
     """
     live = c > 0.0
-    sigma = np.zeros(np.shape(c))
+    sigma = np.zeros(c.shape)
     fallbacks = 0
-    if np.any(live):
+    if live.any():
         c_safe = np.where(live, c, 1.0)
         u_lr = 0.5 * (u_l + u_r) + (f_l - f_r) / (2.0 * c_safe[..., None])
         admissible, ent_lr = system._admissible_entropy(u_lr)
         ok = live & admissible
         fallbacks = int(np.count_nonzero(live & ~ok))
-        if np.any(ok):
+        if ok.any():
             # ent_lr is garbage (nan, inf) on the lanes that are not ok; the
             # final where discards them.
             with np.errstate(all="ignore"):
@@ -87,42 +89,46 @@ def _sigma_from_parts(u_l, u_r, f_l, f_r, c, ent_l, ent_r, eflux_l, eflux_r, sys
 
 
 def interface_terms(
-    sides: np.ndarray, system: ConservationSystem, stabilized: bool = False
+    sides: np.ndarray, system: ConservationSystem, side_terms=None
 ) -> InterfaceTerms:
     """Every interface term of the one-sided states ``sides``, shape (2, S, m).
 
     ``sides[0]`` holds the left states u_l and ``sides[1]`` the right states
     u_r, which must be admissible; nothing is checked here. Always computed:
-    the LLF flux 0.5 (f_l + f_r) - (c_max/2)(u_r - u_l) and c_max. With
-    ``stabilized`` also the dissipation estimate sigma with its fallback count,
-    the numerical entropy flux F* = 0.5 (F_l + F_r) - (c_max/2)(U_r - U_l)
-    and the entropy the LLF flux dissipates,
-    d_llf = (c_max/2)(u_r - u_l).(dU/du_r - dU/du_l) >= 0. F* uses the same
-    one-sided traces as the state flux: on smooth data the two traces agree
-    to reconstruction order, so the entropy budget F*_l - F*_r tracks the
-    actual production instead of drowning it in O(h) dissipation from
-    adjacent-average jumps.
+    the LLF flux 0.5 (f_l + f_r) - (c_max/2)(u_r - u_l) and c_max.
+
+    ``side_terms`` turns on the stabilization terms. It is
+    ``system.stage_terms`` of the stacked states ``sides.reshape(2 * S, m)``,
+    of which only the first 2S rows are read, so a caller may pass the terms
+    of a longer array that begins with those states. From it come the
+    dissipation estimate sigma with its fallback count, the numerical entropy
+    flux F* = 0.5 (F_l + F_r) - (c_max/2)(U_r - U_l) and the entropy the LLF
+    flux dissipates, d_llf = (c_max/2)(u_r - u_l).(dU/du_r - dU/du_l) >= 0.
+    F* uses the same one-sided traces as the state flux: on smooth data the
+    two traces agree to reconstruction order, so the entropy budget
+    F*_l - F*_r tracks the actual production instead of drowning it in O(h)
+    dissipation from adjacent-average jumps.
     """
     u_l, u_r = sides
-    if stabilized:
-        # One pass over both sides: every system term of the stacked states.
-        flux_lr, speed_lr, ent_lr, eflux_lr, grad_lr = system.stage_terms(sides)
-        c_max = np.maximum(speed_lr[0], speed_lr[1])
-    else:
-        flux_lr = system.flux_raw(sides)
+    n = u_l.shape[0]
+    if side_terms is None:
+        f_l, f_r = system.flux_raw(sides)
         c_max = system.max_signal_speed_raw(u_l, u_r)
-    f_l, f_r = flux_lr
+    else:
+        flux_lr, speed_lr, ent_lr, eflux_lr, grad_lr = side_terms
+        f_l, f_r = flux_lr[:n], flux_lr[n : 2 * n]
+        c_max = np.maximum(speed_lr[:n], speed_lr[n : 2 * n])
     jump = u_r - u_l
     flux = 0.5 * (f_l + f_r) - 0.5 * c_max[:, None] * jump
-    if not stabilized:
+    if side_terms is None:
         return InterfaceTerms(flux, c_max)
-    ent_l, ent_r = ent_lr
-    eflux_l, eflux_r = eflux_lr
+    ent_l, ent_r = ent_lr[:n], ent_lr[n : 2 * n]
+    eflux_l, eflux_r = eflux_lr[:n], eflux_lr[n : 2 * n]
     sigma, fallbacks = _sigma_from_parts(
         u_l, u_r, f_l, f_r, c_max, ent_l, ent_r, eflux_l, eflux_r, system
     )
     f_star = 0.5 * (eflux_l + eflux_r) - 0.5 * c_max * (ent_r - ent_l)
-    d_llf = 0.5 * c_max * np.einsum("sc,sc->s", jump, grad_lr[1] - grad_lr[0])
+    d_llf = 0.5 * c_max * np.einsum("sc,sc->s", jump, grad_lr[n : 2 * n] - grad_lr[:n])
     return InterfaceTerms(flux, c_max, sigma, fallbacks, f_star, d_llf)
 
 

@@ -11,8 +11,9 @@ v_i = H u_i added to the time derivative. Three parts are summed:
   filter I + dt*lambda*H stays positive.
 
 All inner products are discrete: <f, g>_S = sum_j h_j f_j . g_j evaluated on
-cell averages. Denominators smaller than eps_den (1e-12 scaled by the SV
-entropy magnitude) return a zero correction part; a constant SV needs none.
+cell averages, whose entropies and entropy gradients the caller passes in.
+Denominators smaller than eps_den (1e-12 scaled by the SV entropy magnitude)
+return a zero correction part; a constant SV needs none.
 """
 
 from dataclasses import dataclass, field
@@ -54,19 +55,19 @@ def corrected_rhs(base_rhs: np.ndarray, lam: np.ndarray, v: np.ndarray) -> np.nd
     base_rhs = np.asarray(base_rhs, dtype=float)
     lam = np.asarray(lam, dtype=float)
     v = np.asarray(v, dtype=float)
-    if np.any(lam < 0.0):
+    if not np.all(lam >= 0.0):  # nan fails too
         raise ValueError("correction sizes must be nonnegative")
     return base_rhs + lam[:, None, None] * v
 
 
 def compute_correction(
-    averages: np.ndarray,
+    entropy: np.ndarray,
+    gradient: np.ndarray,
     base_rhs: np.ndarray,
     direction: np.ndarray,
     sigma: np.ndarray,
     f_star: np.ndarray,
     cv_widths: np.ndarray,
-    system,
     dt: float,
     gen: FilterGenerator,
     periodic: bool,
@@ -76,11 +77,14 @@ def compute_correction(
 ) -> CorrectionReport:
     """Assemble all per-SV correction sizes for one Euler stage.
 
-    ``sigma``, ``f_star`` and ``dissipation_scale`` are interface arrays
-    (N+1,), indexed like :func:`specvol.riemann.interface_states`, as
-    :func:`specvol.riemann.interface_terms` returns them. For
-    non-periodic runs the missing-neighbour inner products at the domain ends
-    count as zero.
+    ``entropy`` (N, k) and ``gradient`` (N, k, m) are U and dU/du of the cell
+    averages, as ``system.stage_terms`` gives them; the stage computes them
+    in one pass with its interface sides' terms. ``sigma``, ``f_star`` and
+    ``dissipation_scale`` are interface arrays (N+1,), indexed like
+    :func:`specvol.riemann.interface_states`, as
+    :func:`specvol.riemann.interface_terms` returns them. For non-periodic
+    runs the missing-neighbour inner products at the domain ends count as
+    zero. Nothing here converts its inputs: all of them are float arrays.
 
     ``dissipation_scale`` is the LLF entropy dissipation of each interface
     jump, (c/2)(u_r - u_l).(dU_r - dU_l) >= 0. It bounds the entropy demands
@@ -95,21 +99,18 @@ def compute_correction(
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    widths = np.asarray(cv_widths, dtype=float)
-    ent, grad = system.entropy_terms(averages)  # (N, k), (N, k, m)
-    production = np.einsum("ijc,ijc,j->i", grad, base_rhs, widths)
-    direction_ip = np.einsum("ijc,ijc,j->i", grad, direction, widths)
-    eps_den = DEN_FLOOR * np.maximum(1.0, np.abs(np.einsum("j,ij->i", widths, ent)))
+    production = np.einsum("ijc,ijc,j->i", gradient, base_rhs, cv_widths)
+    direction_ip = np.einsum("ijc,ijc,j->i", gradient, direction, cv_widths)
+    eps_den = DEN_FLOOR * np.maximum(1.0, np.abs(np.einsum("j,ij->i", cv_widths, entropy)))
     n_sv = direction_ip.size
 
-    sigma = np.asarray(sigma, dtype=float)
     if not periodic:
         # No neighbouring SV outside a fixed boundary: its sigma is absent.
         sigma = sigma.copy()
         sigma[0] = 0.0
         sigma[-1] = 0.0
     excess = production - (f_star[:-1] - f_star[1:])
-    cap = np.maximum(np.asarray(dissipation_scale, dtype=float), 0.0)
+    cap = np.maximum(dissipation_scale, 0.0)
     sigma_used = np.maximum(sigma, -cap)
     excess_used = np.minimum(excess, cap[:-1] + cap[1:])
     raised = sigma_used > sigma
@@ -149,7 +150,7 @@ def compute_correction(
     # Saturating it would flatten the SV's internal structure every step, so
     # such demands are dropped as degenerate (and the SV marked clamped).
     unrealizable = parts > limit
-    parts[unrealizable] = 0.0
+    parts = np.where(unrealizable, 0.0, parts)
 
     # The necessary size for the target inequality
     #   <dU/du, du/dt + lambda*v> <= sigma_i + F*_l - F*_r:
@@ -165,7 +166,7 @@ def compute_correction(
         lambda_er_r=parts[2],
         lambda_sum=lam_sum,
         lambda_final=lam,
-        clamped=(lam_sum > lam) | unrealizable.any(axis=0) | capped,
+        clamped=(lam_sum > lam) | unrealizable[0] | unrealizable[1] | unrealizable[2] | capped,
         den_fallbacks=n_sv - int(np.count_nonzero(usable[0])),
         sigma_fallbacks=sigma_fallbacks,
         dropped_demands=int(np.count_nonzero(unrealizable)),

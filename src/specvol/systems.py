@@ -10,10 +10,10 @@ is used.
 
 Each quantity has one method (``flux_raw``, ``max_signal_speed_raw``,
 ``entropy_raw``, ``entropy_flux_raw``, ``entropy_gradient_raw``), and
-``stage_terms`` / ``entropy_terms`` give several of them in one pass. None of
-them checks its input: states are checked once where they enter the solver,
-with ``admissible`` / ``check_admissible``, and the methods assume
-admissible states.
+``stage_terms`` gives all of them in one pass. None of them checks its
+input: states are checked once where they enter the solver, with
+``admissible`` / ``check_admissible``, and the methods assume admissible
+states.
 """
 
 import numpy as np
@@ -64,10 +64,6 @@ class ConservationSystem:
     def entropy_gradient_raw(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def entropy_terms(self, u):
-        """(U, dU/du) of admissible states u in one pass, unchecked."""
-        return self.entropy_raw(u), self.entropy_gradient_raw(u)
-
     def stage_terms(self, u):
         """(f, speed, U, F, dU/du) of admissible states u in one pass, unchecked.
 
@@ -85,9 +81,12 @@ class ConservationSystem:
     def admissible(self, u: np.ndarray) -> np.ndarray:
         """Boolean mask over the leading axes; True where u is admissible.
 
-        Every finite state is admissible unless a system says otherwise.
+        Every finite state is admissible unless a system says otherwise. A
+        scalar state tests its one component, without a reduction over the
+        last axis.
         """
-        return np.isfinite(u).all(axis=-1)
+        u = np.asarray(u, dtype=float)
+        return np.isfinite(u[..., 0]) if self.m == 1 else np.isfinite(u).all(axis=-1)
 
     def _admissible_entropy(self, u):
         """(admissible mask, U) of states u, unchecked and without warnings.
@@ -168,8 +167,13 @@ class Euler(ConservationSystem):
     """1D Euler equations for an ideal gas, state u = (rho, rho*v, E).
 
     Pressure closure p = (gamma - 1)(E - rho v^2 / 2); admissible means
-    rho > 0 and p > 0. The entropy is U = -rho*S with S = ln(p rho^-gamma);
-    its gradient (derived, since only the pair itself is standard) is
+    rho > 0, p > 0 and every component finite. ``admissible`` tests
+    0 < rho < inf, p > 0 and a finite E: the same set, without a reduction
+    over the components. With rho and E finite, a non-finite momentum makes
+    p -inf or nan, which fails p > 0; a nan density fails rho > 0.
+
+    The entropy is U = -rho*S with S = ln(p rho^-gamma); its gradient
+    (derived, since only the pair itself is standard) is
 
         dU/du = (gamma - S - (gamma-1) rho v^2 / (2p),
                  (gamma-1) rho v / p,
@@ -211,7 +215,7 @@ class Euler(ConservationSystem):
         return _stack_last([g - s - g1_rho * v**2 / (2.0 * p), g1_rho * v / p, -g1_rho / p])
 
     def _mask(self, u, rho, p):
-        return (rho > 0.0) & (p > 0.0) & np.isfinite(u).all(axis=-1)
+        return (rho > 0.0) & (rho < np.inf) & (p > 0.0) & np.isfinite(u[..., 2])
 
     def admissible(self, u):
         u = np.asarray(u, dtype=float)
@@ -250,11 +254,6 @@ class Euler(ConservationSystem):
     def entropy_gradient_raw(self, u):
         rho, mom, p = self._primitives(u)
         return self._gradient(rho, mom / rho, p, self._log_entropy(rho, p))
-
-    def entropy_terms(self, u):
-        rho, mom, p = self._primitives(u)
-        s = self._log_entropy(rho, p)
-        return -rho * s, self._gradient(rho, mom / rho, p, s)
 
     def stage_terms(self, u):
         u = np.asarray(u, dtype=float)

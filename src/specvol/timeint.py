@@ -1,17 +1,23 @@
 """Semidiscrete right-hand side, adapted Euler step and SSP-RK3 driver.
 
-One Euler stage of the stabilized scheme reconstructs the boundary traces and
-checks them, then hands the stacked left and right interface states, shape
-(2, N+1, m), to ``riemann.interface_terms``. In one pass of
-``system.stage_terms`` over both sides it gives the LLF flux, the
-dissipation estimate sigma, the numerical entropy flux F* and the LLF
-dissipation. The per-SV correction is sized from one pass over the cell
-averages' entropies and gradients, then
+One Euler stage of the stabilized scheme makes four passes of the system over
+its states, one per state set:
+
+1. the admissibility check of the boundary traces;
+2. ``system.stage_terms`` over one rows array that holds the stacked left
+   and right interface states, shape (2, N+1, m), followed by the cell
+   averages. ``riemann.interface_terms`` takes the sides' rows of the result
+   and gives the LLF flux, the dissipation estimate sigma, the numerical
+   entropy flux F* and the LLF dissipation; ``compute_correction`` takes the
+   averages' entropies and gradients;
+3. the Riemann-fan mean states of sigma, in ``interface_terms``;
+4. the admissibility check of the new averages
 
     u_new = u + dt * (D + lambda_i * v_i),   v_i = H u_i.
 
-Without stabilization ``interface_terms`` computes only the signal speeds and
-the LLF flux.
+Without stabilization the stage passes over the traces, each interface side
+and the new averages, and ``interface_terms`` computes only the signal speeds
+and the LLF flux.
 
 The traces come in CV-face order from ``reconstruct_faces`` and v = H u from
 one matrix product over all SVs (see ``reconstruction``). The fluxes go into
@@ -23,17 +29,18 @@ D = (faces[:-1] - faces[1:]) / h is one contiguous pass with the CV widths
 tiled once per run.
 
 A run keeps its arrays in a stage plan that ``integrate`` builds once: the
-traces, the CV faces, the stacked interface states (with the fixed ghost
-states written once), the tiled widths and three (N, k, m) arrays, one for
-the RK state and two that the stages write D and their new averages into,
-each stage into the one that is not its input. The RK combinations run in
-place with ``out=``, so a step allocates no array of the field's size
-beyond what the system methods, the interface terms, the filter direction
-and the correction return. ``euler_adapted`` and ``ssp_rk3_step`` take the
-plan as the keyword ``plan``. Without one they build a fresh plan, so the
-fields they return own their data; with one, those fields live in the plan's
-arrays until its next stage or step. ``integrate`` returns, and attaches to a
-failure, copies.
+traces, the CV faces, the rows array, the tiled widths and three (N, k, m)
+arrays, one for the RK state and two that the stages write D and their new
+averages into, each stage into the one that is not its input. The interface
+sides, with the fixed ghost states written once, are a view of the first
+2(N+1) rows of the rows array; a stabilized stage copies its averages into
+the rest. The RK combinations run in place with ``out=``, so a step
+allocates no array of the field's size beyond what the system methods, the
+interface terms, the filter direction and the correction return.
+``euler_adapted`` and ``ssp_rk3_step`` take the plan as the keyword
+``plan``. Without one they build a fresh plan, so the fields they return own
+their data; with one, those fields live in the plan's arrays until its next
+stage or step. ``integrate`` returns, and attaches to a failure, copies.
 
 The SSP-RK3 method chains three such stages through convex combinations, so
 conservation and the filter positivity bound survive the full step. The time
@@ -46,6 +53,8 @@ leave a stage: ``init_field``'s averages, the state ``select_dt`` (and so
 averages.
 """
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,8 +118,13 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
-        if not self.t_end > 0.0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        lam, every = self.lambda_max, self.diagnostics_every
+        if lam is not None and not (isinstance(lam, numbers.Real) and lam >= 0.0):
+            raise ValueError(f"lambda_max must be None or a number >= 0, got {lam!r}")
+        if not (isinstance(every, numbers.Integral) and every >= 0):
+            raise ValueError(f"diagnostics_every must be an integer >= 0, got {every!r}")
 
 
 @dataclass
@@ -224,9 +238,13 @@ class _StagePlan:
         self.traces = np.empty((n_sv * (k + 1), m))
         self.faces = np.empty((n_sv * k + 1, m))
         self.widths = np.tile(grid.cv_widths, n_sv)[:, None]
-        # Interface states, side first (0 left, 1 right), as stage_terms takes
-        # them. A fixed run's ghost states sit in slots no stage writes.
-        self.sides = np.empty((2, n_sv + 1, m))
+        # The states a stabilized stage passes to stage_terms at once: the
+        # interface sides, side first (0 left, 1 right), then the averages.
+        # A fixed run's ghost states sit in slots no stage writes.
+        self.n_sides = 2 * (n_sv + 1)
+        self.rows = np.empty((self.n_sides + n_sv * k, m))
+        self.sides = self.rows[: self.n_sides].reshape(2, n_sv + 1, m)
+        self.averages = self.rows[self.n_sides :].reshape(n_sv, k, m)
         if isinstance(bc, FixedBC):
             self.sides[0, 0] = bc.left
             self.sides[1, -1] = bc.right
@@ -246,7 +264,7 @@ def _stage(state, dt, op, gen, config, plan):
     n_sv, k, m = plan.state.shape
     out = plan.stages[1] if u is plan.stages[0] else plan.stages[0]
     traces = reconstruct_faces(op, u, out=plan.traces)
-    if not np.all(system.admissible(traces)):
+    if not system.admissible(traces).all():
         # Name the first bad trace in (sv, node) order, as for (N, k+1, m).
         system.check_admissible(_sv_traces(traces, n_sv), "boundary trace")
     u_l, u_r = plan.sides
@@ -260,8 +278,12 @@ def _stage(state, dt, op, gen, config, plan):
     if k > 1:
         # Every trace j < k in one pass; the SV interfaces are overwritten below.
         faces[:-1] = system.flux_raw(traces[: n_sv * k])
-    stabilized = config.stabilization_enabled
-    terms = interface_terms(plan.sides, system, stabilized)
+    row_terms = None
+    if config.stabilization_enabled:
+        # One pass over the interface sides and the averages together.
+        plan.averages[...] = u
+        row_terms = system.stage_terms(plan.rows)
+    terms = interface_terms(plan.sides, system, row_terms)
     faces[::k] = terms.flux
     d = out.reshape(n_sv * k, m)
     np.subtract(faces[:-1], faces[1:], out=d)
@@ -269,16 +291,17 @@ def _stage(state, dt, op, gen, config, plan):
     rhs = out
 
     report = None
-    if stabilized:
+    if row_terms is not None:
+        _, _, ent, _, grad = row_terms
         direction = apply_generator(gen, u)
         report = compute_correction(
-            u,
+            ent[plan.n_sides :].reshape(n_sv, k),
+            grad[plan.n_sides :].reshape(n_sv, k, m),
             rhs,
             direction,
             terms.sigma,
             terms.f_star,
             state.grid.cv_widths,
-            system,
             dt,
             gen,
             plan.periodic,
@@ -291,7 +314,7 @@ def _stage(state, dt, op, gen, config, plan):
     np.multiply(rhs, dt, out=rhs)
     new = np.add(u, rhs, out=out)
     ok = system.admissible(new)
-    if not np.all(ok):
+    if not ok.all():
         i, j = map(int, np.argwhere(~ok)[0])
         raise StepFailureError(
             f"step to t={state.time + dt:.6g} left the admissible set at sv={i} cv={j}",

@@ -155,7 +155,8 @@ def test_criterion_5_per_sv_entropy_inequality():
     # The stage's D from the CV-face fluxes it left in its plan, and its F*
     # from the interface terms of the interface states it left there.
     rhs = ((plan.faces[:-1] - plan.faces[1:]) / plan.widths).reshape(state.data.shape)
-    f_star = interface_terms(plan.sides, system, True).f_star
+    side_terms = system.stage_terms(plan.sides.reshape(-1, 1))
+    f_star = interface_terms(plan.sides, system, side_terms).f_star
     direction = apply_generator(gen, state.data)
     grad = system.entropy_gradient_raw(state.data)
     corrected = rhs + rep.lambda_final[:, None, None] * direction
@@ -290,6 +291,7 @@ def test_criterion_9_burgers_rarefaction():
 
 def test_criterion_10_sigma_spot_check():
     sides = np.array([[[1.0]], [[-1.0]]])  # u_l = 1, u_r = -1 at one interface
-    sigma = interface_terms(sides, burgers_system(), stabilized=True).sigma
+    system = burgers_system()
+    sigma = interface_terms(sides, system, system.stage_terms(sides.reshape(2, 1))).sigma
     err = abs(float(sigma[0]) + 1.0 / 3.0)
     report(10, "sigma spot check, Burgers (1,-1)", err <= 1e-14, f"|sigma+1/3|={err:.1e}")

@@ -27,8 +27,9 @@ def sample_states(system, rng, n):
 
 def terms(u_l, u_r, system, stabilized=True):
     """interface_terms of the left states u_l and right states u_r, each (S, m)."""
-    u_l, u_r = np.atleast_2d(u_l), np.atleast_2d(u_r)
-    return interface_terms(np.stack([u_l, u_r]), system, stabilized)
+    sides = np.stack([np.atleast_2d(u_l), np.atleast_2d(u_r)])
+    side_terms = system.stage_terms(sides.reshape(-1, system.m)) if stabilized else None
+    return interface_terms(sides, system, side_terms)
 
 
 SYSTEMS = [lambda: advection_system(1.3), burgers_system, euler_system]

@@ -9,6 +9,12 @@ from specvol.stabilization import DEN_FLOOR, CorrectionReport, compute_correctio
 from specvol.systems import burgers_system, euler_system, primitive_to_conserved
 
 
+def correction(averages, rhs, direction, sigma, f_star, widths, system, *args, **kwargs):
+    """compute_correction with U and dU/du of the cell averages of ``system``."""
+    _, _, ent, _, grad = system.stage_terms(averages)
+    return compute_correction(ent, grad, rhs, direction, sigma, f_star, widths, *args, **kwargs)
+
+
 class TestCorrectedRhs:
     def test_zero_lambda_unchanged(self):
         rng = np.random.default_rng(1)
@@ -39,6 +45,10 @@ class TestCorrectedRhs:
         with pytest.raises(ValueError):
             corrected_rhs(np.zeros((2, 4, 1)), np.array([-1.0, 0.0]), np.zeros((2, 4, 1)))
 
+    def test_nan_lambda_rejected(self):
+        with pytest.raises(ValueError):
+            corrected_rhs(np.zeros((2, 4, 1)), np.array([0.0, np.nan]), np.ones((2, 4, 1)))
+
 
 class TestComputeCorrection:
     def make_inputs(self, seed=5, n_sv=8):
@@ -57,7 +67,7 @@ class TestComputeCorrection:
 
     def test_all_sizes_nonnegative_and_final_clamped(self):
         data, rhs, direction, sigma, f_star, d_llf, widths, system, gen = self.make_inputs()
-        rep = compute_correction(
+        rep = correction(
             data, rhs, direction, sigma, f_star, widths, system, 0.01, gen, True, d_llf
         )
         for arr in (rep.lambda_ed, rep.lambda_er_l, rep.lambda_er_r, rep.lambda_sum, rep.lambda_final):
@@ -70,10 +80,10 @@ class TestComputeCorrection:
     def test_deterministic(self):
         a = self.make_inputs(seed=11)
         b = self.make_inputs(seed=11)
-        rep_a = compute_correction(
+        rep_a = correction(
             a[0], a[1], a[2], a[3], a[4], a[6], a[7], 0.01, a[8], True, a[5]
         )
-        rep_b = compute_correction(
+        rep_b = correction(
             b[0], b[1], b[2], b[3], b[4], b[6], b[7], 0.01, b[8], True, b[5]
         )
         np.testing.assert_array_equal(rep_a.lambda_final, rep_b.lambda_final)
@@ -82,7 +92,7 @@ class TestComputeCorrection:
         # wherever the printed construction was fully applied, the corrected
         # derivative satisfies the per-SV entropy budget
         data, rhs, direction, sigma, f_star, d_llf, widths, system, gen = self.make_inputs(seed=23)
-        rep = compute_correction(
+        rep = correction(
             data, rhs, direction, sigma, f_star, widths, system, 1e-4, gen, True, d_llf
         )
         grad = system.entropy_gradient_raw(data)
@@ -97,7 +107,7 @@ class TestComputeCorrection:
         sigma = sigma.copy()
         sigma[0] = -50.0
         sigma[-1] = -50.0
-        rep = compute_correction(
+        rep = correction(
             data, rhs, direction, sigma, f_star, widths, system, 0.01, gen, False, d_llf
         )
         # boundary sigma is treated as absent: no entropy-rate part may come
@@ -108,7 +118,7 @@ class TestComputeCorrection:
     def test_fixed_bc_leaves_caller_sigma_intact(self):
         data, rhs, direction, sigma, f_star, d_llf, widths, system, gen = self.make_inputs(seed=7)
         before = sigma.copy()
-        compute_correction(
+        correction(
             data, rhs, direction, sigma, f_star, widths, system, 0.01, gen, False, d_llf
         )
         np.testing.assert_array_equal(sigma, before)
@@ -145,7 +155,7 @@ class TestComputeCorrection:
         # Each demand (1) is below the limit 1 / (dt max|H_jj|) = 1.5, their sum is not.
         (data, rhs, direction, sigma, f_star, widths, system, gen), d_llf = self.one_sv_demands()
         dt = 1.0 / (1.5 * gen.max_diag)
-        rep = compute_correction(
+        rep = correction(
             data, rhs, direction, sigma, f_star, widths, system, dt, gen, True, d_llf
         )
         assert rep.lambda_er_l[0] == pytest.approx(1.0, rel=1e-14)
@@ -156,7 +166,7 @@ class TestComputeCorrection:
 
     def test_lambda_max_overrides_the_limit(self):
         (data, rhs, direction, sigma, f_star, widths, system, gen), d_llf = self.one_sv_demands()
-        rep = compute_correction(
+        rep = correction(
             data, rhs, direction, sigma, f_star, widths, system, 1e-6, gen, True, d_llf,
             lambda_max=1.5,
         )
@@ -169,7 +179,7 @@ class TestComputeCorrection:
         assert gen.max_diag == 0.0
         data = np.arange(5.0).reshape(5, 1, 1)
         direction = apply_generator(gen, data)
-        rep = compute_correction(
+        rep = correction(
             data, np.ones_like(data), direction, -np.ones(6), np.zeros(6), widths,
             burgers_system(), 0.1, gen, True, np.ones(6),
         )
@@ -197,7 +207,7 @@ def correct_one_sv(sv, rhs=None, sigma=(0.0, 0.0), f_star=(0.0, 0.0), dt=1e-6):
     """compute_correction of ``one_sv`` with an uncapping dissipation scale."""
     data, direction, _, widths, gen = sv
     rhs = np.zeros_like(data) if rhs is None else rhs
-    return compute_correction(
+    return correction(
         data, rhs, direction, np.array(sigma), np.array(f_star), widths, burgers_system(),
         dt, gen, True, np.full(2, 1e9),
     )
@@ -372,7 +382,7 @@ class TestComputeCorrectionComposition:
         for seed in range(6):
             data, rhs, direction, sigma, f_star, widths, system, gen, d_llf = self.inputs(kind, seed)
             args = (data, rhs, direction, sigma, f_star, widths, system, dt, gen, periodic)
-            got = compute_correction(*args, d_llf, lambda_max, sigma_fallbacks=4)
+            got = correction(*args, d_llf, lambda_max, sigma_fallbacks=4)
             want = composed_correction(*args, d_llf, lambda_max)
             for f in dataclasses.fields(CorrectionReport):
                 a, b = np.asarray(getattr(got, f.name)), np.asarray(getattr(want, f.name))
@@ -386,6 +396,6 @@ class TestComputeCorrectionComposition:
     def test_nonpositive_dt_rejected(self):
         data, rhs, direction, sigma, f_star, widths, system, gen, d_llf = self.inputs("burgers", 0)
         with pytest.raises(ValueError):
-            compute_correction(
+            correction(
                 data, rhs, direction, sigma, f_star, widths, system, 0.0, gen, True, d_llf
             )

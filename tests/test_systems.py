@@ -245,14 +245,6 @@ class TestFusedTerms:
         assert_bitwise(eflux, system.entropy_flux_raw(u))
         assert_bitwise(grad, system.entropy_gradient_raw(u))
 
-    @settings(max_examples=150, deadline=None)
-    @given(system_and_states())
-    def test_entropy_terms_match_single_methods(self, case):
-        system, u = case
-        ent, grad = system.entropy_terms(u)
-        assert_bitwise(ent, system.entropy_raw(u))
-        assert_bitwise(grad, system.entropy_gradient_raw(u))
-
     @settings(max_examples=100, deadline=None)
     @given(system_and_states())
     def test_speed_of_one_array_against_itself_is_one_pass(self, case):
@@ -269,3 +261,41 @@ class TestFusedTerms:
         other = u[::-1]
         speed = system.stage_terms(np.stack([u, other]))[1]
         assert_bitwise(np.maximum(speed[0], speed[1]), system.max_signal_speed_raw(u, other))
+
+
+SPECIAL_VALUES = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308,
+                  1e154, -1e154, 1.0, -1.0]
+ANY_FLOAT = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats(), st.floats(0.01, 100.0))
+
+
+@st.composite
+def system_and_any_states(draw):
+    """A system and states of any floats, admissible or not, shape (n, m) or (2, n, m)."""
+    kind = draw(st.sampled_from(["advection", "burgers", "euler"]))
+    if kind == "euler":
+        system = euler_system(draw(st.floats(1.0, 10.0, exclude_min=True)))
+    else:
+        system = burgers_system() if kind == "burgers" else advection_system(0.5)
+    n = st.integers(1, 20)
+    leading = draw(st.one_of(st.tuples(n), st.tuples(st.just(2), n)))
+    return system, draw(
+        hnp.arrays(float, leading + (system.m,), elements=ANY_FLOAT, fill=st.nothing())
+    )
+
+
+class TestAdmissibleMask:
+    """The masks equal the formula with a reduction over the components."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(system_and_any_states())
+    def test_mask_matches_reduction_formula(self, case):
+        system, u = case
+        with np.errstate(all="ignore"):
+            want = np.isfinite(u).all(axis=-1)
+            if system.m == 3:
+                rho, _, p = system._primitives(u)
+                want &= (rho > 0.0) & (p > 0.0)
+            got = system.admissible(u)
+            mask, _ = system._admissible_entropy(u)
+        assert_bitwise(got, want)
+        assert_bitwise(mask, want)

@@ -17,7 +17,13 @@ from specvol.mesh import build_grid
 from specvol.reconstruction import build_reconstruction, reconstruct_all
 from specvol.riemann import FixedBC, PeriodicBC, interface_states
 from specvol.stabilization import CorrectionReport, compute_correction, corrected_rhs
-from specvol.systems import advection_system, burgers_system, euler_system, primitive_to_conserved
+from specvol.systems import (
+    Euler,
+    advection_system,
+    burgers_system,
+    euler_system,
+    primitive_to_conserved,
+)
 from specvol.timeint import (
     SolverConfig,
     discrete_l2,
@@ -198,6 +204,54 @@ class TestBaseRhs:
         assert abs(np.einsum("j,ijc->", grid.cv_widths, rhs)) <= 1e-12
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("lambda_max", -1.0), ("lambda_max", math.nan), ("lambda_max", "1"),
+         ("t_end", math.inf), ("t_end", math.nan), ("t_end", 0.0),
+         ("diagnostics_every", -3), ("diagnostics_every", 2.5)],
+    )
+    def test_bad_value_rejected(self, field, bad):
+        kwargs = {"t_end": 1.0, field: bad}
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**kwargs)
+
+    def test_good_values_accepted(self):
+        for lambda_max in (None, 0.0, 1.5, np.float64(2.0), math.inf):
+            SolverConfig(t_end=1.0, lambda_max=lambda_max)
+        for every in (0, 7, np.int64(3)):
+            SolverConfig(t_end=1.0, diagnostics_every=every)
+        for sc in BUILTIN_SCENARIOS.values():
+            SolverConfig(t_end=sc.t_end, cfl=sc.cfl, diagnostics_every=sc.diagnostics_every)
+
+
+class TestSystemPassesPerStage:
+    """A stage computes the primitives of each of its state sets once.
+
+    Every Euler pressure but the flux's comes from ``_primitives``. A
+    stabilized stage passes over the traces, the interface sides with the
+    averages, the Riemann-fan mean states and the new averages; a pure stage
+    over the traces, each side and the new averages.
+    """
+
+    @pytest.mark.parametrize("stab", [True, False])
+    def test_primitives_calls_per_stage(self, stab):
+        sc = BUILTIN_SCENARIOS["density-bump"]
+        u0, breakpoints = sc.initial_condition()
+        grid = build_grid(sc.a, sc.b, 16, sc.n_cv)
+        state = init_field(u0, grid, sc.build_system(), sc.quad_order, breakpoints)
+        config = SolverConfig(t_end=1.0, cfl=sc.cfl, stabilization_enabled=stab)
+        op, gen = build_reconstruction(grid), build_generator(grid.cv_widths)
+        dt = select_dt(grid, state, state.system, config.cfl)
+        real = Euler._primitives
+        with mock.patch.object(Euler, "_primitives", autospec=True, side_effect=real) as spy:
+            euler_adapted(state, dt, op, gen, config)
+        if stab:
+            assert spy.call_count <= 4
+        else:
+            assert spy.call_count == 4
+
+
 class TestEulerAdapted:
     def test_constant_field_fixed_point(self):
         grid, system, state, op, gen = setup_burgers()
@@ -296,7 +350,8 @@ def reference_stage(state, dt, op, gen, config):
     )
     direction = apply_generator(gen, state.data)
     report = compute_correction(
-        state.data, rhs, direction, sigma, f_star, widths, system, dt, gen,
+        system.entropy_raw(state.data), system.entropy_gradient_raw(state.data), rhs,
+        direction, sigma, f_star, widths, dt, gen,
         isinstance(config.bc, PeriodicBC), d_llf, config.lambda_max, fallbacks,
     )
     return state.data + dt * corrected_rhs(rhs, report.lambda_final, direction), report
@@ -509,7 +564,7 @@ class TestIntegrate:
 
 
 def plan_arrays(plan):
-    return (plan.traces, plan.faces, plan.sides, plan.widths, plan.state, *plan.stages)
+    return (plan.traces, plan.faces, plan.rows, plan.widths, plan.state, *plan.stages)
 
 
 def capture_plans(monkeypatch):
