@@ -19,6 +19,7 @@ import numpy as np
 from .exceptions import InadmissibleStateError, StepFailureError
 from .mesh import build_grid
 from .reference import (
+    MIN_CELLS,
     error_norms,
     exact_advection,
     exact_euler_density_bump,
@@ -29,8 +30,8 @@ from .riemann import FixedBC, PeriodicBC
 from .systems import advection_system, burgers_system, euler_system, primitive_to_conserved
 from .timeint import SolverConfig, init_field, integrate
 
-__all__ = ["Scenario", "BUILTIN_SCENARIOS", "list_scenarios", "load_scenario",
-           "run_scenario", "run_convergence", "main"]
+__all__ = ["Scenario", "ScenarioError", "BUILTIN_SCENARIOS", "list_scenarios",
+           "load_scenario", "run_scenario", "run_convergence", "main"]
 
 OUT_DIR_ENV = "SPECVOL_OUT_DIR"
 
@@ -52,6 +53,15 @@ def _shock_tube(left, right, gamma: float, diaphragm: float = 5.0):
         )
 
     return u0
+
+
+class ScenarioError(ValueError):
+    """A scenario that cannot run as asked, found before any solve.
+
+    A bad system, initial or boundary condition, grid, solver setting or
+    reference size, or a convergence study of a scenario without an exact
+    solution.
+    """
 
 
 @dataclass(frozen=True)
@@ -181,13 +191,55 @@ def _boundary_condition(scenario: Scenario, u0):
     raise ValueError(f"unknown boundary condition {scenario.bc!r}")
 
 
+def _setup(scenario: Scenario, ref_cells: int = 0):
+    """(system, grid, u0, breakpoints, config) of a run, checked before any solve.
+
+    Raises ``ScenarioError`` when the scenario names an unknown system,
+    initial condition or boundary condition, when the grid or the
+    ``SolverConfig`` rejects its values, or when ``ref_cells`` is neither 0
+    nor at least ``MIN_CELLS``.
+    """
+    try:
+        if ref_cells and ref_cells < MIN_CELLS:
+            raise ValueError(f"ref_cells must be 0 or at least {MIN_CELLS}, got {ref_cells}")
+        system = scenario.build_system()
+        grid = build_grid(scenario.a, scenario.b, scenario.n_sv, scenario.n_cv)
+        u0, breakpoints = scenario.initial_condition()
+        config = SolverConfig(
+            t_end=scenario.t_end,
+            cfl=scenario.cfl,
+            bc=_boundary_condition(scenario, u0),
+            stabilization_enabled=scenario.stabilization,
+            diagnostics_every=scenario.diagnostics_every,
+        )
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
+    return system, grid, u0, breakpoints, config
+
+
 def _write_csv(path, header_comment, columns, rows):
-    with open(path, "w") as fh:
-        fh.write(f"# {header_comment}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_FMT % v if isinstance(v, float) else str(v) for v in row))
-            fh.write("\n")
+    # Overwrite in place and cut the file at the end of the new content.
+    # open(path, "w") would truncate an existing file to zero first, which
+    # makes ext4 (auto_da_alloc) flush the old file to disk: 30-90 ms per
+    # file on every rerun into the same directory. Unlike unlinking the old
+    # file, this keeps open(path, "w")'s handling of symlinks, hard links
+    # and read-only files. The price: that flush is also what makes a
+    # rewrite by truncation survive a system crash, and a process killed
+    # mid-write leaves new rows over the old file's tail. A write that
+    # raises cuts the file at the bytes written so far, so it leaves a
+    # short file as open(path, "w") would.
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w") as fh:
+        try:
+            fh.write(f"# {header_comment}\n")
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                fh.write(",".join(_FMT % v if isinstance(v, float) else str(v) for v in row))
+                fh.write("\n")
+        except BaseException:
+            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+            raise
+        fh.truncate()
     return path
 
 
@@ -217,23 +269,14 @@ def read_solution_csv(path):
 def run_scenario(scenario: Scenario, out_dir: str, ref_cells: int = 0):
     """Run one scenario and write its output files; returns {kind: path}.
 
-    A step failure keeps whatever was computed: the last admissible field and
-    the diagnostics collected so far are written, and the error is recorded
-    in the returned mapping under ``"error"``.
+    A scenario that cannot run raises ``ScenarioError`` before anything is
+    solved or written. A step failure keeps whatever was computed: the last
+    admissible field and the diagnostics collected so far are written, and
+    the error is recorded in the returned mapping under ``"error"``.
     """
+    system, grid, u0, breakpoints, config = _setup(scenario, ref_cells)
     os.makedirs(out_dir, exist_ok=True)
-    system = scenario.build_system()
-    grid = build_grid(scenario.a, scenario.b, scenario.n_sv, scenario.n_cv)
-    u0, breakpoints = scenario.initial_condition()
     state = init_field(u0, grid, system, scenario.quad_order, breakpoints)
-    bc = _boundary_condition(scenario, u0)
-    config = SolverConfig(
-        t_end=scenario.t_end,
-        cfl=scenario.cfl,
-        bc=bc,
-        stabilization_enabled=scenario.stabilization,
-        diagnostics_every=scenario.diagnostics_every,
-    )
 
     outputs = {}
     error = None
@@ -277,7 +320,7 @@ def run_scenario(scenario: Scenario, out_dir: str, ref_cells: int = 0):
         )
     if ref_cells and error is None:
         ref = lax_friedrichs_solver(
-            system, u0, scenario.a, scenario.b, ref_cells, 0.9, scenario.t_end, bc
+            system, u0, scenario.a, scenario.b, ref_cells, 0.9, scenario.t_end, config.bc
         )
         rows = [
             [float(x), float((scenario.b - scenario.a) / ref_cells), *map(float, u)]
@@ -324,30 +367,26 @@ def _periodic_exact(scenario: Scenario, t: float):
             return np.reshape(vals, (-1, 1))
 
         return exact
-    raise ValueError(f"no exact solution registered for scenario {scenario.name!r}")
+    raise ScenarioError(f"no exact solution registered for scenario {scenario.name!r}")
 
 
 def run_convergence(base: Scenario, n_sv_list, out_dir: str):
     """One run per resolution against the exact solution; returns table rows.
 
     Rows are (n_sv, L1, L2); the written CSV adds per-pair experimental
-    orders for both norms (empty for the first resolution).
+    orders for both norms (empty for the first resolution). Every
+    resolution is set up before the first solve, so a bad one raises
+    ``ScenarioError`` before anything is solved or written.
     """
-    os.makedirs(out_dir, exist_ok=True)
     exact = _periodic_exact(base, base.t_end)
+    setups = [
+        (int(n_sv), _setup(replace(base, n_sv=int(n_sv), diagnostics_every=0)))
+        for n_sv in n_sv_list
+    ]
+    os.makedirs(out_dir, exist_ok=True)
     results = []
-    for n_sv in n_sv_list:
-        scen = replace(base, n_sv=int(n_sv))
-        system = scen.build_system()
-        grid = build_grid(scen.a, scen.b, scen.n_sv, scen.n_cv)
-        u0, breakpoints = scen.initial_condition()
-        state = init_field(u0, grid, system, scen.quad_order, breakpoints)
-        config = SolverConfig(
-            t_end=scen.t_end,
-            cfl=scen.cfl,
-            bc=_boundary_condition(scen, u0),
-            stabilization_enabled=scen.stabilization,
-        )
+    for n_sv, (system, grid, u0, breakpoints, config) in setups:
+        state = init_field(u0, grid, system, base.quad_order, breakpoints)
         final, _ = integrate(state, config)
         results.append(
             (int(n_sv), error_norms(final, exact, "L1"), error_norms(final, exact, "L2"))
@@ -436,8 +475,16 @@ def main(argv=None) -> int:
         return 0
 
     scenario = _apply_overrides(_resolve_scenario(args.scenario), args)
+    try:
+        if args.command == "run":
+            outputs = run_scenario(scenario, _out_dir(args), ref_cells=args.ref_cells)
+        else:
+            n_sv_list = [int(tok) for tok in args.nsv_list.split(",") if tok]
+            results, path = run_convergence(scenario, n_sv_list, _out_dir(args))
+    except ScenarioError as exc:
+        print(f"error kind=bad-config scenario={scenario.name} {exc}", file=sys.stderr)
+        return 2
     if args.command == "run":
-        outputs = run_scenario(scenario, _out_dir(args), ref_cells=args.ref_cells)
         for kind, path in outputs.items():
             if kind != "error":
                 print(f"{kind}: {path}")
@@ -446,8 +493,6 @@ def main(argv=None) -> int:
             return 1
         return 0
 
-    n_sv_list = [int(tok) for tok in args.nsv_list.split(",") if tok]
-    results, path = run_convergence(scenario, n_sv_list, _out_dir(args))
     print(f"convergence: {path}")
     for n_sv, l1, l2 in results:
         print(f"n_sv={n_sv} L1={l1:.6e} L2={l2:.6e}")

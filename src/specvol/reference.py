@@ -4,6 +4,11 @@ The workhorse reference is a first-order finite-volume scheme with the
 classical (global) Lax-Friedrichs flux on a fine uniform grid, the same
 yardstick the shock-tube comparisons use. Smooth and self-similar cases have
 closed-form solutions instead.
+
+The Lax-Friedrichs loop keeps its state inside one ghost-padded (n+2, m)
+array and writes each step's interface fluxes, jumps and updates into three
+buffers allocated once per call, so a step allocates only what the system's
+flux and signal speed methods return.
 """
 
 from dataclasses import dataclass, field
@@ -15,6 +20,7 @@ from .systems import ConservationSystem
 from .timeint import CellAverageField, _evaluate
 
 __all__ = [
+    "MIN_CELLS",
     "ReferenceSolution",
     "lax_friedrichs_solver",
     "exact_advection",
@@ -24,6 +30,9 @@ __all__ = [
     "observed_order",
     "least_squares_order",
 ]
+
+
+MIN_CELLS = 10  # the fewest cells lax_friedrichs_solver accepts
 
 
 @dataclass(frozen=True)
@@ -58,18 +67,24 @@ def lax_friedrichs_solver(
     against the current maximum signal speed (shock breakup can raise it
     well above the initial value), with a shortened final step onto t_end.
     """
-    if n_cells < 10:
-        raise ValueError(f"need at least 10 cells, got {n_cells}")
+    if n_cells < MIN_CELLS:
+        raise ValueError(f"need at least {MIN_CELLS} cells, got {n_cells}")
     dx = (b - a) / n_cells
     centers = a + dx * (np.arange(n_cells) + 0.5)
-    u = _evaluate(u0, centers, system.m)
+    m = system.m
+    # The cells and one ghost cell at each end; u is the view of the cells.
+    ext = np.empty((n_cells + 2, m))
+    u = ext[1:-1]
+    u[...] = _evaluate(u0, centers, m)
     system.check_admissible(u, "reference initial data")
 
     periodic = isinstance(bc, PeriodicBC)
     if not periodic:
         ghost_l = np.asarray(bc.left, dtype=float)
         ghost_r = np.asarray(bc.right, dtype=float)
-    ext = np.empty((n_cells + 2, system.m))
+    flux = np.empty((n_cells + 1, m))
+    jump = np.empty((n_cells + 1, m))
+    du = np.empty((n_cells, m))
 
     t = 0.0
     check_every = 200
@@ -79,7 +94,6 @@ def lax_friedrichs_solver(
         if c_now <= 0.0:
             break  # nothing propagates; the field is already final
         dt = min(cfl * dx / c_now, t_end - t)
-        ext[1:-1] = u
         if periodic:
             ext[0] = u[-1]
             ext[-1] = u[0]
@@ -88,8 +102,17 @@ def lax_friedrichs_solver(
             ext[-1] = ghost_r
         f = system.flux_raw(ext)
         lam = dx / (2.0 * dt)
-        flux = 0.5 * (f[:-1] + f[1:]) - lam * (ext[1:] - ext[:-1])
-        u = u + (dt / dx) * (flux[:-1] - flux[1:])
+        # flux = 0.5 (f_l + f_r) - lam (u_r - u_l), u += (dt/dx)(flux_l - flux_r):
+        # each operation with its operands in the plain expressions' order,
+        # so the result is bitwise theirs.
+        np.add(f[:-1], f[1:], out=flux)
+        flux *= 0.5
+        np.subtract(ext[1:], ext[:-1], out=jump)
+        jump *= lam
+        flux -= jump
+        np.subtract(flux[:-1], flux[1:], out=du)
+        du *= dt / dx
+        u += du
         t += dt
         steps += 1
         if steps % check_every == 0:

@@ -100,7 +100,8 @@ def interface_terms(
     ``side_terms`` turns on the stabilization terms. It is
     ``system.stage_terms`` of the stacked states ``sides.reshape(2 * S, m)``,
     of which only the first 2S rows are read, so a caller may pass the terms
-    of a longer array that begins with those states. From it come the
+    of a longer array that begins with those states, such as
+    ``stage_terms(rows, 2 * S)``. From it come the
     dissipation estimate sigma with its fallback count, the numerical entropy
     flux F* = 0.5 (F_l + F_r) - (c_max/2)(U_r - U_l) and the entropy the LLF
     flux dissipates, d_llf = (c_max/2)(u_r - u_l).(dU/du_r - dU/du_l) >= 0.

@@ -51,13 +51,17 @@ class CorrectionReport:
 
 
 def corrected_rhs(base_rhs: np.ndarray, lam: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Time derivative with the per-SV correction added: D + lambda_i v_i."""
-    base_rhs = np.asarray(base_rhs, dtype=float)
+    """Add the per-SV correction into the time derivative: D += lambda_i v_i.
+
+    ``base_rhs`` is a float array that is updated in place and returned.
+    Negative or NaN sizes raise before anything is written.
+    """
     lam = np.asarray(lam, dtype=float)
     v = np.asarray(v, dtype=float)
     if not np.all(lam >= 0.0):  # nan fails too
         raise ValueError("correction sizes must be nonnegative")
-    return base_rhs + lam[:, None, None] * v
+    base_rhs += lam[:, None, None] * v
+    return base_rhs
 
 
 def compute_correction(

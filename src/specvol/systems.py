@@ -10,7 +10,8 @@ is used.
 
 Each quantity has one method (``flux_raw``, ``max_signal_speed_raw``,
 ``entropy_raw``, ``entropy_flux_raw``, ``entropy_gradient_raw``), and
-``stage_terms`` gives all of them in one pass. None of them checks its
+``stage_terms`` gives all of them in one pass, the flux-side terms of
+the first rows only. None of them checks its
 input: states are checked once where they enter the solver, with
 ``admissible`` / ``check_admissible``, and the methods assume admissible
 states.
@@ -64,17 +65,21 @@ class ConservationSystem:
     def entropy_gradient_raw(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def stage_terms(self, u):
+    def stage_terms(self, u, n):
         """(f, speed, U, F, dU/du) of admissible states u in one pass, unchecked.
 
-        ``speed`` is ``max_signal_speed_raw(u, u)``; every term equals its
-        method's value bitwise. Systems whose terms share work override this.
+        f, speed and F are those of the first n states ``u[:n]``, while U and
+        dU/du cover all of u; ``n = len(u)`` gives every term of every state.
+        ``speed`` is ``max_signal_speed_raw(u[:n], u[:n])``; every term equals
+        its method's value bitwise. Systems whose terms share work override
+        this.
         """
+        head = u[:n]
         return (
-            self.flux_raw(u),
-            self.max_signal_speed_raw(u, u),
+            self.flux_raw(head),
+            self.max_signal_speed_raw(head, head),
             self.entropy_raw(u),
-            self.entropy_flux_raw(u),
+            self.entropy_flux_raw(head),
             self.entropy_gradient_raw(u),
         )
 
@@ -255,18 +260,14 @@ class Euler(ConservationSystem):
         rho, mom, p = self._primitives(u)
         return self._gradient(rho, mom / rho, p, self._log_entropy(rho, p))
 
-    def stage_terms(self, u):
+    def stage_terms(self, u, n):
         u = np.asarray(u, dtype=float)
         rho, mom, p = self._primitives(u)
         v = mom / rho
         s = self._log_entropy(rho, p)
-        return (
-            self._flux(mom, u[..., 2], v),
-            self._speed(rho, v, p),
-            -rho * s,
-            -mom * s,
-            self._gradient(rho, v, p, s),
-        )
+        ent, grad = -rho * s, self._gradient(rho, v, p, s)
+        u, rho, mom, p, v, s = u[:n], rho[:n], mom[:n], p[:n], v[:n], s[:n]
+        return self._flux(mom, u[..., 2], v), self._speed(rho, v, p), ent, -mom * s, grad
 
 
 def advection_system(velocity: float) -> LinearAdvection:

@@ -6,10 +6,11 @@ its states, one per state set:
 1. the admissibility check of the boundary traces;
 2. ``system.stage_terms`` over one rows array that holds the stacked left
    and right interface states, shape (2, N+1, m), followed by the cell
-   averages. ``riemann.interface_terms`` takes the sides' rows of the result
-   and gives the LLF flux, the dissipation estimate sigma, the numerical
-   entropy flux F* and the LLF dissipation; ``compute_correction`` takes the
-   averages' entropies and gradients;
+   averages, whose flux, speed and entropy flux it skips.
+   ``riemann.interface_terms`` takes the sides' terms and gives the LLF
+   flux, the dissipation estimate sigma, the numerical entropy flux F* and
+   the LLF dissipation; ``compute_correction`` takes the averages'
+   entropies and gradients;
 3. the Riemann-fan mean states of sigma, in ``interface_terms``;
 4. the admissibility check of the new averages
 
@@ -34,9 +35,10 @@ arrays, one for the RK state and two that the stages write D and their new
 averages into, each stage into the one that is not its input. The interface
 sides, with the fixed ghost states written once, are a view of the first
 2(N+1) rows of the rows array; a stabilized stage copies its averages into
-the rest. The RK combinations run in place with ``out=``, so a step
-allocates no array of the field's size beyond what the system methods, the
-interface terms, the filter direction and the correction return.
+the rest. The RK combinations run in place with ``out=`` and the
+correction lambda_i v_i goes into the stage's D array, so a step allocates
+no array of the field's size beyond what the system methods, the interface
+terms and the filter direction return, and the product lambda_i v_i.
 ``euler_adapted`` and ``ssp_rk3_step`` take the plan as the keyword
 ``plan``. Without one they build a fresh plan, so the fields they return own
 their data; with one, those fields live in the plan's arrays until its next
@@ -280,9 +282,10 @@ def _stage(state, dt, op, gen, config, plan):
         faces[:-1] = system.flux_raw(traces[: n_sv * k])
     row_terms = None
     if config.stabilization_enabled:
-        # One pass over the interface sides and the averages together.
+        # One pass over the interface sides and the averages together; the
+        # averages need only U and dU/du.
         plan.averages[...] = u
-        row_terms = system.stage_terms(plan.rows)
+        row_terms = system.stage_terms(plan.rows, plan.n_sides)
     terms = interface_terms(plan.sides, system, row_terms)
     faces[::k] = terms.flux
     d = out.reshape(n_sv * k, m)
@@ -309,7 +312,7 @@ def _stage(state, dt, op, gen, config, plan):
             lambda_max=config.lambda_max,
             sigma_fallbacks=terms.sigma_fallbacks,
         )
-        rhs = corrected_rhs(rhs, report.lambda_final, direction)
+        corrected_rhs(rhs, report.lambda_final, direction)
 
     np.multiply(rhs, dt, out=rhs)
     new = np.add(u, rhs, out=out)

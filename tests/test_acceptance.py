@@ -155,7 +155,7 @@ def test_criterion_5_per_sv_entropy_inequality():
     # The stage's D from the CV-face fluxes it left in its plan, and its F*
     # from the interface terms of the interface states it left there.
     rhs = ((plan.faces[:-1] - plan.faces[1:]) / plan.widths).reshape(state.data.shape)
-    side_terms = system.stage_terms(plan.sides.reshape(-1, 1))
+    side_terms = system.stage_terms(plan.sides.reshape(-1, 1), plan.n_sides)
     f_star = interface_terms(plan.sides, system, side_terms).f_star
     direction = apply_generator(gen, state.data)
     grad = system.entropy_gradient_raw(state.data)
@@ -292,6 +292,6 @@ def test_criterion_9_burgers_rarefaction():
 def test_criterion_10_sigma_spot_check():
     sides = np.array([[[1.0]], [[-1.0]]])  # u_l = 1, u_r = -1 at one interface
     system = burgers_system()
-    sigma = interface_terms(sides, system, system.stage_terms(sides.reshape(2, 1))).sigma
+    sigma = interface_terms(sides, system, system.stage_terms(sides.reshape(2, 1), 2)).sigma
     err = abs(float(sigma[0]) + 1.0 / 3.0)
     report(10, "sigma spot check, Burgers (1,-1)", err <= 1e-14, f"|sigma+1/3|={err:.1e}")

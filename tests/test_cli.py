@@ -1,9 +1,11 @@
+import builtins
 import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from specvol import cli
 from specvol.cli import (
     BUILTIN_SCENARIOS,
     Scenario,
@@ -13,6 +15,7 @@ from specvol.cli import (
     read_solution_csv,
     run_convergence,
     run_scenario,
+    _write_csv,
 )
 
 
@@ -211,3 +214,187 @@ class TestMain:
         assert os.path.exists(tmp_path / "density-bump_convergence.csv")
         out = capsys.readouterr().out
         assert "n_sv=6" in out and "n_sv=8" in out
+
+
+def tree_bytes(root):
+    """{relative path: bytes} of every file below the directory path root."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestCsvRewrite:
+    """Outputs are overwritten in place, never truncated to zero first."""
+
+    def test_rerun_gives_identical_files(self, tmp_path):
+        scen = replace(BUILTIN_SCENARIOS["burgers-sine"], name="mini-sine", n_sv=10, t_end=0.02)
+        run_scenario(scen, str(tmp_path / "fresh"), ref_cells=300)
+        run_scenario(scen, str(tmp_path / "again"), ref_cells=300)
+        first = tree_bytes(tmp_path / "again")
+        run_scenario(scen, str(tmp_path / "again"), ref_cells=300)
+        assert set(first) == {f"mini-sine_{kind}.csv"
+                              for kind in ("solution", "l2", "lambda", "reference")}
+        assert tree_bytes(tmp_path / "again") == first == tree_bytes(tmp_path / "fresh")
+
+    def test_shorter_content_leaves_no_stale_tail(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("9" * 5000 + "\n")
+        _write_csv(str(path), "short", ["a", "b"], [[0.5, 1], [0.25, 2]])
+        _write_csv(str(tmp_path / "fresh.csv"), "short", ["a", "b"], [[0.5, 1], [0.25, 2]])
+        assert path.read_bytes() == b"# short\na,b\n0.5,1\n0.25,2\n"
+        assert path.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+    def test_failed_write_leaves_no_stale_tail(self, tmp_path, monkeypatch):
+        # A rewrite that raises partway is cut at what it wrote, as a
+        # truncating open would leave it: a prefix of the new content.
+        rows = [[0.5, i] for i in range(5000)]
+        _write_csv(str(tmp_path / "full.csv"), "new", ["a", "b"], rows)
+        full = (tmp_path / "full.csv").read_bytes()
+
+        def failing_rows():
+            yield from rows
+            raise RuntimeError("row formatting failed")
+
+        path = tmp_path / "table.csv"
+        path.write_text("old\n" * 50000)
+        with pytest.raises(RuntimeError, match="row formatting failed"):
+            _write_csv(str(path), "new", ["a", "b"], failing_rows())
+        assert path.read_bytes() == full
+
+        class FullDisk:
+            """The real file, whose 3000th write fails with ENOSPC."""
+
+            def __init__(self, fh):
+                self.fh, self.calls = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+            def write(self, text):
+                self.calls += 1
+                if self.calls == 3000:
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(text)
+
+            def truncate(self):
+                return self.fh.truncate()
+
+        real_open = builtins.open
+        path.write_text("old\n" * 50000)
+        with monkeypatch.context() as mp:
+            mp.setattr(builtins, "open", lambda *a, **k: FullDisk(real_open(*a, **k)))
+            with pytest.raises(OSError, match="No space left"):
+                _write_csv(str(path), "new", ["a", "b"], rows)
+        got = path.read_bytes()
+        assert 0 < len(got) < len(full) and full.startswith(got)
+
+    def test_links_are_written_through(self, tmp_path):
+        # As with open(path, "w"): a symlink and a hard link still name the
+        # rewritten file.
+        target = tmp_path / "target.csv"
+        target.write_text("old\n" * 100)
+        (tmp_path / "sym.csv").symlink_to(target)
+        os.link(target, tmp_path / "hard.csv")
+        _write_csv(str(tmp_path / "sym.csv"), "new", ["a"], [[1.0]])
+        assert (tmp_path / "sym.csv").is_symlink()
+        assert target.read_text() == (tmp_path / "hard.csv").read_text() == "# new\na\n1\n"
+
+    def test_read_only_file_still_raises(self, tmp_path):
+        # Exactly where open(path, "w") raises: a user other than root may
+        # not write a read-only file, root may.
+        probe, path = tmp_path / "probe.csv", tmp_path / "locked.csv"
+        for p in (probe, path):
+            p.write_text("old\n")
+            p.chmod(0o444)
+        try:
+            open(probe, "w").close()
+        except PermissionError:
+            with pytest.raises(PermissionError):
+                _write_csv(str(path), "new", ["a"], [[1.0]])
+            assert path.read_text() == "old\n"
+        else:
+            _write_csv(str(path), "new", ["a"], [[1.0]])
+            assert path.read_text() == "# new\na\n1\n"
+        assert path.stat().st_mode & 0o777 == 0o444
+
+    def test_existing_file_is_not_truncated_to_zero(self, tmp_path, monkeypatch):
+        # Truncating a file with unwritten blocks to zero makes ext4 flush it
+        # first, 30-90 ms per file; every open of the output must find the
+        # old content still there.
+        path = tmp_path / "table.csv"
+        path.write_text("old\n" * 1000)
+        inode = path.stat().st_ino
+        sizes = []
+        real_os_open, real_open = os.open, builtins.open
+
+        def record(fd):
+            st = os.fstat(fd)
+            if st.st_ino == inode:
+                sizes.append(st.st_size)
+
+        def spy_os_open(file, flags, *args, **kwargs):
+            fd = real_os_open(file, flags, *args, **kwargs)
+            record(fd)
+            return fd
+
+        def spy_open(file, *args, **kwargs):
+            fh = real_open(file, *args, **kwargs)
+            record(fh.fileno())
+            return fh
+
+        with monkeypatch.context() as mp:
+            mp.setattr(os, "open", spy_os_open)
+            mp.setattr(builtins, "open", spy_open)
+            _write_csv(str(path), "new", ["a"], [[1.0]])
+        assert sizes and all(size == 4000 for size in sizes)
+        assert path.read_text() == "# new\na\n1\n"
+
+
+BAD_OVERRIDES = {
+    "t-end-inf": ["--t-end", "inf"],
+    "nsv-0": ["--nsv", "0"],
+    "ncv-0": ["--ncv", "0"],
+    "cfl-2": ["--cfl", "2"],
+    "ref-cells-5": ["--ref-cells", "5"],
+    "ref-cells-negative": ["--ref-cells", "-3"],
+}
+
+
+class TestBadConfig:
+    """A scenario that cannot run fails with one error line before any solve or write."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for name in ("init_field", "integrate", "lax_friedrichs_solver", "_write_csv"):
+            monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: calls.append(_name))
+        return calls
+
+    @pytest.mark.parametrize("flags", BAD_OVERRIDES.values(), ids=BAD_OVERRIDES.keys())
+    def test_bad_run_override(self, tmp_path, capsys, calls, flags):
+        out = tmp_path / "out"
+        code = main(["run", "sod", "--out-dir", str(out), *flags])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error kind=bad-config scenario=sod ")
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, nsv_list", [("density-bump", "6,0"), ("sod", "6")])
+    def test_bad_convergence_study(self, tmp_path, capsys, calls, name, nsv_list):
+        # A resolution the grid rejects, or a scenario without an exact solution.
+        out = tmp_path / "out"
+        code = main(["convergence", name, "--nsv-list", nsv_list, "--out-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error kind=bad-config scenario={name} ")
+        assert calls == []
+        assert not out.exists()
+
+    def test_value_error_inside_the_solve_propagates(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("inside the solve")
+
+        monkeypatch.setattr(cli, "integrate", broken)
+        with pytest.raises(ValueError, match="inside the solve"):
+            main(["run", "advect-rect", "--nsv", "4", "--out-dir", str(tmp_path)])

@@ -13,9 +13,10 @@ from specvol.reference import (
     least_squares_order,
     observed_order,
 )
+from specvol.exceptions import InadmissibleStateError
 from specvol.riemann import FixedBC, PeriodicBC
-from specvol.systems import advection_system, burgers_system
-from specvol.timeint import init_field
+from specvol.systems import advection_system, burgers_system, euler_system
+from specvol.timeint import _evaluate, init_field
 
 
 class TestLaxFriedrichsSolver:
@@ -70,6 +71,110 @@ class TestLaxFriedrichsSolver:
             lax_friedrichs_solver(
                 advection_system(1.0), lambda x: 0.0, 0.0, 1.0, 5, 0.9, 0.1, PeriodicBC()
             )
+
+
+def lax_friedrichs_oracle(system, u0, a, b, n_cells, cfl, t_end, bc):
+    """The reference loop on fresh arrays every step, as it was before it used
+    buffers; returns (values, steps). The solver must match it bit for bit."""
+    dx = (b - a) / n_cells
+    centers = a + dx * (np.arange(n_cells) + 0.5)
+    u = _evaluate(u0, centers, system.m)
+    system.check_admissible(u, "reference initial data")
+
+    periodic = isinstance(bc, PeriodicBC)
+    if not periodic:
+        ghost_l = np.asarray(bc.left, dtype=float)
+        ghost_r = np.asarray(bc.right, dtype=float)
+    ext = np.empty((n_cells + 2, system.m))
+
+    t = 0.0
+    check_every = 200
+    steps = 0
+    while t < t_end - 1e-14 * max(t_end, 1.0):
+        c_now = float(np.max(system.max_signal_speed_raw(u, u)))
+        if c_now <= 0.0:
+            break
+        dt = min(cfl * dx / c_now, t_end - t)
+        ext[1:-1] = u
+        if periodic:
+            ext[0] = u[-1]
+            ext[-1] = u[0]
+        else:
+            ext[0] = ghost_l
+            ext[-1] = ghost_r
+        f = system.flux_raw(ext)
+        lam = dx / (2.0 * dt)
+        flux = 0.5 * (f[:-1] + f[1:]) - lam * (ext[1:] - ext[:-1])
+        u = u + (dt / dx) * (flux[:-1] - flux[1:])
+        t += dt
+        steps += 1
+        if steps % check_every == 0:
+            system.check_admissible(u, f"reference data at t={t:.6g}")
+    system.check_admissible(u, "reference final data")
+    return u, steps
+
+
+def _rect(x):
+    return np.where((0.25 <= x) & (x <= 0.75), 1.0, 0.0)
+
+
+def _oracle_case(name, cfl=0.9):
+    """(system, u0, a, b, n_cells, cfl, t_end, bc) of one oracle comparison."""
+    if name in ("sod", "lax", "density-bump"):
+        scen = BUILTIN_SCENARIOS[name]
+        u0, _ = scen.initial_condition()
+        if scen.bc == "periodic":
+            bc = PeriodicBC()
+        else:
+            bc = FixedBC(left=u0(scen.a), right=u0(scen.b))
+        return scen.build_system(), u0, scen.a, scen.b, 1000, cfl, 2.0, bc
+    if name == "advection-periodic":
+        return advection_system(1.0), _rect, 0.0, 1.0, 400, 0.9, 1.0, PeriodicBC()
+    if name == "burgers-periodic":
+        return burgers_system(), lambda x: np.sin(np.pi * x), 0.0, 2.0, 1000, 0.9, 0.5, PeriodicBC()
+    step = lambda x: np.where(x <= 1.0, -1.0, 1.0)  # burgers-fixed
+    bc = FixedBC(left=np.array([-1.0]), right=np.array([1.0]))
+    return burgers_system(), step, 0.0, 2.0, 1000, 0.9, 0.5, bc
+
+
+class TestLaxFriedrichsOracle:
+    """The buffered loop gives the fresh-array loop's values, steps and errors."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["advection-periodic", "burgers-periodic", "burgers-fixed", "sod", "lax", "density-bump"],
+    )
+    def test_bitwise_equal_to_fresh_array_loop(self, name):
+        case = _oracle_case(name)
+        want, steps = lax_friedrichs_oracle(*case)
+        assert steps > 200  # past the first periodic admissibility check
+        got = lax_friedrichs_solver(*case)
+        assert got.values.shape == want.shape
+        assert got.values.tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "case",
+        [
+            # Unstable Courant number: the field overflows and the check at
+            # step 1200 (t = 24) names it.
+            (advection_system(1.0), _rect, 0.0, 1.0, 100, 2.0, 100.0, PeriodicBC()),
+            # Negative pressure makes the speed NaN and ends the loop; the
+            # final check names it.
+            _oracle_case("sod", cfl=1.5),
+            # Inadmissible initial data.
+            (euler_system(), lambda x: np.tile([1.0, 0.0, -1.0], (np.size(x), 1)),
+             0.0, 1.0, 50, 0.9, 0.1, PeriodicBC()),
+        ],
+        ids=["advection-overflow", "sod-unstable", "euler-initial"],
+    )
+    def test_inadmissible_data_raise_like_fresh_array_loop(self, case):
+        with pytest.raises(InadmissibleStateError) as want:
+            lax_friedrichs_oracle(*case)
+        with pytest.raises(InadmissibleStateError) as got:
+            lax_friedrichs_solver(*case)
+        assert str(got.value) == str(want.value)
+        assert got.value.where == want.value.where
 
 
 class TestExactSolutions:

@@ -28,7 +28,7 @@ def sample_states(system, rng, n):
 def terms(u_l, u_r, system, stabilized=True):
     """interface_terms of the left states u_l and right states u_r, each (S, m)."""
     sides = np.stack([np.atleast_2d(u_l), np.atleast_2d(u_r)])
-    side_terms = system.stage_terms(sides.reshape(-1, system.m)) if stabilized else None
+    side_terms = system.stage_terms(sides.reshape(-1, system.m), 2 * sides.shape[1]) if stabilized else None
     return interface_terms(sides, system, side_terms)
 
 

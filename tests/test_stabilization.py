@@ -11,7 +11,7 @@ from specvol.systems import burgers_system, euler_system, primitive_to_conserved
 
 def correction(averages, rhs, direction, sigma, f_star, widths, system, *args, **kwargs):
     """compute_correction with U and dU/du of the cell averages of ``system``."""
-    _, _, ent, _, grad = system.stage_terms(averages)
+    _, _, ent, _, grad = system.stage_terms(averages, len(averages))
     return compute_correction(ent, grad, rhs, direction, sigma, f_star, widths, *args, **kwargs)
 
 
@@ -20,14 +20,14 @@ class TestCorrectedRhs:
         rng = np.random.default_rng(1)
         rhs = rng.normal(size=(5, 4, 1))
         v = rng.normal(size=(5, 4, 1))
-        np.testing.assert_array_equal(corrected_rhs(rhs, np.zeros(5), v), rhs)
+        np.testing.assert_array_equal(corrected_rhs(rhs.copy(), np.zeros(5), v), rhs)
 
     def test_constant_field_direction_vanishes(self):
         widths = build_grid(0.0, 1.0, 3, 4).cv_widths
         gen = build_generator(widths)
         v = apply_generator(gen, np.full((3, 4, 1), 2.0))
         rhs = np.ones((3, 4, 1))
-        np.testing.assert_allclose(corrected_rhs(rhs, np.ones(3), v), rhs, atol=1e-13)
+        np.testing.assert_allclose(corrected_rhs(rhs.copy(), np.ones(3), v), rhs, atol=1e-13)
 
     def test_correction_preserves_total_mass(self):
         rng = np.random.default_rng(2)
@@ -48,6 +48,24 @@ class TestCorrectedRhs:
     def test_nan_lambda_rejected(self):
         with pytest.raises(ValueError):
             corrected_rhs(np.zeros((2, 4, 1)), np.array([0.0, np.nan]), np.ones((2, 4, 1)))
+
+    def test_adds_into_the_given_array(self):
+        # The stage adds the correction into its own D array.
+        rng = np.random.default_rng(3)
+        rhs = rng.normal(size=(6, 4, 3))
+        v = rng.normal(size=(6, 4, 3))
+        lam = rng.uniform(0.0, 5.0, 6)
+        want = rhs + lam[:, None, None] * v
+        got = corrected_rhs(rhs, lam, v)
+        assert got is rhs
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan])
+    def test_bad_lambda_rejected_in_place_before_writing(self, bad):
+        rhs = np.ones((2, 4, 1))
+        with pytest.raises(ValueError):
+            corrected_rhs(rhs, np.array([0.0, bad]), np.ones((2, 4, 1)))
+        assert np.all(rhs == 1.0)
 
 
 class TestComputeCorrection:

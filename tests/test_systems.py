@@ -238,11 +238,25 @@ class TestFusedTerms:
     @given(system_and_states())
     def test_stage_terms_match_single_methods(self, case):
         system, u = case
-        flux, speed, ent, eflux, grad = system.stage_terms(u)
+        flux, speed, ent, eflux, grad = system.stage_terms(u, len(u))
         assert_bitwise(flux, system.flux_raw(u))
         assert_bitwise(speed, system.max_signal_speed_raw(u, u))
         assert_bitwise(ent, system.entropy_raw(u))
         assert_bitwise(eflux, system.entropy_flux_raw(u))
+        assert_bitwise(grad, system.entropy_gradient_raw(u))
+
+    @settings(max_examples=150, deadline=None)
+    @given(system_and_states(), st.integers(0, 7))
+    def test_stage_terms_of_the_first_rows(self, case, n):
+        # The stage's averages need only U and dU/du: f, speed and F are
+        # those of u[:n], U and dU/du those of all of u.
+        system, u = case
+        head = u[:n]
+        flux, speed, ent, eflux, grad = system.stage_terms(u, n)
+        assert_bitwise(flux, system.flux_raw(head))
+        assert_bitwise(speed, system.max_signal_speed_raw(head, head))
+        assert_bitwise(ent, system.entropy_raw(u))
+        assert_bitwise(eflux, system.entropy_flux_raw(head))
         assert_bitwise(grad, system.entropy_gradient_raw(u))
 
     @settings(max_examples=100, deadline=None)
@@ -259,7 +273,7 @@ class TestFusedTerms:
         # The stage takes c_max as the larger of the two sides' speeds.
         system, u = case
         other = u[::-1]
-        speed = system.stage_terms(np.stack([u, other]))[1]
+        speed = system.stage_terms(np.stack([u, other]), 2)[1]
         assert_bitwise(np.maximum(speed[0], speed[1]), system.max_signal_speed_raw(u, other))
 
 
