@@ -436,6 +436,21 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     return replace(scenario, **updates) if updates else scenario
 
 
+def _nsv_list(text: str):
+    """The spectral-volume counts of ``--nsv-list``.
+
+    Raises ``ScenarioError`` when a count is not an integer or the list
+    names none.
+    """
+    try:
+        counts = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ScenarioError(f"bad --nsv-list {text!r}: {exc}") from exc
+    if not counts:
+        raise ScenarioError(f"--nsv-list {text!r} names no resolution")
+    return counts
+
+
 def _out_dir(args) -> str:
     return args.out_dir or os.environ.get(OUT_DIR_ENV) or "out"
 
@@ -479,8 +494,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             outputs = run_scenario(scenario, _out_dir(args), ref_cells=args.ref_cells)
         else:
-            n_sv_list = [int(tok) for tok in args.nsv_list.split(",") if tok]
-            results, path = run_convergence(scenario, n_sv_list, _out_dir(args))
+            results, path = run_convergence(scenario, _nsv_list(args.nsv_list), _out_dir(args))
     except ScenarioError as exc:
         print(f"error kind=bad-config scenario={scenario.name} {exc}", file=sys.stderr)
         return 2

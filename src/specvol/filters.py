@@ -61,12 +61,13 @@ def build_generator(cv_widths) -> FilterGenerator:
     return FilterGenerator(matrix=h, cv_widths=widths, max_diag=max_diag)
 
 
-def apply_generator(gen: FilterGenerator, u: np.ndarray) -> np.ndarray:
+def apply_generator(gen: FilterGenerator, u: np.ndarray, out=None) -> np.ndarray:
     """Dissipation direction v = H u, componentwise.
 
     Accepts one SV (k, m) or a batch (N, k, m). The width-weighted sum of v
     vanishes per component, so adding v to the time derivative never changes
-    the conserved totals.
+    the conserved totals. ``out``, for a batch only, is a C-contiguous float
+    array of the batch's shape that receives v.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim == 2:
@@ -76,7 +77,7 @@ def apply_generator(gen: FilterGenerator, u: np.ndarray) -> np.ndarray:
     if u.ndim == 3:
         if u.shape[1] != gen.num_cv:
             raise ValueError(f"expected (N, k={gen.num_cv}, m) data, got {u.shape}")
-        return _per_sv_product(gen.matrix, gen._blocks, u)
+        return _per_sv_product(gen.matrix, gen._blocks, u, out)
     raise ValueError(f"expected 2-D or 3-D data, got {u.ndim}-D")
 
 

@@ -120,18 +120,22 @@ def build_reconstruction(grid: SpectralGrid) -> ReconstructionOperator:
     return ReconstructionOperator(moments, moments_inv, evaluation, combined)
 
 
-def _per_sv_product(matrix: np.ndarray, blocks: dict, data: np.ndarray) -> np.ndarray:
+def _per_sv_product(matrix: np.ndarray, blocks: dict, data: np.ndarray, out=None) -> np.ndarray:
     """``matrix`` (p, k) applied to every SV of the (N, k, m) ``data``.
 
     Equals ``einsum("jl,ilc->ijc", matrix, data)`` up to the order of each
     sum, as one BLAS product with the block kron(matrix^T, I_m), which
-    ``blocks`` caches per m. The result is a C-contiguous (N, p, m) array.
+    ``blocks`` caches per m. The result is a C-contiguous (N, p, m) array,
+    written into ``out`` when one is given.
     """
     n, k, m = data.shape
     block = blocks.get(m)
     if block is None:
         block = blocks[m] = np.kron(matrix.T, np.eye(m))
-    return (data.reshape(n, k * m) @ block).reshape(n, matrix.shape[0], m)
+    if out is None:
+        return (data.reshape(n, k * m) @ block).reshape(n, matrix.shape[0], m)
+    np.matmul(data.reshape(n, k * m), block, out=out.reshape(n, matrix.shape[0] * m))
+    return out
 
 
 def reconstruct_faces(op: ReconstructionOperator, data: np.ndarray, out=None) -> np.ndarray:

@@ -8,7 +8,8 @@ sigma, the numerical entropy flux F* and the LLF entropy dissipation that
 size the stabilization. ``interface_terms`` computes all of them, for the
 solver's stage and for the tests alike. For the stabilization terms it takes
 the sides' flux, speeds, entropies, entropy fluxes and gradients from the
-caller, one ``stage_terms`` pass that the stage shares with the cell averages.
+caller: one ``stage_terms`` pass that the stage shares with its boundary
+traces and its cell averages.
 
 Interface arrays are indexed s = 0..N where interface s is the left boundary
 of SV s and interface N is the right end of the domain. Under periodic
@@ -71,21 +72,18 @@ def _sigma_from_parts(u_l, u_r, f_l, f_r, c, ent_l, ent_r, eflux_l, eflux_r, sys
     for Euler), which the fallback count reports.
     """
     live = c > 0.0
-    sigma = np.zeros(c.shape)
-    fallbacks = 0
-    if live.any():
-        c_safe = np.where(live, c, 1.0)
-        u_lr = 0.5 * (u_l + u_r) + (f_l - f_r) / (2.0 * c_safe[..., None])
+    n_live = np.count_nonzero(live)
+    # Usually every c > 0; otherwise the dead lanes divide by 1 and are dropped.
+    c_safe = c if n_live == c.size else np.where(live, c, 1.0)
+    u_lr = 0.5 * (u_l + u_r) + (f_l - f_r) / (2.0 * c_safe[..., None])
+    # U(u_lr) is garbage (nan, inf) where u_lr is not admissible; the final
+    # where discards those lanes.
+    with np.errstate(all="ignore"):
         admissible, ent_lr = system._admissible_entropy(u_lr)
-        ok = live & admissible
-        fallbacks = int(np.count_nonzero(live & ~ok))
-        if ok.any():
-            # ent_lr is garbage (nan, inf) on the lanes that are not ok; the
-            # final where discards them.
-            with np.errstate(all="ignore"):
-                raw = c * (2.0 * ent_lr - ent_l - ent_r) + eflux_l - eflux_r
-                sigma = np.where(ok, np.minimum(raw, 0.0), 0.0)
-    return sigma, fallbacks
+        raw = c * (2.0 * ent_lr - ent_l - ent_r) + eflux_l - eflux_r
+    ok = admissible if n_live == c.size else live & admissible
+    sigma = np.where(ok, np.minimum(raw, 0.0), 0.0)
+    return sigma, int(n_live - np.count_nonzero(ok))
 
 
 def interface_terms(
@@ -97,11 +95,12 @@ def interface_terms(
     u_r, which must be admissible; nothing is checked here. Always computed:
     the LLF flux 0.5 (f_l + f_r) - (c_max/2)(u_r - u_l) and c_max.
 
-    ``side_terms`` turns on the stabilization terms. It is
-    ``system.stage_terms`` of the stacked states ``sides.reshape(2 * S, m)``,
-    of which only the first 2S rows are read, so a caller may pass the terms
-    of a longer array that begins with those states, such as
-    ``stage_terms(rows, 2 * S)``. From it come the
+    ``side_terms`` turns on the stabilization terms. It is the
+    ``StageTerms`` of ``system.stage_terms`` of the stacked states
+    ``sides.reshape(2 * S, m)``, of which only the first 2S rows of each
+    term are read, so a caller may pass the terms of a longer array whose
+    rows from ``skip`` on begin with those states, such as
+    ``stage_terms(rows, skip + 2 * S, skip)``. From it come the
     dissipation estimate sigma with its fallback count, the numerical entropy
     flux F* = 0.5 (F_l + F_r) - (c_max/2)(U_r - U_l) and the entropy the LLF
     flux dissipates, d_llf = (c_max/2)(u_r - u_l).(dU/du_r - dU/du_l) >= 0.
@@ -116,20 +115,22 @@ def interface_terms(
         f_l, f_r = system.flux_raw(sides)
         c_max = system.max_signal_speed_raw(u_l, u_r)
     else:
-        flux_lr, speed_lr, ent_lr, eflux_lr, grad_lr = side_terms
+        flux_lr, speed_lr = side_terms.flux, side_terms.speed
         f_l, f_r = flux_lr[:n], flux_lr[n : 2 * n]
         c_max = np.maximum(speed_lr[:n], speed_lr[n : 2 * n])
     jump = u_r - u_l
-    flux = 0.5 * (f_l + f_r) - 0.5 * c_max[:, None] * jump
+    half_c = 0.5 * c_max
+    flux = 0.5 * (f_l + f_r) - half_c[:, None] * jump
     if side_terms is None:
         return InterfaceTerms(flux, c_max)
+    ent_lr, eflux_lr, grad_lr = side_terms.entropy, side_terms.entropy_flux, side_terms.gradient
     ent_l, ent_r = ent_lr[:n], ent_lr[n : 2 * n]
     eflux_l, eflux_r = eflux_lr[:n], eflux_lr[n : 2 * n]
     sigma, fallbacks = _sigma_from_parts(
         u_l, u_r, f_l, f_r, c_max, ent_l, ent_r, eflux_l, eflux_r, system
     )
-    f_star = 0.5 * (eflux_l + eflux_r) - 0.5 * c_max * (ent_r - ent_l)
-    d_llf = 0.5 * c_max * np.einsum("sc,sc->s", jump, grad_lr[n : 2 * n] - grad_lr[:n])
+    f_star = 0.5 * (eflux_l + eflux_r) - half_c * (ent_r - ent_l)
+    d_llf = half_c * np.einsum("sc,sc->s", jump, grad_lr[n : 2 * n] - grad_lr[:n])
     return InterfaceTerms(flux, c_max, sigma, fallbacks, f_star, d_llf)
 
 

@@ -14,9 +14,12 @@ All inner products are discrete: <f, g>_S = sum_j h_j f_j . g_j evaluated on
 cell averages, whose entropies and entropy gradients the caller passes in.
 Denominators smaller than eps_den (1e-12 scaled by the SV entropy magnitude)
 return a zero correction part; a constant SV needs none.
-"""
 
-from dataclasses import dataclass, field
+A ``CorrectionReport`` keeps the arrays the correction computes anyway: the
+three parts, the summed and the final sizes, the ``clamped`` flags and the
+masks of the usable denominators and the dropped demands. ``lambda_ed``,
+``den_fallbacks`` and ``dropped_demands`` are derived from them when read.
+"""
 
 import numpy as np
 
@@ -31,44 +34,82 @@ __all__ = [
 DEN_FLOOR = 1e-12
 
 
-@dataclass
 class CorrectionReport:
-    """Per-SV correction sizes of one Euler stage plus fallback diagnostics."""
+    """Per-SV correction sizes of one Euler stage plus fallback diagnostics.
 
-    lambda_ed: np.ndarray = field(repr=False)
-    lambda_er_l: np.ndarray = field(repr=False)
-    lambda_er_r: np.ndarray = field(repr=False)
-    lambda_sum: np.ndarray = field(repr=False)
-    lambda_final: np.ndarray = field(repr=False)
-    clamped: np.ndarray = field(repr=False)  # bool, some demand hit the filter limit
-    den_fallbacks: int = 0
-    sigma_fallbacks: int = 0
-    dropped_demands: int = 0  # parts whose demand exceeded lambda_max
+    Arrays over the N SVs: ``lambda_ed``, ``lambda_er_l``, ``lambda_er_r``,
+    ``lambda_sum``, ``lambda_final`` and ``clamped`` (bool: some demand hit
+    the filter limit or the dissipation cap). Counts: ``den_fallbacks`` (SVs
+    whose budget part had a degenerate denominator), ``sigma_fallbacks`` and
+    ``dropped_demands`` (parts whose demand exceeded lambda_max).
+    """
+
+    __slots__ = ("_parts", "_usable", "_dropped", "lambda_sum", "lambda_final", "clamped",
+                 "sigma_fallbacks")
+
+    def __init__(self, parts, usable, dropped, lambda_sum, lambda_final, clamped,
+                 sigma_fallbacks):
+        # parts (3, N): the budget part (signed) and the two entropy-rate
+        # parts; usable: the budget part's denominator was usable; dropped
+        # (3, N): a part exceeded lambda_max.
+        self._parts = parts
+        self._usable = usable
+        self._dropped = dropped
+        self.lambda_sum = lambda_sum
+        self.lambda_final = lambda_final
+        self.clamped = clamped
+        self.sigma_fallbacks = sigma_fallbacks
+
+    @property
+    def lambda_ed(self) -> np.ndarray:
+        return np.maximum(0.0, self._parts[0])
+
+    @property
+    def lambda_er_l(self) -> np.ndarray:
+        return self._parts[1]
+
+    @property
+    def lambda_er_r(self) -> np.ndarray:
+        return self._parts[2]
+
+    @property
+    def den_fallbacks(self) -> int:
+        return self.num_sv - int(np.count_nonzero(self._usable))
+
+    @property
+    def dropped_demands(self) -> int:
+        return int(np.count_nonzero(self._dropped))
 
     @property
     def num_sv(self) -> int:
         return self.lambda_final.size
 
+    def __repr__(self) -> str:
+        return (f"CorrectionReport(num_sv={self.num_sv}, den_fallbacks={self.den_fallbacks}, "
+                f"sigma_fallbacks={self.sigma_fallbacks}, "
+                f"dropped_demands={self.dropped_demands})")
 
-def corrected_rhs(base_rhs: np.ndarray, lam: np.ndarray, v: np.ndarray) -> np.ndarray:
+
+def corrected_rhs(base_rhs: np.ndarray, lam: np.ndarray, v: np.ndarray, work=None) -> np.ndarray:
     """Add the per-SV correction into the time derivative: D += lambda_i v_i.
 
     ``base_rhs`` is a float array that is updated in place and returned.
-    Negative or NaN sizes raise before anything is written.
+    ``work``, when given, is a float array shaped like ``v`` that receives
+    the product lambda_i v_i, so no array is allocated for it. Negative or
+    NaN sizes raise before anything is written.
     """
     lam = np.asarray(lam, dtype=float)
     v = np.asarray(v, dtype=float)
-    if not np.all(lam >= 0.0):  # nan fails too
+    if not (lam >= 0.0).all():  # nan fails too
         raise ValueError("correction sizes must be nonnegative")
-    base_rhs += lam[:, None, None] * v
+    base_rhs += np.multiply(lam[:, None, None], v, out=work)
     return base_rhs
 
 
 def compute_correction(
     entropy: np.ndarray,
     gradient: np.ndarray,
-    base_rhs: np.ndarray,
-    direction: np.ndarray,
+    rates: np.ndarray,
     sigma: np.ndarray,
     f_star: np.ndarray,
     cv_widths: np.ndarray,
@@ -83,9 +124,11 @@ def compute_correction(
 
     ``entropy`` (N, k) and ``gradient`` (N, k, m) are U and dU/du of the cell
     averages, as ``system.stage_terms`` gives them; the stage computes them
-    in one pass with its interface sides' terms. ``sigma``, ``f_star`` and
-    ``dissipation_scale`` are interface arrays (N+1,), indexed like
-    :func:`specvol.riemann.interface_states`, as
+    in one pass with its traces and interface sides. ``rates`` (2, N, k, m)
+    holds the time derivative D and the dissipation direction v, so that one
+    product gives the entropy production <dU/du, D> and <dU/du, v> of every
+    SV. ``sigma``, ``f_star`` and ``dissipation_scale`` are interface arrays
+    (N+1,), indexed like :func:`specvol.riemann.interface_states`, as
     :func:`specvol.riemann.interface_terms` returns them. For non-periodic
     runs the missing-neighbour inner products at the domain ends count as
     zero. Nothing here converts its inputs: all of them are float arrays.
@@ -103,8 +146,7 @@ def compute_correction(
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    production = np.einsum("ijc,ijc,j->i", gradient, base_rhs, cv_widths)
-    direction_ip = np.einsum("ijc,ijc,j->i", gradient, direction, cv_widths)
+    production, direction_ip = np.einsum("ijc,bijc,j->bi", gradient, rates, cv_widths)
     eps_den = DEN_FLOOR * np.maximum(1.0, np.abs(np.einsum("j,ij->i", cv_widths, entropy)))
     n_sv = direction_ip.size
 
@@ -127,23 +169,16 @@ def compute_correction(
     # entropy-rate parts of the left and right interface: its sigma over
     # the summed inner products of the two SVs adjoining it, where a
     # missing neighbour beyond a fixed boundary counts as zero.
-    num = np.empty((3, n_sv))
-    num[0] = -excess_used
-    num[1] = sigma_used[:-1]
-    num[2] = sigma_used[1:]
-    den = np.empty((3, n_sv))
-    den[0] = direction_ip
+    num = np.concatenate((-excess_used, sigma_used[:-1], sigma_used[1:])).reshape(3, n_sv)
     pair_ip = direction_ip[:-1] + direction_ip[1:]
-    den[1, 1:] = pair_ip
-    den[2, :-1] = pair_ip
     if periodic:
-        den[1, 0] = den[2, -1] = direction_ip[-1] + direction_ip[0]
+        first = last = direction_ip[-1:] + direction_ip[:1]
     else:
-        den[1, 0] = direction_ip[0]
-        den[2, -1] = direction_ip[-1]
+        first, last = direction_ip[:1], direction_ip[-1:]
+    den = np.concatenate((direction_ip, first, pair_ip, pair_ip, last)).reshape(3, n_sv)
     usable = np.abs(den) > eps_den  # clearly nonzero, not roundoff
-    parts = np.where(usable, num / np.where(usable, den, 1.0), 0.0)
-    parts[1:] = np.maximum(0.0, parts[1:])
+    parts = np.divide(num, den, out=np.zeros((3, n_sv)), where=usable)
+    np.maximum(0.0, parts[1:], out=parts[1:])
 
     if lambda_max is None:
         limit = np.inf if gen.max_diag == 0.0 else 1.0 / (dt * gen.max_diag)
@@ -153,8 +188,8 @@ def compute_correction(
     # target dissipation: the direction is too weak for the requested rate.
     # Saturating it would flatten the SV's internal structure every step, so
     # such demands are dropped as degenerate (and the SV marked clamped).
-    unrealizable = parts > limit
-    parts = np.where(unrealizable, 0.0, parts)
+    dropped = parts > limit
+    np.copyto(parts, 0.0, where=dropped)
 
     # The necessary size for the target inequality
     #   <dU/du, du/dt + lambda*v> <= sigma_i + F*_l - F*_r:
@@ -162,16 +197,9 @@ def compute_correction(
     # dissipation already happens inside the scheme are not dissipated twice.
     # The sum is then clamped at the positivity limit, lambda_max =
     # 1 / (dt * max|H_jj|) unless ``lambda_max`` overrides it.
-    lam_sum = np.maximum(0.0, parts[0] + parts[1] + parts[2])
+    lam_sum = parts[0] + parts[1]
+    lam_sum += parts[2]
+    np.maximum(0.0, lam_sum, out=lam_sum)
     lam = np.minimum(limit, lam_sum)
-    return CorrectionReport(
-        lambda_ed=np.maximum(0.0, parts[0]),
-        lambda_er_l=parts[1],
-        lambda_er_r=parts[2],
-        lambda_sum=lam_sum,
-        lambda_final=lam,
-        clamped=(lam_sum > lam) | unrealizable[0] | unrealizable[1] | unrealizable[2] | capped,
-        den_fallbacks=n_sv - int(np.count_nonzero(usable[0])),
-        sigma_fallbacks=sigma_fallbacks,
-        dropped_demands=int(np.count_nonzero(unrealizable)),
-    )
+    clamped = (lam_sum > lam) | dropped[0] | dropped[1] | dropped[2] | capped
+    return CorrectionReport(parts, usable[0], dropped, lam_sum, lam, clamped, sigma_fallbacks)

@@ -10,12 +10,14 @@ is used.
 
 Each quantity has one method (``flux_raw``, ``max_signal_speed_raw``,
 ``entropy_raw``, ``entropy_flux_raw``, ``entropy_gradient_raw``), and
-``stage_terms`` gives all of them in one pass, the flux-side terms of
-the first rows only. None of them checks its
-input: states are checked once where they enter the solver, with
-``admissible`` / ``check_admissible``, and the methods assume admissible
-states.
+``stage_terms`` gives all of them in one pass over the states of a stage,
+together with the admissibility mask and the flux of its boundary traces.
+None of them checks its input: states are checked once where they enter the
+solver, with ``admissible`` / ``check_admissible`` (or the mask of
+``stage_terms``), and the methods assume admissible states.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from .exceptions import InadmissibleStateError
 
 __all__ = [
     "ConservationSystem",
+    "StageTerms",
     "LinearAdvection",
     "Burgers",
     "Euler",
@@ -34,12 +37,21 @@ __all__ = [
 ]
 
 
-def _stack_last(columns):
-    """``np.stack(columns, axis=-1)`` for equal-shape columns, without its call overhead."""
-    out = np.empty(np.shape(columns[0]) + (len(columns),))
-    for c, column in enumerate(columns):
-        out[..., c] = column
-    return out
+class StageTerms(NamedTuple):
+    """The terms ``stage_terms(u, n, skip)`` gives, each as the array of its rows.
+
+    The first ``skip`` rows are boundary traces, which may be inadmissible:
+    only their mask and flux are computed. Rows skip..n-1 are interface
+    sides and the rest cell averages.
+    """
+
+    flux: np.ndarray  # f of u[skip:n]
+    speed: np.ndarray  # max_signal_speed_raw(h, h) of h = u[skip:n]
+    entropy: np.ndarray  # U of u[skip:]
+    entropy_flux: np.ndarray  # F of u[skip:n]
+    gradient: np.ndarray  # dU/du of u[skip:]
+    trace_flux: np.ndarray  # f of u[:skip]
+    trace_ok: np.ndarray  # admissible(u[:skip])
 
 
 class ConservationSystem:
@@ -65,22 +77,36 @@ class ConservationSystem:
     def entropy_gradient_raw(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def stage_terms(self, u, n):
-        """(f, speed, U, F, dU/du) of admissible states u in one pass, unchecked.
+    def stage_terms(self, u, n, skip=0, out=None):
+        """The ``StageTerms`` of the states u (rows along the first axis) in one pass.
 
-        f, speed and F are those of the first n states ``u[:n]``, while U and
-        dU/du cover all of u; ``n = len(u)`` gives every term of every state.
-        ``speed`` is ``max_signal_speed_raw(u[:n], u[:n])``; every term equals
-        its method's value bitwise. Systems whose terms share work override
-        this.
+        The first ``skip`` rows are traces that may be inadmissible: they get
+        only their admissibility mask and their flux (Euler computes every
+        term with floating-point warnings off, since inadmissible traces
+        would raise them). The states u[skip:] must be admissible and are
+        not checked: f, speed and F are those of u[skip:n], U and dU/du
+        those of all of u[skip:], and ``speed`` is
+        ``max_signal_speed_raw(h, h)`` of h = u[skip:n]. With ``skip = 0``
+        and ``n = len(u)`` every term covers every state. Each term equals
+        its method's value bitwise. ``out``, when given, is a float array
+        shaped like u[:n] that receives the flux of u[:n]; the ``flux`` and
+        ``trace_flux`` terms are then views of it. Systems whose terms share
+        work override this.
         """
-        head = u[:n]
-        return (
-            self.flux_raw(head),
+        u = np.asarray(u, dtype=float)
+        flux = self.flux_raw(u[:n])
+        if out is not None:
+            out[...] = flux
+            flux = out
+        head, rest = u[skip:n], u[skip:]
+        return StageTerms(
+            flux[skip:],
             self.max_signal_speed_raw(head, head),
-            self.entropy_raw(u),
+            self.entropy_raw(rest),
             self.entropy_flux_raw(head),
-            self.entropy_gradient_raw(u),
+            self.entropy_gradient_raw(rest),
+            flux[:skip],
+            self.admissible(u[:skip]),
         )
 
     def admissible(self, u: np.ndarray) -> np.ndarray:
@@ -94,10 +120,12 @@ class ConservationSystem:
         return np.isfinite(u[..., 0]) if self.m == 1 else np.isfinite(u).all(axis=-1)
 
     def _admissible_entropy(self, u):
-        """(admissible mask, U) of states u, unchecked and without warnings.
+        """(admissible mask, U) of states u, unchecked.
 
         U equals ``entropy_raw`` bitwise where the mask is True and is
-        meaningless elsewhere. Systems whose two terms share work override this.
+        meaningless elsewhere; the caller silences the warnings of the states
+        that are not admissible. Systems whose two terms share work override
+        this.
         """
         return self.admissible(u), self.entropy_raw(u)
 
@@ -173,9 +201,11 @@ class Euler(ConservationSystem):
 
     Pressure closure p = (gamma - 1)(E - rho v^2 / 2); admissible means
     rho > 0, p > 0 and every component finite. ``admissible`` tests
-    0 < rho < inf, p > 0 and a finite E: the same set, without a reduction
-    over the components. With rho and E finite, a non-finite momentum makes
-    p -inf or nan, which fails p > 0; a nan density fails rho > 0.
+    min(rho, p) > 0 and a finite rho - E: the same set, without a reduction
+    over the components. Once rho > 0 and p > 0, E > rho v^2 / 2 >= 0, so
+    rho - E cannot overflow and is finite exactly when rho and E are; a nan
+    in either of rho and p fails the first test. With rho and E finite, a
+    non-finite momentum makes p -inf or nan, which fails p > 0.
 
     The entropy is U = -rho*S with S = ln(p rho^-gamma); its gradient
     (derived, since only the pair itself is standard) is
@@ -204,9 +234,14 @@ class Euler(ConservationSystem):
         rho, mom = u[..., 0], u[..., 1]
         return rho, mom, (self.gamma - 1.0) * (u[..., 2] - 0.5 * mom**2 / rho)
 
-    def _flux(self, mom, energy, v):
+    def _flux(self, mom, energy, v, out=None):
+        # The components go straight into the stacked array (``out`` if given).
         p = (self.gamma - 1.0) * (energy - 0.5 * mom * v)
-        return _stack_last([mom, mom * v + p, v * (energy + p)])
+        f = np.empty(mom.shape + (3,)) if out is None else out
+        f[..., 0] = mom
+        np.add(mom * v, p, out=f[..., 1])
+        np.multiply(v, energy + p, out=f[..., 2])
+        return f
 
     def _speed(self, rho, v, p):
         return np.abs(v) + np.sqrt(self.gamma * p / rho)
@@ -217,10 +252,20 @@ class Euler(ConservationSystem):
     def _gradient(self, rho, v, p, s):
         g = self.gamma
         g1_rho = (g - 1.0) * rho
-        return _stack_last([g - s - g1_rho * v**2 / (2.0 * p), g1_rho * v / p, -g1_rho / p])
+        # Each component is computed in its slot of the stacked array.
+        grad = np.empty(rho.shape + (3,))
+        d0, d1, d2 = grad[..., 0], grad[..., 1], grad[..., 2]
+        np.multiply(g1_rho, v**2, out=d0)
+        np.divide(d0, 2.0 * p, out=d0)
+        np.subtract(g - s, d0, out=d0)
+        np.multiply(g1_rho, v, out=d1)
+        np.divide(d1, p, out=d1)
+        np.negative(g1_rho, out=d2)
+        np.divide(d2, p, out=d2)
+        return grad
 
     def _mask(self, u, rho, p):
-        return (rho > 0.0) & (rho < np.inf) & (p > 0.0) & np.isfinite(u[..., 2])
+        return (np.minimum(rho, p) > 0.0) & np.isfinite(rho - u[..., 2])
 
     def admissible(self, u):
         u = np.asarray(u, dtype=float)
@@ -230,9 +275,8 @@ class Euler(ConservationSystem):
 
     def _admissible_entropy(self, u):
         u = np.asarray(u, dtype=float)
-        with np.errstate(all="ignore"):
-            rho, _, p = self._primitives(u)
-            return self._mask(u, rho, p), -rho * self._log_entropy(rho, p)
+        rho, _, p = self._primitives(u)
+        return self._mask(u, rho, p), -rho * self._log_entropy(rho, p)
 
     def flux_raw(self, u):
         u = np.asarray(u, dtype=float)
@@ -260,14 +304,20 @@ class Euler(ConservationSystem):
         rho, mom, p = self._primitives(u)
         return self._gradient(rho, mom / rho, p, self._log_entropy(rho, p))
 
-    def stage_terms(self, u, n):
+    def stage_terms(self, u, n, skip=0, out=None):
         u = np.asarray(u, dtype=float)
-        rho, mom, p = self._primitives(u)
-        v = mom / rho
-        s = self._log_entropy(rho, p)
-        ent, grad = -rho * s, self._gradient(rho, v, p, s)
-        u, rho, mom, p, v, s = u[:n], rho[:n], mom[:n], p[:n], v[:n], s[:n]
-        return self._flux(mom, u[..., 2], v), self._speed(rho, v, p), ent, -mom * s, grad
+        with np.errstate(all="ignore"):  # the traces may be inadmissible
+            rho, mom, p = self._primitives(u)
+            v = mom / rho
+            flux = self._flux(mom[:n], u[:n, ..., 2], v[:n], out)
+            ok = self._mask(u[:skip], rho[:skip], p[:skip])
+            rho, mom, p, v = rho[skip:], mom[skip:], p[skip:], v[skip:]
+            s = self._log_entropy(rho, p)
+            ent, grad = -rho * s, self._gradient(rho, v, p, s)
+            n -= skip
+            rho, mom, p, v, s = rho[:n], mom[:n], p[:n], v[:n], s[:n]
+            speed = self._speed(rho, v, p)
+        return StageTerms(flux[skip:], speed, ent, -mom * s, grad, flux[:skip], ok)
 
 
 def advection_system(velocity: float) -> LinearAdvection:

@@ -1,18 +1,18 @@
 """Semidiscrete right-hand side, adapted Euler step and SSP-RK3 driver.
 
-One Euler stage of the stabilized scheme makes four passes of the system over
-its states, one per state set:
+One Euler stage of the stabilized scheme makes three passes of the system
+over its states:
 
-1. the admissibility check of the boundary traces;
-2. ``system.stage_terms`` over one rows array that holds the stacked left
-   and right interface states, shape (2, N+1, m), followed by the cell
-   averages, whose flux, speed and entropy flux it skips.
-   ``riemann.interface_terms`` takes the sides' terms and gives the LLF
-   flux, the dissipation estimate sigma, the numerical entropy flux F* and
-   the LLF dissipation; ``compute_correction`` takes the averages'
-   entropies and gradients;
-3. the Riemann-fan mean states of sigma, in ``interface_terms``;
-4. the admissibility check of the new averages
+1. ``system.stage_terms`` over one rows array that holds the boundary
+   traces, the stacked left and right interface states, shape (2, N+1, m),
+   and the cell averages. It gives the traces' admissibility mask and flux,
+   the sides' flux, signal speed, entropy, entropy flux and gradient, and
+   the averages' entropy and gradient. ``riemann.interface_terms`` takes the
+   sides' terms and gives the LLF flux, the dissipation estimate sigma, the
+   numerical entropy flux F* and the LLF dissipation; ``compute_correction``
+   takes the averages' entropies and gradients;
+2. the Riemann-fan mean states of sigma, in ``interface_terms``;
+3. the admissibility check of the new averages
 
     u_new = u + dt * (D + lambda_i * v_i),   v_i = H u_i.
 
@@ -22,24 +22,29 @@ and the LLF flux.
 
 The traces come in CV-face order from ``reconstruct_faces`` and v = H u from
 one matrix product over all SVs (see ``reconstruction``). The fluxes go into
-one (N*k + 1, m) array of CV faces, left to right: face i*k + j is boundary j
-of SV i, so every SV interface has one slot shared by its two SVs. The
-analytical flux of the first N*k traces fills faces[:-1] in one contiguous
-pass, the interface fluxes then overwrite the SV interfaces faces[::k], and
+a flux array whose first N*k + 1 rows are the CV faces, left to right: face
+i*k + j is boundary j of SV i, so every SV interface has one slot shared by
+its two SVs. The analytical flux of the first N*k traces fills faces[:-1] in
+one contiguous pass (the stabilized stage's system pass writes it there
+directly, followed by the fluxes of the right-end traces and of the sides),
+the interface fluxes then overwrite the SV interfaces faces[::k], and
 D = (faces[:-1] - faces[1:]) / h is one contiguous pass with the CV widths
 tiled once per run.
 
 A run keeps its arrays in a stage plan that ``integrate`` builds once: the
-traces, the CV faces, the rows array, the tiled widths and three (N, k, m)
-arrays, one for the RK state and two that the stages write D and their new
-averages into, each stage into the one that is not its input. The interface
-sides, with the fixed ghost states written once, are a view of the first
-2(N+1) rows of the rows array; a stabilized stage copies its averages into
-the rest. The RK combinations run in place with ``out=`` and the
-correction lambda_i v_i goes into the stage's D array, so a step allocates
-no array of the field's size beyond what the system methods, the interface
-terms and the filter direction return, and the product lambda_i v_i.
-``euler_adapted`` and ``ssp_rk3_step`` take the plan as the keyword
+rows array, the flux array, the tiled widths and three (N, k, m) arrays, one
+for the RK state and two that the stages write their new averages into, each
+stage into the one that is not its input. The traces and the interface
+sides, with the fixed ghost states written once, are views of the rows
+array; a stabilized stage copies its averages into the rest. Only a
+stabilized plan has the averages' rows and ``rates``, a (2, N, k, m) array
+that holds a stage's D and its filter direction v side by side, so that
+``compute_correction`` takes both inner products of every SV from one
+product. The RK combinations run in place with ``out=``, and the correction
+lambda_i v_i is computed into the stage's output array before it is added
+into D, so a step allocates no array of the field's size beyond what the
+system methods, the interface terms and the correction's per-SV arrays
+return. ``euler_adapted`` and ``ssp_rk3_step`` take the plan as the keyword
 ``plan``. Without one they build a fresh plan, so the fields they return own
 their data; with one, those fields live in the plan's arrays until its next
 stage or step. ``integrate`` returns, and attaches to a failure, copies.
@@ -150,7 +155,7 @@ class RunDiagnostics:
         self.last_report = report
         if self.clamp_totals is None:
             self.clamp_totals = np.zeros(report.num_sv, dtype=int)
-        self.clamp_totals += report.clamped.astype(int)
+        self.clamp_totals += report.clamped
 
 
 def _evaluate(u0, x: np.ndarray, m: int) -> np.ndarray:
@@ -232,43 +237,57 @@ def init_field(
 
 
 class _StagePlan:
-    """The arrays of one run's stages, for one grid, system and boundary condition."""
+    """The arrays of one run's stages, for one grid, system and boundary condition.
 
-    def __init__(self, grid: SpectralGrid, system: ConservationSystem, bc):
+    The correction's arrays, the averages' rows and ``rates``, exist only
+    when ``stabilized`` is True.
+    """
+
+    def __init__(self, grid: SpectralGrid, system: ConservationSystem, bc, stabilized=True):
         n_sv, k, m = grid.num_sv, grid.num_cv, system.m
         self.periodic = isinstance(bc, PeriodicBC)
-        self.traces = np.empty((n_sv * (k + 1), m))
-        self.faces = np.empty((n_sv * k + 1, m))
-        self.widths = np.tile(grid.cv_widths, n_sv)[:, None]
-        # The states a stabilized stage passes to stage_terms at once: the
-        # interface sides, side first (0 left, 1 right), then the averages.
-        # A fixed run's ghost states sit in slots no stage writes.
+        # The states of one system pass: the traces in CV-face order, the
+        # interface sides, side first (0 left, 1 right), and, stabilized,
+        # the averages. A fixed run's ghost states sit in slots no stage
+        # writes.
+        self.n_traces = n_sv * (k + 1)
         self.n_sides = 2 * (n_sv + 1)
-        self.rows = np.empty((self.n_sides + n_sv * k, m))
-        self.sides = self.rows[: self.n_sides].reshape(2, n_sv + 1, m)
-        self.averages = self.rows[self.n_sides :].reshape(n_sv, k, m)
+        n_rows = self.n_traces + self.n_sides + (n_sv * k if stabilized else 0)
+        self.rows = np.empty((n_rows, m))
+        self.traces = self.rows[: self.n_traces]
+        self.sides = self.rows[self.n_traces : self.n_traces + self.n_sides].reshape(2, n_sv + 1, m)
         if isinstance(bc, FixedBC):
             self.sides[0, 0] = bc.left
             self.sides[1, -1] = bc.right
         elif not self.periodic:
             raise ValueError(f"unknown boundary condition {bc!r}")
+        # The CV-face fluxes, and in a stabilized run after them the fluxes
+        # of the remaining traces and of the interface sides, as the system
+        # pass writes them.
+        n_flux = self.n_traces + self.n_sides if stabilized else n_sv * k + 1
+        self.flux = np.empty((n_flux, m))
+        self.faces = self.flux[: n_sv * k + 1]
+        self.widths = np.tile(grid.cv_widths, n_sv)[:, None]
         self.state = np.empty((n_sv, k, m))
         self.stages = (np.empty((n_sv, k, m)), np.empty((n_sv, k, m)))
+        self.averages = self.rates = None
+        if stabilized:
+            self.averages = self.rows[self.n_traces + self.n_sides :].reshape(n_sv, k, m)
+            # D and the filter direction v of a stage, side by side for the
+            # one product of the correction.
+            self.rates = np.empty((2, n_sv, k, m))
 
 
 def _stage(state, dt, op, gen, config, plan):
     """One Euler stage from ``state``; returns (new averages, report).
 
     The new averages are written into the plan's stage array that is not
-    ``state.data``; the correction's arrays are freshly allocated.
+    ``state.data``; the report's arrays are freshly allocated.
     """
     u, system = state.data, state.system
-    n_sv, k, m = plan.state.shape
+    n_sv, k, m = u.shape
     out = plan.stages[1] if u is plan.stages[0] else plan.stages[0]
     traces = reconstruct_faces(op, u, out=plan.traces)
-    if not system.admissible(traces).all():
-        # Name the first bad trace in (sv, node) order, as for (N, k+1, m).
-        system.check_admissible(_sv_traces(traces, n_sv), "boundary trace")
     u_l, u_r = plan.sides
     u_l[1:] = traces[n_sv * k :]
     u_r[:-1] = traces[: n_sv * k : k]
@@ -277,31 +296,37 @@ def _stage(state, dt, op, gen, config, plan):
         u_r[-1] = u_r[0]
 
     faces = plan.faces
-    if k > 1:
+    stabilized = config.stabilization_enabled
+    if stabilized:
+        # One pass over the traces, the interface sides and the averages.
+        # Its fluxes land in plan.flux, so faces[:-1] holds every trace j < k.
+        plan.averages[...] = u
+        row_terms = system.stage_terms(
+            plan.rows, plan.n_traces + plan.n_sides, plan.n_traces, out=plan.flux
+        )
+    else:
+        row_terms = None
+    traces_ok = row_terms.trace_ok.all() if stabilized else system.admissible(traces).all()
+    if not traces_ok:
+        # Name the first bad trace in (sv, node) order, as for (N, k+1, m).
+        system.check_admissible(_sv_traces(traces, n_sv), "boundary trace")
+    if k > 1 and not stabilized:
         # Every trace j < k in one pass; the SV interfaces are overwritten below.
         faces[:-1] = system.flux_raw(traces[: n_sv * k])
-    row_terms = None
-    if config.stabilization_enabled:
-        # One pass over the interface sides and the averages together; the
-        # averages need only U and dU/du.
-        plan.averages[...] = u
-        row_terms = system.stage_terms(plan.rows, plan.n_sides)
     terms = interface_terms(plan.sides, system, row_terms)
     faces[::k] = terms.flux
-    d = out.reshape(n_sv * k, m)
+    rhs = plan.rates[0] if stabilized else out
+    d = rhs.reshape(n_sv * k, m)
     np.subtract(faces[:-1], faces[1:], out=d)
     np.divide(d, plan.widths, out=d)
-    rhs = out
 
     report = None
-    if row_terms is not None:
-        _, _, ent, _, grad = row_terms
-        direction = apply_generator(gen, u)
+    if stabilized:
+        direction = apply_generator(gen, u, out=plan.rates[1])
         report = compute_correction(
-            ent[plan.n_sides :].reshape(n_sv, k),
-            grad[plan.n_sides :].reshape(n_sv, k, m),
-            rhs,
-            direction,
+            row_terms.entropy[plan.n_sides :].reshape(n_sv, k),
+            row_terms.gradient[plan.n_sides :].reshape(n_sv, k, m),
+            plan.rates,
             terms.sigma,
             terms.f_star,
             state.grid.cv_widths,
@@ -312,7 +337,9 @@ def _stage(state, dt, op, gen, config, plan):
             lambda_max=config.lambda_max,
             sigma_fallbacks=terms.sigma_fallbacks,
         )
-        corrected_rhs(rhs, report.lambda_final, direction)
+        # The product lambda_i v_i goes into ``out``, which is free until
+        # the new averages are written.
+        corrected_rhs(rhs, report.lambda_final, direction, work=out)
 
     np.multiply(rhs, dt, out=rhs)
     new = np.add(u, rhs, out=out)
@@ -326,6 +353,10 @@ def _stage(state, dt, op, gen, config, plan):
             time=state.time + dt,
         )
     return new, report
+
+
+def _plan_for(state, config):
+    return _StagePlan(state.grid, state.system, config.bc, config.stabilization_enabled)
 
 
 def euler_adapted(
@@ -346,10 +377,11 @@ def euler_adapted(
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if plan is None:
-        plan = _StagePlan(state.grid, state.system, config.bc)
+        plan = _plan_for(state, config)
+    elif config.stabilization_enabled and plan.rates is None:
+        raise ValueError("a stabilized stage needs a plan built with stabilization")
     new, report = _stage(state, dt, op, gen, config, plan)
     return state.with_data(new, time=state.time + dt), report
-
 
 def ssp_rk3_step(
     state: CellAverageField,
@@ -369,7 +401,7 @@ def ssp_rk3_step(
     state array, which may be ``state``'s own; without one it owns its data.
     """
     if plan is None:
-        plan = _StagePlan(state.grid, state.system, config.bc)
+        plan = _plan_for(state, config)
     u0 = state.data
     stage1, r1 = euler_adapted(state, dt, op, gen, config, plan=plan)
     stage2_full, r2 = euler_adapted(stage1, dt, op, gen, config, plan=plan)
@@ -380,9 +412,8 @@ def ssp_rk3_step(
     stage3_full, r3 = euler_adapted(stage2, dt, op, gen, config, plan=plan)
     u3 = np.multiply(stage3_full.data, 2.0 / 3.0, out=stage3_full.data)
     new = np.add(np.divide(u0, 3.0, out=u2), u3, out=plan.state)
-    return state.with_data(new, time=state.time + dt), tuple(
-        r for r in (r1, r2, r3) if r is not None
-    )
+    reports = () if r1 is None else (r1, r2, r3)
+    return state.with_data(new, time=state.time + dt), reports
 
 
 def select_dt(
@@ -434,7 +465,7 @@ def integrate(
         raise ValueError(f"t_end={config.t_end} is not ahead of t={state.time}")
     n_full = int(np.floor(remaining / dt))
 
-    plan = _StagePlan(state.grid, state.system, config.bc)
+    plan = _plan_for(state, config)
     diag = RunDiagnostics()
     if config.diagnostics_every:
         diag.record_l2(state.time, discrete_l2(state))

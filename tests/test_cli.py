@@ -381,13 +381,18 @@ class TestBadConfig:
         assert calls == []
         assert not out.exists()
 
-    @pytest.mark.parametrize("name, nsv_list", [("density-bump", "6,0"), ("sod", "6")])
+    @pytest.mark.parametrize(
+        "name, nsv_list",
+        [("density-bump", "6,0"), ("sod", "6"), ("density-bump", "6,x"), ("density-bump", ",")],
+    )
     def test_bad_convergence_study(self, tmp_path, capsys, calls, name, nsv_list):
-        # A resolution the grid rejects, or a scenario without an exact solution.
+        # A resolution the grid rejects, a scenario without an exact
+        # solution, a count that is not an integer, or no count at all.
         out = tmp_path / "out"
         code = main(["convergence", name, "--nsv-list", nsv_list, "--out-dir", str(out)])
+        err = capsys.readouterr().err.splitlines()
         assert code == 2
-        assert capsys.readouterr().err.startswith(f"error kind=bad-config scenario={name} ")
+        assert len(err) == 1 and err[0].startswith(f"error kind=bad-config scenario={name} ")
         assert calls == []
         assert not out.exists()
 

@@ -29,8 +29,8 @@ def einsum_reconstruct(op, data):
     return np.einsum("jl,ilc->ijc", op.combined, np.asarray(data, dtype=float))
 
 
-def einsum_generator(gen, u):
-    return np.einsum("jl,ilc->ijc", gen.matrix, np.asarray(u, dtype=float))
+def einsum_generator(gen, u, out=None):
+    return np.einsum("jl,ilc->ijc", gen.matrix, np.asarray(u, dtype=float), out=out)
 
 
 def einsum_faces(op, data, out=None):

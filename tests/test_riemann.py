@@ -138,7 +138,7 @@ class TestSigmaOnePass:
         got, got_fallbacks = _sigma_from_parts(*parts)
         want, want_fallbacks = two_pass_sigma(*parts)
         assert got.tobytes() == want.tobytes()
-        assert got_fallbacks == want_fallbacks
+        assert type(got_fallbacks) is int and got_fallbacks == want_fallbacks
         if system.m == 3:
             assert want_fallbacks > 0
 

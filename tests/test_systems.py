@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -238,12 +240,12 @@ class TestFusedTerms:
     @given(system_and_states())
     def test_stage_terms_match_single_methods(self, case):
         system, u = case
-        flux, speed, ent, eflux, grad = system.stage_terms(u, len(u))
-        assert_bitwise(flux, system.flux_raw(u))
-        assert_bitwise(speed, system.max_signal_speed_raw(u, u))
-        assert_bitwise(ent, system.entropy_raw(u))
-        assert_bitwise(eflux, system.entropy_flux_raw(u))
-        assert_bitwise(grad, system.entropy_gradient_raw(u))
+        terms = system.stage_terms(u, len(u))
+        assert_bitwise(terms.flux, system.flux_raw(u))
+        assert_bitwise(terms.speed, system.max_signal_speed_raw(u, u))
+        assert_bitwise(terms.entropy, system.entropy_raw(u))
+        assert_bitwise(terms.entropy_flux, system.entropy_flux_raw(u))
+        assert_bitwise(terms.gradient, system.entropy_gradient_raw(u))
 
     @settings(max_examples=150, deadline=None)
     @given(system_and_states(), st.integers(0, 7))
@@ -252,12 +254,45 @@ class TestFusedTerms:
         # those of u[:n], U and dU/du those of all of u.
         system, u = case
         head = u[:n]
-        flux, speed, ent, eflux, grad = system.stage_terms(u, n)
-        assert_bitwise(flux, system.flux_raw(head))
-        assert_bitwise(speed, system.max_signal_speed_raw(head, head))
-        assert_bitwise(ent, system.entropy_raw(u))
-        assert_bitwise(eflux, system.entropy_flux_raw(head))
-        assert_bitwise(grad, system.entropy_gradient_raw(u))
+        terms = system.stage_terms(u, n)
+        assert_bitwise(terms.flux, system.flux_raw(head))
+        assert_bitwise(terms.speed, system.max_signal_speed_raw(head, head))
+        assert_bitwise(terms.entropy, system.entropy_raw(u))
+        assert_bitwise(terms.entropy_flux, system.entropy_flux_raw(head))
+        assert_bitwise(terms.gradient, system.entropy_gradient_raw(u))
+
+    @settings(max_examples=150, deadline=None)
+    @given(system_and_states(), st.data())
+    def test_stage_terms_with_trace_rows(self, case, data):
+        # The stage's one pass: trace rows of any floats first, which get
+        # only their mask and flux, then admissible rows with every term.
+        system, u = case
+        m = system.m
+        traces = data.draw(hnp.arrays(float, (data.draw(st.integers(0, 6)), m), elements=ANY_FLOAT))
+        rows = np.concatenate([traces, u.reshape(-1, m)])
+        skip = len(traces)
+        n = data.draw(st.integers(skip, len(rows)))
+        out = np.full((n, m), np.nan)
+        quiet = "ignore" if m == 1 else "warn"  # Euler silences its own warnings
+        with warnings.catch_warnings(), np.errstate(all=quiet, under="ignore"):
+            warnings.simplefilter("error")
+            terms = system.stage_terms(rows, n, skip)
+            in_out = system.stage_terms(rows, n, skip, out=out)
+        with np.errstate(all="ignore"):
+            want_ok, want_flux = system.admissible(traces), system.flux_raw(rows[:n])
+        assert_bitwise(terms.trace_ok, want_ok)
+        ok = want_ok[:, None]
+        assert_bitwise(np.where(ok, terms.trace_flux, 0.0), np.where(ok, want_flux[:skip], 0.0))
+        head, rest = rows[skip:n], rows[skip:]
+        assert_bitwise(terms.flux, want_flux[skip:])
+        assert_bitwise(terms.speed, system.max_signal_speed_raw(head, head))
+        assert_bitwise(terms.entropy, system.entropy_raw(rest))
+        assert_bitwise(terms.entropy_flux, system.entropy_flux_raw(head))
+        assert_bitwise(terms.gradient, system.entropy_gradient_raw(rest))
+        # With ``out`` the fluxes are views of it, with the same values.
+        assert in_out.flux.base is out or in_out.flux.size == 0
+        assert_bitwise(np.where(ok, in_out.trace_flux, 0.0), np.where(ok, terms.trace_flux, 0.0))
+        assert_bitwise(in_out.flux, terms.flux)
 
     @settings(max_examples=100, deadline=None)
     @given(system_and_states())

@@ -16,7 +16,7 @@ from specvol.filters import apply_generator, build_generator
 from specvol.mesh import build_grid
 from specvol.reconstruction import build_reconstruction, reconstruct_all
 from specvol.riemann import FixedBC, PeriodicBC, interface_states
-from specvol.stabilization import CorrectionReport, compute_correction
+from specvol.stabilization import compute_correction
 from specvol.systems import (
     Euler,
     advection_system,
@@ -33,6 +33,10 @@ from specvol.timeint import (
     select_dt,
     ssp_rk3_step,
 )
+
+
+REPORT_ATTRIBUTES = ("lambda_ed", "lambda_er_l", "lambda_er_r", "lambda_sum", "lambda_final",
+                     "clamped", "den_fallbacks", "sigma_fallbacks", "dropped_demands")
 
 
 def setup_burgers(n_sv=20, k=4, domain=(0.0, 2.0)):
@@ -229,9 +233,9 @@ class TestSystemPassesPerStage:
     """A stage computes the primitives of each of its state sets once.
 
     Every Euler pressure but the flux's comes from ``_primitives``. A
-    stabilized stage passes over the traces, the interface sides with the
-    averages, the Riemann-fan mean states and the new averages; a pure stage
-    over the traces, each side and the new averages.
+    stabilized stage passes over the traces with the interface sides and the
+    averages, over the Riemann-fan mean states and over the new averages; a
+    pure stage over the traces, each side and the new averages.
     """
 
     @pytest.mark.parametrize("stab", [True, False])
@@ -247,7 +251,7 @@ class TestSystemPassesPerStage:
         with mock.patch.object(Euler, "_primitives", autospec=True, side_effect=real) as spy:
             euler_adapted(state, dt, op, gen, config)
         if stab:
-            assert spy.call_count <= 4
+            assert spy.call_count <= 3
         else:
             assert spy.call_count == 4
 
@@ -350,8 +354,8 @@ def reference_stage(state, dt, op, gen, config):
     )
     direction = apply_generator(gen, state.data)
     report = compute_correction(
-        system.entropy_raw(state.data), system.entropy_gradient_raw(state.data), rhs,
-        direction, sigma, f_star, widths, dt, gen,
+        system.entropy_raw(state.data), system.entropy_gradient_raw(state.data),
+        np.stack([rhs, direction]), sigma, f_star, widths, dt, gen,
         isinstance(config.bc, PeriodicBC), d_llf, config.lambda_max, fallbacks,
     )
     return state.data + dt * (rhs + report.lambda_final[:, None, None] * direction), report
@@ -375,7 +379,8 @@ class TestStageMatchesCheckedApi:
 
     @pytest.mark.parametrize(
         "name, t_end, n_sv",
-        [("sod", 0.3, None), ("burgers-sine", 0.35, 50), ("advect-rect", 0.1, None)],
+        [("sod", 0.3, None), ("burgers-sine", 0.35, 50), ("advect-rect", 0.1, None),
+         ("density-bump", 0.5, 20), ("burgers-rarefaction", 0.1, 1)],
     )
     def test_stage_bitwise(self, name, t_end, n_sv):
         state, config, op, gen = scenario_state(name, t_end, n_sv)
@@ -385,13 +390,13 @@ class TestStageMatchesCheckedApi:
         # The correction acts somewhere, so every report field is exercised.
         assert np.count_nonzero(report.lambda_final > 0.0) > 0
         assert new.data.tobytes() == want_data.tobytes()
-        for f in dataclasses.fields(CorrectionReport):
-            got, expected = getattr(report, f.name), getattr(want, f.name)
+        for name in REPORT_ATTRIBUTES:
+            got, expected = getattr(report, name), getattr(want, name)
             if isinstance(expected, np.ndarray):
-                assert got.dtype == expected.dtype and got.shape == expected.shape, f.name
-                assert got.tobytes() == expected.tobytes(), f.name
+                assert got.dtype == expected.dtype and got.shape == expected.shape, name
+                assert got.tobytes() == expected.tobytes(), name
             else:
-                assert got == expected, f.name
+                assert type(got) is type(expected) and got == expected, name
 
 
 class TestSspRk3:
@@ -564,7 +569,8 @@ class TestIntegrate:
 
 
 def plan_arrays(plan):
-    return (plan.traces, plan.faces, plan.rows, plan.widths, plan.state, *plan.stages)
+    arrays = (plan.traces, plan.flux, plan.rows, plan.widths, plan.state, *plan.stages)
+    return arrays if plan.rates is None else arrays + (plan.rates,)
 
 
 def capture_plans(monkeypatch):
@@ -640,6 +646,17 @@ class TestStagePlan:
         assert got_report.lambda_final.tobytes() == want_report.lambda_final.tobytes()
         assert_owns_data(want.data, plan)
 
+    def test_pure_plan_holds_no_correction_buffers(self, monkeypatch):
+        plans = capture_plans(monkeypatch)
+        state, config, op, gen = burgers_setup(20, stab=False)
+        integrate(state, dataclasses.replace(config, t_end=0.01), op, gen)
+        (plan,) = plans
+        assert plan.rates is None and plan.averages is None
+        assert plan.rows.shape[0] == plan.n_traces + plan.n_sides
+        stabilized = dataclasses.replace(config, stabilization_enabled=True)
+        with pytest.raises(ValueError, match="built with stabilization"):
+            euler_adapted(state, 1e-3, op, gen, stabilized, plan=plan)
+
     def test_unknown_boundary_condition_rejected(self):
         state, config, op, gen = burgers_setup(5)
         with pytest.raises(ValueError, match="unknown boundary condition"):
@@ -664,8 +681,8 @@ class TestResultsOwnTheirData:
         final, diag = integrate(state, config, op, gen)
         (plan,) = plans
         held = [final.data] + [
-            getattr(r, f.name) for r in reports for f in dataclasses.fields(CorrectionReport)
-            if isinstance(getattr(r, f.name), np.ndarray)
+            getattr(r, name) for r in reports for name in REPORT_ATTRIBUTES
+            if isinstance(getattr(r, name), np.ndarray)
         ]
         copies = [a.copy() for a in held]
         for a in held:
@@ -727,12 +744,15 @@ class TestStepAllocation:
         # peaked at 10.0 times the field's size.
         assert step_peak(*burgers_setup(2000, 4, stab=False)) <= 2.25
 
-    @pytest.mark.parametrize("system_name, bound", [("euler", 7.6), ("burgers", 15.6)])
+    @pytest.mark.parametrize(
+        "system_name, bound", [("euler", 6.6), ("burgers", 14.0)], ids=["euler", "burgers"]
+    )
     def test_stabilized_step_on_a_plan(self, system_name, bound):
-        # Measured at N = 2000: 7.38 (Euler) and 15.24 (Burgers) times the
-        # field's size, against 9.65 and 18.24 when stage_terms also gave the
-        # averages' flux, speed and entropy flux and the correction went into
-        # a new array.
+        # Measured at N = 2000: 6.39 (Euler) and 13.63 (Burgers) times the
+        # field's size, against 7.38 and 15.24 when the filter direction and
+        # lambda*v were new arrays each stage, the system pass's fluxes were
+        # copied into the CV faces and Euler's gradient was stacked from
+        # separate components.
         setup = sod_setup(2000) if system_name == "euler" else burgers_setup(2000, 4)
         assert step_peak(*setup) <= bound
 
