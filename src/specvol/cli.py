@@ -5,12 +5,24 @@ Burgers sine and rarefaction step, Sod and Lax shock tubes, the smooth Euler
 density bump for convergence studies); each can also be described in an INI
 config file. Outputs are plot-ready CSV files written with 17 significant
 digits so they parse back to the exact in-memory values.
+
+``run_scenario(..., ref_cells=R)`` computes the fine Lax-Friedrichs
+reference in a child forked with ``os.fork`` (so it needs a POSIX system)
+once the field and the operators are set up, while the parent solves: the
+reference depends on nothing the solve makes, so on a machine with a second
+core it costs the run almost no time. The child sends the
+``ReferenceSolution`` back through a pipe, or the type, message and
+``where`` of the exception it raised, which the run records as an
+``error kind=reference-failure`` line. A failed solve, or anything that
+raises in the parent, kills and reaps the child.
 """
 
 import argparse
 import configparser
 import io
 import os
+import pickle
+import signal
 import sys
 from dataclasses import dataclass, replace
 
@@ -20,6 +32,7 @@ from .exceptions import InadmissibleStateError, StepFailureError
 from .mesh import build_grid
 from .reference import (
     MIN_CELLS,
+    ReferenceSolution,
     error_norms,
     exact_advection,
     exact_euler_density_bump,
@@ -28,6 +41,7 @@ from .reference import (
 )
 from .riemann import FixedBC, PeriodicBC
 from .systems import advection_system, burgers_system, euler_system, primitive_to_conserved
+from . import timeint
 from .timeint import SolverConfig, init_field, integrate
 
 __all__ = ["Scenario", "ScenarioError", "BUILTIN_SCENARIOS", "list_scenarios",
@@ -266,6 +280,58 @@ def read_solution_csv(path):
     return data[:, 0], data[:, 1], data[:, 2:]
 
 
+class _ReferenceProcess:
+    """``lax_friedrichs_solver(*args)`` in a forked child, beside the parent's work.
+
+    The child sends back through a pipe the pickled ``ReferenceSolution``,
+    or the type name, message and ``where`` of the exception it raised, and
+    always leaves through ``os._exit``, never into the caller's stack.
+    ``result`` reads what it sent and reaps it; ``stop`` kills and reaps a
+    child that ``result`` has not reaped.
+    """
+
+    def __init__(self, *args):
+        read_fd, write_fd = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                try:
+                    sent = lax_friedrichs_solver(*args)
+                except Exception as exc:
+                    sent = (type(exc).__name__, str(exc), getattr(exc, "where", None))
+                with open(write_fd, "wb") as pipe:
+                    pickle.dump(sent, pipe, pickle.HIGHEST_PROTOCOL)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        self.pipe = open(read_fd, "rb")
+
+    def result(self):
+        """The child's ``ReferenceSolution``, or a message naming its failure."""
+        with self.pipe:
+            data = self.pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            return f"the reference process ended with exit code {code}"
+        sent = pickle.loads(data)
+        if isinstance(sent, ReferenceSolution):
+            return sent
+        name, message, where = sent
+        return f"{name}{'' if where is None else f' where={where}'}: {message}"
+
+    def stop(self):
+        self.pipe.close()
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
 def run_scenario(scenario: Scenario, out_dir: str, ref_cells: int = 0):
     """Run one scenario and write its output files; returns {kind: path}.
 
@@ -273,19 +339,45 @@ def run_scenario(scenario: Scenario, out_dir: str, ref_cells: int = 0):
     solved or written. A step failure keeps whatever was computed: the last
     admissible field and the diagnostics collected so far are written, and
     the error is recorded in the returned mapping under ``"error"``.
+
+    With ``ref_cells`` the Lax-Friedrichs reference runs in a forked child
+    while this process solves (see the module docstring). It is written
+    only after a successful solve; a reference that raises writes no
+    reference file and is recorded under ``"error"`` as a
+    ``reference-failure``. The child has been reaped whenever this returns
+    or raises.
     """
     system, grid, u0, breakpoints, config = _setup(scenario, ref_cells)
     os.makedirs(out_dir, exist_ok=True)
     state = init_field(u0, grid, system, scenario.quad_order, breakpoints)
+    # The operators integrate would build, built before the fork: after a
+    # fork the parent's first write to each page it shares with the child
+    # copies that page (about 470 minor faults, 2 ms, for Sod at N=200 on a
+    # 2-vCPU VM), and that cost belongs in the long solve, not in a 3 ms
+    # setup. They are called as attributes of ``timeint``, the names
+    # integrate itself calls, so a tracer that wraps those names still sees
+    # them.
+    op = timeint.build_reconstruction(grid)
+    gen = timeint.build_generator(grid.cv_widths)
+    reference = None
+    if ref_cells:
+        reference = _ReferenceProcess(
+            system, u0, scenario.a, scenario.b, ref_cells, 0.9, scenario.t_end, config.bc
+        )
+    error = ref = None
+    try:
+        try:
+            final, diag = integrate(state, config, op, gen)
+        except (StepFailureError, InadmissibleStateError) as exc:
+            final, diag = getattr(exc, "last_state", state), getattr(exc, "diagnostics", None)
+            error = exc
+        if reference is not None and error is None:
+            ref = reference.result()
+    finally:
+        if reference is not None:
+            reference.stop()
 
     outputs = {}
-    error = None
-    try:
-        final, diag = integrate(state, config)
-    except (StepFailureError, InadmissibleStateError) as exc:
-        final, diag = getattr(exc, "last_state", state), getattr(exc, "diagnostics", None)
-        error = exc
-
     base = os.path.join(out_dir, scenario.name)
     outputs["solution"] = _write_solution_csv(f"{base}_solution.csv", scenario, final)
     if diag is not None and diag.l2_times:
@@ -318,10 +410,7 @@ def run_scenario(scenario: Scenario, out_dir: str, ref_cells: int = 0):
              "lambda_final", "clamped", "clamp_total"],
             rows,
         )
-    if ref_cells and error is None:
-        ref = lax_friedrichs_solver(
-            system, u0, scenario.a, scenario.b, ref_cells, 0.9, scenario.t_end, config.bc
-        )
+    if isinstance(ref, ReferenceSolution):
         rows = [
             [float(x), float((scenario.b - scenario.a) / ref_cells), *map(float, u)]
             for x, u in zip(ref.positions, ref.values)
@@ -333,6 +422,8 @@ def run_scenario(scenario: Scenario, out_dir: str, ref_cells: int = 0):
             ["x_center", "width", *_component_names(system)],
             rows,
         )
+    elif isinstance(ref, str):
+        outputs["error"] = f"error kind=reference-failure scenario={scenario.name} {ref}"
     if error is not None:
         if isinstance(error, StepFailureError):
             where = f"sv={error.sv} cv={error.cv} t={error.time:.6g}"

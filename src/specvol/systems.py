@@ -94,10 +94,7 @@ class ConservationSystem:
         work override this.
         """
         u = np.asarray(u, dtype=float)
-        flux = self.flux_raw(u[:n])
-        if out is not None:
-            out[...] = flux
-            flux = out
+        flux = self._flux_into(u[:n], out)
         head, rest = u[skip:n], u[skip:]
         return StageTerms(
             flux[skip:],
@@ -108,6 +105,17 @@ class ConservationSystem:
             flux[:skip],
             self.admissible(u[:skip]),
         )
+
+    def _flux_into(self, u, out):
+        """``flux_raw(u)``, written into ``out`` when it is given, bitwise equal.
+
+        Systems that can write their flux in place override this.
+        """
+        flux = self.flux_raw(u)
+        if out is None:
+            return flux
+        out[...] = flux
+        return out
 
     def admissible(self, u: np.ndarray) -> np.ndarray:
         """Boolean mask over the leading axes; True where u is admissible.
@@ -194,6 +202,13 @@ class Burgers(ConservationSystem):
 
     def entropy_gradient_raw(self, u):
         return np.asarray(u, dtype=float).copy()
+
+    def _flux_into(self, u, out):
+        # (0.5 * u) * u, flux_raw's operations in its order, with no
+        # temporary beside the result.
+        flux = np.multiply(u, 0.5, out=out)
+        flux *= u
+        return flux
 
 
 class Euler(ConservationSystem):

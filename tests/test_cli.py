@@ -1,5 +1,7 @@
 import builtins
 import os
+import signal
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +19,8 @@ from specvol.cli import (
     run_scenario,
     _write_csv,
 )
+from specvol.exceptions import InadmissibleStateError
+from specvol.reference import lax_friedrichs_solver
 
 
 @pytest.fixture
@@ -403,3 +407,99 @@ class TestBadConfig:
         monkeypatch.setattr(cli, "integrate", broken)
         with pytest.raises(ValueError, match="inside the solve"):
             main(["run", "advect-rect", "--nsv", "4", "--out-dir", str(tmp_path)])
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def sleeping_reference(*args):
+    """A reference that takes a minute: a run that waits for it fails its time bound."""
+    time.sleep(60)
+
+
+MINI_RUNS = {
+    "sod": dict(name="mini-sod", n_sv=20, t_end=0.1),
+    "burgers-sine": dict(name="mini-sine", n_sv=10, t_end=0.02),
+}
+HOT_SOD = replace(BUILTIN_SCENARIOS["sod"], name="sod-hot", n_sv=40, cfl=0.95)
+
+
+class TestOverlappedReference:
+    """``ref_cells`` computes the reference in a forked child beside the solve,
+    and every return from or exception out of ``run_scenario`` leaves no child."""
+
+    @pytest.mark.parametrize("name", MINI_RUNS)
+    def test_reference_equals_an_in_process_call(self, tmp_path, name):
+        # A fixed-BC Euler tube and a periodic Burgers sine.
+        scen = replace(BUILTIN_SCENARIOS[name], **MINI_RUNS[name])
+        outputs = run_scenario(scen, str(tmp_path), ref_cells=300)
+        assert_no_child_left()
+        assert "error" not in outputs
+        system, _, u0, _, config = cli._setup(scen, 300)
+        ref = lax_friedrichs_solver(system, u0, scen.a, scen.b, 300, 0.9, scen.t_end, config.bc)
+        xs, widths, values = read_solution_csv(outputs["reference"])
+        assert xs.tobytes() == ref.positions.tobytes()
+        assert np.ascontiguousarray(values).tobytes() == ref.values.tobytes()
+        assert np.all(widths == (scen.b - scen.a) / 300)
+
+    @pytest.mark.parametrize("reference", [lax_friedrichs_solver, sleeping_reference],
+                             ids=["real", "sleeping"])
+    def test_failed_solve_does_not_wait_for_the_reference(self, tmp_path, monkeypatch,
+                                                          reference):
+        # The solve fails in its first stage (an inadmissible trace) and
+        # kills the child: a slow reference does not hold the run up.
+        monkeypatch.setattr(cli, "lax_friedrichs_solver", reference)
+        start = time.perf_counter()
+        outputs = run_scenario(HOT_SOD, str(tmp_path), ref_cells=3000)
+        assert time.perf_counter() - start < 30
+        assert_no_child_left()
+        assert outputs["error"].startswith("error kind=state-error scenario=sod-hot ")
+        assert "reference" not in outputs
+        assert os.path.exists(outputs["solution"])
+        assert not (tmp_path / "sod-hot_reference.csv").exists()
+
+    def test_failing_reference_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        def failing(*args):
+            raise InadmissibleStateError("inadmissible burgers reference data", where=(7, 0))
+
+        monkeypatch.setattr(cli, "lax_friedrichs_solver", failing)
+        code = main(["run", "burgers-sine", "--nsv", "10", "--t-end", "0.02",
+                     "--ref-cells", "300", "--out-dir", str(tmp_path)])
+        assert_no_child_left()
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error kind=reference-failure scenario=burgers-sine "
+            "InadmissibleStateError where=(7, 0): inadmissible burgers reference data"
+        ]
+        for kind in ("solution", "l2", "lambda"):
+            assert (tmp_path / f"burgers-sine_{kind}.csv").exists()
+        assert not (tmp_path / "burgers-sine_reference.csv").exists()
+
+    def test_killed_reference_is_a_reference_failure(self, tmp_path, monkeypatch):
+        test_pid = os.getpid()
+
+        def killed(*args):
+            assert os.getpid() != test_pid, "the reference ran in the test process"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(cli, "lax_friedrichs_solver", killed)
+        scen = replace(BUILTIN_SCENARIOS["burgers-sine"], **MINI_RUNS["burgers-sine"])
+        outputs = run_scenario(scen, str(tmp_path), ref_cells=300)
+        assert_no_child_left()
+        assert outputs["error"] == (
+            "error kind=reference-failure scenario=mini-sine "
+            "the reference process ended with exit code -9"
+        )
+        assert "reference" not in outputs
+
+    def test_exception_in_the_parent_reaps_the_child(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("inside the solve")
+
+        monkeypatch.setattr(cli, "lax_friedrichs_solver", sleeping_reference)
+        monkeypatch.setattr(cli, "integrate", broken)
+        with pytest.raises(ValueError, match="inside the solve"):
+            main(["run", "sod", "--ref-cells", "300", "--out-dir", str(tmp_path)])
+        assert_no_child_left()
