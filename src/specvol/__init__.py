@@ -23,7 +23,6 @@ from .systems import (
     LinearAdvection,
     advection_system,
     burgers_system,
-    conserved_to_primitive,
     euler_system,
     primitive_to_conserved,
 )

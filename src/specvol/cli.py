@@ -24,7 +24,7 @@ import os
 import pickle
 import signal
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -93,7 +93,6 @@ class Scenario:
     stabilization: bool = True
     velocity: float = 1.0  # advection only
     gamma: float = 1.4  # euler only
-    quad_order: int = 8
     diagnostics_every: int = 10
 
     def build_system(self):
@@ -142,7 +141,6 @@ class Scenario:
             "stabilization": str(self.stabilization).lower(),
             "velocity": _FMT % self.velocity,
             "gamma": _FMT % self.gamma,
-            "quad_order": str(self.quad_order),
             "diagnostics_every": str(self.diagnostics_every),
         }
         buf = io.StringIO()
@@ -168,27 +166,37 @@ def list_scenarios():
 
 
 def load_scenario(path: str) -> Scenario:
+    """The ``[scenario]`` section of the INI file ``path``; ``bc`` defaults to periodic.
+
+    Raises ``FileNotFoundError`` for a file it cannot read, and a
+    ``ScenarioError`` naming the file (and the key) for one that does not parse,
+    lacks the section or a required key, or holds an unknown key or a value of
+    the wrong type.
+    """
     cp = configparser.ConfigParser()
-    if not cp.read(path):
-        raise FileNotFoundError(f"cannot read config {path!r}")
+    try:
+        if not cp.read(path):
+            raise FileNotFoundError(f"cannot read config {path!r}")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        message = " ".join(str(exc).split())  # one line
+        raise ScenarioError(f"config {path!r} does not parse: {message}") from exc
+    if not cp.has_section("scenario"):
+        raise ScenarioError(f"config {path!r} has no [scenario] section")
     sec = cp["scenario"]
-    return Scenario(
-        name=sec.get("name", os.path.splitext(os.path.basename(path))[0]),
-        system=sec["system"],
-        initial=sec["initial"],
-        a=sec.getfloat("a"),
-        b=sec.getfloat("b"),
-        n_sv=sec.getint("n_sv"),
-        n_cv=sec.getint("n_cv"),
-        bc=sec.get("bc", "periodic"),
-        t_end=sec.getfloat("t_end"),
-        cfl=sec.getfloat("cfl", 0.1),
-        stabilization=sec.getboolean("stabilization", True),
-        velocity=sec.getfloat("velocity", 1.0),
-        gamma=sec.getfloat("gamma", 1.4),
-        quad_order=sec.getint("quad_order", 8),
-        diagnostics_every=sec.getint("diagnostics_every", 10),
-    )
+    unknown = sorted(set(sec) - {f.name for f in fields(Scenario)})
+    if unknown:  # a misspelt or retired setting would be ignored
+        raise ScenarioError(f"config {path!r} has unknown keys {unknown}")
+    getters = {str: sec.get, float: sec.getfloat, int: sec.getint, bool: sec.getboolean}
+    values = {"name": os.path.splitext(os.path.basename(path))[0], "bc": "periodic"}
+    for f in fields(Scenario):
+        if f.name in sec:
+            try:
+                values[f.name] = getters[f.type](f.name)
+            except (ValueError, configparser.Error) as exc:
+                raise ScenarioError(f"config {path!r} key {f.name!r}: {exc}") from exc
+        elif f.default is MISSING and f.name not in values:
+            raise ScenarioError(f"config {path!r} has no key {f.name!r}")
+    return Scenario(**values)
 
 
 def _component_names(system):
@@ -349,7 +357,7 @@ def run_scenario(scenario: Scenario, out_dir: str, ref_cells: int = 0):
     """
     system, grid, u0, breakpoints, config = _setup(scenario, ref_cells)
     os.makedirs(out_dir, exist_ok=True)
-    state = init_field(u0, grid, system, scenario.quad_order, breakpoints)
+    state = init_field(u0, grid, system, breakpoints=breakpoints)
     # The operators integrate would build, built before the fork: after a
     # fork the parent's first write to each page it shares with the child
     # copies that page (about 470 minor faults, 2 ms, for Sod at N=200 on a
@@ -477,7 +485,7 @@ def run_convergence(base: Scenario, n_sv_list, out_dir: str):
     os.makedirs(out_dir, exist_ok=True)
     results = []
     for n_sv, (system, grid, u0, breakpoints, config) in setups:
-        state = init_field(u0, grid, system, base.quad_order, breakpoints)
+        state = init_field(u0, grid, system, breakpoints=breakpoints)
         final, _ = integrate(state, config)
         results.append(
             (int(n_sv), error_norms(final, exact, "L1"), error_norms(final, exact, "L2"))
@@ -502,7 +510,7 @@ def run_convergence(base: Scenario, n_sv_list, out_dir: str):
 
 
 def _resolve_scenario(token: str) -> Scenario:
-    if os.path.exists(token):
+    if os.path.isfile(token):
         return load_scenario(token)
     if token in BUILTIN_SCENARIOS:
         return BUILTIN_SCENARIOS[token]
@@ -513,17 +521,12 @@ def _resolve_scenario(token: str) -> Scenario:
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    updates = {}
+    """``scenario`` with the fields the command-line flags set (``--nsv``: run only)."""
+    flags = {"cfl": "cfl", "n_sv": "nsv", "n_cv": "ncv", "t_end": "t_end"}
+    updates = {key: getattr(args, flag, None) for key, flag in flags.items()}
+    updates = {key: value for key, value in updates.items() if value is not None}
     if args.no_stabilization:
         updates["stabilization"] = False
-    if args.cfl is not None:
-        updates["cfl"] = args.cfl
-    if args.nsv is not None:
-        updates["n_sv"] = args.nsv
-    if args.ncv is not None:
-        updates["n_cv"] = args.ncv
-    if args.t_end is not None:
-        updates["t_end"] = args.t_end
     return replace(scenario, **updates) if updates else scenario
 
 
@@ -556,7 +559,9 @@ def main(argv=None) -> int:
 
     run_p = sub.add_parser("run", help="run one scenario (builtin name or config path)")
     run_p.add_argument("scenario")
-    conv_p = sub.add_parser("convergence", help="refinement study for a smooth scenario")
+    # No abbreviated flags: --nsv would be read as --nsv-list.
+    conv_p = sub.add_parser("convergence", allow_abbrev=False,
+                            help="refinement study for a smooth scenario")
     conv_p.add_argument("scenario")
     conv_p.add_argument(
         "--nsv-list",
@@ -565,14 +570,14 @@ def main(argv=None) -> int:
     )
     sub.add_parser("list", help="list builtin scenarios")
 
+    run_p.add_argument("--nsv", type=int, default=None)
+    run_p.add_argument("--ref-cells", type=int, default=0)
     for p in (run_p, conv_p):
         p.add_argument("--no-stabilization", action="store_true")
         p.add_argument("--cfl", type=float, default=None)
-        p.add_argument("--nsv", type=int, default=None)
         p.add_argument("--ncv", type=int, default=None)
         p.add_argument("--t-end", type=float, default=None)
         p.add_argument("--out-dir", default=None)
-        p.add_argument("--ref-cells", type=int, default=0)
 
     args = parser.parse_args(argv)
     if args.command == "list":
@@ -580,14 +585,16 @@ def main(argv=None) -> int:
             print(name)
         return 0
 
-    scenario = _apply_overrides(_resolve_scenario(args.scenario), args)
+    name = args.scenario
     try:
+        scenario = _apply_overrides(_resolve_scenario(args.scenario), args)
+        name = scenario.name
         if args.command == "run":
             outputs = run_scenario(scenario, _out_dir(args), ref_cells=args.ref_cells)
         else:
             results, path = run_convergence(scenario, _nsv_list(args.nsv_list), _out_dir(args))
     except ScenarioError as exc:
-        print(f"error kind=bad-config scenario={scenario.name} {exc}", file=sys.stderr)
+        print(f"error kind=bad-config scenario={name} {exc}", file=sys.stderr)
         return 2
     if args.command == "run":
         for kind, path in outputs.items():

@@ -82,18 +82,9 @@ class SpectralGrid:
     cv_edges: np.ndarray = field(repr=False)  # (N, k+1) physical coordinates
     cv_widths: np.ndarray = field(repr=False)  # (k,) physical, same in every SV
 
-    @property
-    def sv_edges(self) -> np.ndarray:
-        """SV boundary coordinates, shape (N+1,)."""
-        return np.concatenate([self.cv_edges[:, 0], [self.b]])
-
     def cv_centers(self) -> np.ndarray:
         """Midpoints of every control volume, shape (N, k)."""
         return 0.5 * (self.cv_edges[:, :-1] + self.cv_edges[:, 1:])
-
-    def to_reference(self, i: int, x) -> np.ndarray:
-        """Map physical coordinates in SV i back onto [-1, 1]."""
-        return 2.0 * (np.asarray(x) - self.sv_centers[i]) / self.sv_width
 
 
 def build_grid(a: float, b: float, num_sv: int, num_cv: int) -> SpectralGrid:

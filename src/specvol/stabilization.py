@@ -7,8 +7,8 @@ v_i = H u_i added to the time derivative. Three parts are summed:
   flux balance F*_{i-1/2} - F*_{i+1/2};
 * lambda_ER_l / lambda_ER_r realize the interface dissipation estimates
   sigma, split between the two SVs adjoining each interface;
-* the total is clamped at lambda_max = 1 / (dt * max|H_jj|) so the implied
-  filter I + dt*lambda*H stays positive.
+* the total is clamped at lambda_max = 1 / (dt * max|H_jj|), derived and not
+  a setting, so the implied filter I + dt*lambda*H stays positive.
 
 All inner products are discrete: <f, g>_S = sum_j h_j f_j . g_j evaluated on
 cell averages, whose entropies and entropy gradients the caller passes in.
@@ -117,7 +117,6 @@ def compute_correction(
     gen: FilterGenerator,
     periodic: bool,
     dissipation_scale: np.ndarray,
-    lambda_max=None,
     sigma_fallbacks: int = 0,
 ) -> CorrectionReport:
     """Assemble all per-SV correction sizes for one Euler stage.
@@ -180,10 +179,7 @@ def compute_correction(
     parts = np.divide(num, den, out=np.zeros((3, n_sv)), where=usable)
     np.maximum(0.0, parts[1:], out=parts[1:])
 
-    if lambda_max is None:
-        limit = np.inf if gen.max_diag == 0.0 else 1.0 / (dt * gen.max_diag)
-    else:
-        limit = float(lambda_max)
+    limit = np.inf if gen.max_diag == 0.0 else 1.0 / (dt * gen.max_diag)
     # A part demanding more than the positivity limit cannot realize its
     # target dissipation: the direction is too weak for the requested rate.
     # Saturating it would flatten the SV's internal structure every step, so
@@ -196,7 +192,7 @@ def compute_correction(
     # budget slack offsets the entropy-rate demands, so interfaces whose
     # dissipation already happens inside the scheme are not dissipated twice.
     # The sum is then clamped at the positivity limit, lambda_max =
-    # 1 / (dt * max|H_jj|) unless ``lambda_max`` overrides it.
+    # 1 / (dt * max|H_jj|), which the scheme derives (infinite for k = 1).
     lam_sum = parts[0] + parts[1]
     lam_sum += parts[2]
     np.maximum(0.0, lam_sum, out=lam_sum)

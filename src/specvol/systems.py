@@ -33,7 +33,6 @@ __all__ = [
     "burgers_system",
     "euler_system",
     "primitive_to_conserved",
-    "conserved_to_primitive",
 ]
 
 
@@ -91,10 +90,13 @@ class ConservationSystem:
         its method's value bitwise. ``out``, when given, is a float array
         shaped like u[:n] that receives the flux of u[:n]; the ``flux`` and
         ``trace_flux`` terms are then views of it. Systems whose terms share
-        work override this.
+        work override this whole pass; no hook replaces a single term.
         """
         u = np.asarray(u, dtype=float)
-        flux = self._flux_into(u[:n], out)
+        flux = self.flux_raw(u[:n])
+        if out is not None:
+            out[...] = flux
+            flux = out
         head, rest = u[skip:n], u[skip:]
         return StageTerms(
             flux[skip:],
@@ -105,17 +107,6 @@ class ConservationSystem:
             flux[:skip],
             self.admissible(u[:skip]),
         )
-
-    def _flux_into(self, u, out):
-        """``flux_raw(u)``, written into ``out`` when it is given, bitwise equal.
-
-        Systems that can write their flux in place override this.
-        """
-        flux = self.flux_raw(u)
-        if out is None:
-            return flux
-        out[...] = flux
-        return out
 
     def admissible(self, u: np.ndarray) -> np.ndarray:
         """Boolean mask over the leading axes; True where u is admissible.
@@ -203,13 +194,6 @@ class Burgers(ConservationSystem):
     def entropy_gradient_raw(self, u):
         return np.asarray(u, dtype=float).copy()
 
-    def _flux_into(self, u, out):
-        # (0.5 * u) * u, flux_raw's operations in its order, with no
-        # temporary beside the result.
-        flux = np.multiply(u, 0.5, out=out)
-        flux *= u
-        return flux
-
 
 class Euler(ConservationSystem):
     """1D Euler equations for an ideal gas, state u = (rho, rho*v, E).
@@ -284,9 +268,9 @@ class Euler(ConservationSystem):
 
     def admissible(self, u):
         u = np.asarray(u, dtype=float)
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"):  # inf - inf in the mask too
             rho, _, p = self._primitives(u)
-        return self._mask(u, rho, p)
+            return self._mask(u, rho, p)
 
     def _admissible_entropy(self, u):
         u = np.asarray(u, dtype=float)
@@ -356,16 +340,3 @@ def primitive_to_conserved(rho, v, p, gamma: float = 1.4) -> np.ndarray:
         raise InadmissibleStateError("primitive state needs rho > 0 and p > 0")
     energy = p / (gamma - 1.0) + 0.5 * rho * v**2
     return np.stack(np.broadcast_arrays(rho, rho * v, energy), axis=-1)
-
-
-def conserved_to_primitive(u, gamma: float = 1.4):
-    """(rho, rho*v, E) -> (rho, v, p); raises on inadmissible input."""
-    u = np.asarray(u, dtype=float)
-    rho, mom, energy = u[..., 0], u[..., 1], u[..., 2]
-    if np.any(rho <= 0.0):
-        raise InadmissibleStateError("nonpositive density")
-    v = mom / rho
-    p = (gamma - 1.0) * (energy - 0.5 * rho * v**2)
-    if np.any(p <= 0.0):
-        raise InadmissibleStateError("nonpositive pressure")
-    return rho, v, p

@@ -1,7 +1,7 @@
 """Semidiscrete right-hand side, adapted Euler step and SSP-RK3 driver.
 
-One Euler stage of the stabilized scheme makes three passes of the system
-over its states:
+One Euler stage of the stabilized scheme, all of it in ``euler_adapted``,
+makes three passes of the system over its states:
 
 1. ``system.stage_terms`` over one rows array that holds the boundary
    traces, the stacked left and right interface states, shape (2, N+1, m),
@@ -55,9 +55,9 @@ step is fixed from the CFL condition at t = 0; a trailing shortened stage
 lands exactly on t_end.
 
 The system methods check nothing. States are checked where they enter or
-leave a stage: ``init_field``'s averages, the state ``select_dt`` (and so
-``integrate``) is given, each stage's boundary traces and each stage's new
-averages.
+leave a stage: ``init_field``'s averages (NaN and inf included), the state
+``select_dt`` (and so ``integrate``) is given, each stage's boundary traces
+and each stage's new averages.
 """
 
 import math
@@ -119,7 +119,6 @@ class SolverConfig:
     cfl: float = 0.1
     bc: object = PeriodicBC()
     stabilization_enabled: bool = True
-    lambda_max: float | None = None
     diagnostics_every: int = 0  # sample the L2 norm every n steps; 0 = off
 
     def __post_init__(self):
@@ -127,9 +126,7 @@ class SolverConfig:
             raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
         if not 0.0 < self.t_end < math.inf:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
-        lam, every = self.lambda_max, self.diagnostics_every
-        if lam is not None and not (isinstance(lam, numbers.Real) and lam >= 0.0):
-            raise ValueError(f"lambda_max must be None or a number >= 0, got {lam!r}")
+        every = self.diagnostics_every
         if not (isinstance(every, numbers.Integral) and every >= 0):
             raise ValueError(f"diagnostics_every must be an integer >= 0, got {every!r}")
 
@@ -230,8 +227,6 @@ def init_field(
             acc[cvs] += (half * weight)[:, None] * vals
     acc /= (edges[:, 1:] - edges[:, :-1]).reshape(-1, 1)
     data = acc.reshape(grid.num_sv, grid.num_cv, system.m)
-    if not np.all(np.isfinite(data)):
-        raise ValueError("initial-condition quadrature produced non-finite averages")
     system.check_admissible(data, "initial cell average")
     return CellAverageField(data=data, time=0.0, grid=grid, system=system)
 
@@ -278,12 +273,32 @@ class _StagePlan:
             self.rates = np.empty((2, n_sv, k, m))
 
 
-def _stage(state, dt, op, gen, config, plan):
-    """One Euler stage from ``state``; returns (new averages, report).
+def _plan_for(state, config):
+    return _StagePlan(state.grid, state.system, config.bc, config.stabilization_enabled)
 
-    The new averages are written into the plan's stage array that is not
-    ``state.data``; the report's arrays are freshly allocated.
+
+def euler_adapted(
+    state: CellAverageField,
+    dt: float,
+    op: ReconstructionOperator,
+    gen: FilterGenerator,
+    config: SolverConfig,
+    *,
+    plan=None,
+):
+    """One (possibly corrected) Euler stage; returns (new_field, report).
+
+    With stabilization disabled the entropy machinery is skipped entirely and
+    the report is None. With a run's stage ``plan`` the new averages go into
+    its stage array that is not ``state.data``; without one the new field
+    owns its data. The report's arrays are always fresh.
     """
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if plan is None:
+        plan = _plan_for(state, config)
+    elif config.stabilization_enabled and plan.rates is None:
+        raise ValueError("a stabilized stage needs a plan built with stabilization")
     u, system = state.data, state.system
     n_sv, k, m = u.shape
     out = plan.stages[1] if u is plan.stages[0] else plan.stages[0]
@@ -334,7 +349,6 @@ def _stage(state, dt, op, gen, config, plan):
             gen,
             plan.periodic,
             dissipation_scale=terms.d_llf,
-            lambda_max=config.lambda_max,
             sigma_fallbacks=terms.sigma_fallbacks,
         )
         # The product lambda_i v_i goes into ``out``, which is free until
@@ -352,36 +366,8 @@ def _stage(state, dt, op, gen, config, plan):
             cv=j,
             time=state.time + dt,
         )
-    return new, report
-
-
-def _plan_for(state, config):
-    return _StagePlan(state.grid, state.system, config.bc, config.stabilization_enabled)
-
-
-def euler_adapted(
-    state: CellAverageField,
-    dt: float,
-    op: ReconstructionOperator,
-    gen: FilterGenerator,
-    config: SolverConfig,
-    *,
-    plan=None,
-):
-    """One (possibly corrected) Euler stage; returns (new_field, report).
-
-    With stabilization disabled the entropy machinery is skipped entirely and
-    the report is None. ``plan`` is a run's stage plan (see the module
-    docstring); without one the new field owns its data.
-    """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if plan is None:
-        plan = _plan_for(state, config)
-    elif config.stabilization_enabled and plan.rates is None:
-        raise ValueError("a stabilized stage needs a plan built with stabilization")
-    new, report = _stage(state, dt, op, gen, config, plan)
     return state.with_data(new, time=state.time + dt), report
+
 
 def ssp_rk3_step(
     state: CellAverageField,

@@ -88,7 +88,7 @@ class TestRunScenario:
         system = tiny_rect.build_system()
         grid = build_grid(tiny_rect.a, tiny_rect.b, tiny_rect.n_sv, tiny_rect.n_cv)
         u0, breaks = tiny_rect.initial_condition()
-        state = init_field(u0, grid, system, tiny_rect.quad_order, breaks)
+        state = init_field(u0, grid, system, breakpoints=breaks)
         config = SolverConfig(
             t_end=tiny_rect.t_end,
             cfl=tiny_rect.cfl,
@@ -188,6 +188,14 @@ class TestMain:
         cfg.write_text(tiny_rect.to_config_text())
         assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 0
         assert os.path.exists(tmp_path / "tiny-rect_solution.csv")
+
+    def test_directory_named_like_a_builtin_is_not_a_config(self, tmp_path, monkeypatch):
+        # A run's own output directory, say, in the working directory.
+        (tmp_path / "advect-rect").mkdir()
+        monkeypatch.chdir(tmp_path)
+        code = main(["run", "advect-rect", "--nsv", "6", "--t-end", "0.02", "--out-dir", "out"])
+        assert code == 0
+        assert os.path.exists(tmp_path / "out" / "advect-rect_solution.csv")
 
     def test_no_stabilization_flag_changes_output(self, tmp_path, tiny_rect):
         cfg = tmp_path / "s.cfg"
@@ -399,6 +407,37 @@ class TestBadConfig:
         assert len(err) == 1 and err[0].startswith(f"error kind=bad-config scenario={name} ")
         assert calls == []
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (("n_sv = 60", "n_sv = x"), "'n_sv'"),
+            (("system = advection\n", ""), "'system'"),
+            (("[scenario]", "[other]"), "[scenario]"),
+            (("\ncfl", "\nquad_order = 8\ncfl"), "'quad_order'"),
+        ],
+        ids=["not-an-integer", "no-system-key", "no-section", "unknown-key"],
+    )
+    def test_bad_config_file(self, tmp_path, capsys, calls, edit, named):
+        text = BUILTIN_SCENARIOS["advect-rect"].to_config_text()
+        assert edit[0] in text
+        path = tmp_path / "bad.cfg"
+        path.write_text(text.replace(*edit))
+        out = tmp_path / "out"
+        code = main(["run", str(path), "--out-dir", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error kind=bad-config ")
+        assert str(path) in err[0] and named in err[0]
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--nsv", "12"], ["--ref-cells", "300"]])
+    def test_run_only_flags_rejected_by_convergence(self, tmp_path, calls, flags):
+        with pytest.raises(SystemExit) as info:
+            main(["convergence", "density-bump", "--out-dir", str(tmp_path / "out"), *flags])
+        assert info.value.code == 2
+        assert calls == []
 
     def test_value_error_inside_the_solve_propagates(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

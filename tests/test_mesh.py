@@ -113,7 +113,7 @@ class TestBuildGrid:
     def test_linear_map_round_trip(self):
         grid = build_grid(0.25, 1.75, 9, 5)
         for i in range(grid.num_sv):
-            recovered = grid.to_reference(i, grid.cv_edges[i])
+            recovered = 2.0 * (grid.cv_edges[i] - grid.sv_centers[i]) / grid.sv_width
             np.testing.assert_allclose(recovered, grid.ref_nodes, atol=1e-14)
 
     @pytest.mark.parametrize(

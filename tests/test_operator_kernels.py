@@ -205,7 +205,7 @@ def initial_state(name):
     system = sc.build_system()
     u0, breakpoints = sc.initial_condition()
     grid = build_grid(sc.a, sc.b, sc.n_sv, sc.n_cv)
-    state = init_field(u0, grid, system, sc.quad_order, breakpoints)
+    state = init_field(u0, grid, system, breakpoints=breakpoints)
     bc = PeriodicBC() if sc.bc == "periodic" else FixedBC(left=u0(sc.a), right=u0(sc.b))
     return state, SolverConfig(t_end=sc.t_end, cfl=sc.cfl, bc=bc)
 

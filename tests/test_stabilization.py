@@ -189,14 +189,6 @@ class TestComputeCorrection:
         assert rep.lambda_final[0] == 1.0 / (dt * gen.max_diag)
         assert rep.clamped[0] and rep.dropped_demands == 0
 
-    def test_lambda_max_overrides_the_limit(self):
-        (data, rhs, direction, sigma, f_star, widths, system, gen), d_llf = self.one_sv_demands()
-        rep = correction(
-            data, rhs, direction, sigma, f_star, widths, system, 1e-6, gen, True, d_llf,
-            lambda_max=1.5,
-        )
-        assert rep.lambda_final[0] == 1.5 and rep.clamped[0]
-
     def test_one_cv_per_sv_has_no_limit_and_no_correction(self):
         # k = 1: the generator is zero, so is max|H_jj|, and no SV has a direction.
         widths = build_grid(0.0, 1.0, 5, 1).cv_widths
@@ -319,15 +311,14 @@ def lambda_er(sigma_left, sigma_right, ip_prev, ip_self, ip_next, eps_den):
     return lam_l, lam_r
 
 
-def lambda_final(lambda_sum, dt, gen, lambda_max=None):
-    """Clamp the summed correction at lambda_max = 1 / (dt * max|H_jj|), or the override."""
-    if lambda_max is None:
-        lambda_max = np.inf if gen.max_diag == 0.0 else 1.0 / (dt * gen.max_diag)
+def lambda_final(lambda_sum, dt, gen):
+    """Clamp the summed correction at lambda_max = 1 / (dt * max|H_jj|)."""
+    lambda_max = np.inf if gen.max_diag == 0.0 else 1.0 / (dt * gen.max_diag)
     return np.minimum(lambda_max, lambda_sum)
 
 
 def composed_correction(averages, rhs, direction, sigma, f_star, widths, system, dt, gen,
-                        periodic, d_llf, lambda_max):
+                        periodic, d_llf):
     """compute_correction spelled out part by part, with np.roll for the neighbours."""
     grad = system.entropy_gradient_raw(averages)
     production = np.einsum("ijc,ijc,j->i", grad, rhs, widths)
@@ -350,16 +341,13 @@ def composed_correction(averages, rhs, direction, sigma, f_star, widths, system,
         ip_prev = np.concatenate([[0.0], direction_ip[:-1]])
         ip_next = np.concatenate([direction_ip[1:], [0.0]])
     lam_l, lam_r = lambda_er(sigma_used[:-1], sigma_used[1:], ip_prev, direction_ip, ip_next, eps_den)
-    if lambda_max is None:
-        limit = np.inf if gen.max_diag == 0.0 else 1.0 / (dt * gen.max_diag)
-    else:
-        limit = lambda_max
+    limit = np.inf if gen.max_diag == 0.0 else 1.0 / (dt * gen.max_diag)
     over = [part > limit for part in (ed_term, lam_l, lam_r)]
     ed_term, lam_l, lam_r = (
         np.where(o, 0.0, part) for o, part in zip(over, (ed_term, lam_l, lam_r))
     )
     lam_sum = np.maximum(0.0, ed_term + lam_l + lam_r)
-    lam = lambda_final(lam_sum, dt, gen, lambda_max)
+    lam = lambda_final(lam_sum, dt, gen)
     return SimpleNamespace(
         lambda_ed=np.maximum(0.0, ed_term),
         lambda_er_l=lam_l,
@@ -401,21 +389,26 @@ class TestComputeCorrectionComposition:
 
     @pytest.mark.parametrize("kind", ["burgers", "euler"])
     @pytest.mark.parametrize("periodic", [True, False])
-    @pytest.mark.parametrize("dt, lambda_max", [(0.01, None), (10.0, None), (0.01, 1e-3)])
-    def test_matches_composition(self, kind, periodic, dt, lambda_max):
+    # The third case takes its dt from the positivity limit instead,
+    # dt = 1 / (1e-3 max|H_jj|), a limit below many demands; its listed dt
+    # only keeps the case's id.
+    @pytest.mark.parametrize("dt, limit", [(0.01, None), (10.0, None), (0.01, 1e-3)])
+    def test_matches_composition(self, kind, periodic, dt, limit):
         dropped = 0
         for seed in range(6):
             data, rhs, direction, sigma, f_star, widths, system, gen, d_llf = self.inputs(kind, seed)
+            if limit is not None:
+                dt = 1.0 / (limit * gen.max_diag)
             args = (data, rhs, direction, sigma, f_star, widths, system, dt, gen, periodic)
-            got = correction(*args, d_llf, lambda_max, sigma_fallbacks=4)
-            want = composed_correction(*args, d_llf, lambda_max)
+            got = correction(*args, d_llf, sigma_fallbacks=4)
+            want = composed_correction(*args, d_llf)
             for name in REPORT_ATTRIBUTES:
                 a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
                 assert a.shape == b.shape and a.dtype == b.dtype, name
                 assert a.tobytes() == b.tobytes(), name
             dropped += got.dropped_demands
             assert got.den_fallbacks >= 1
-        if dt == 10.0 or lambda_max is not None:
+        if dt == 10.0 or limit is not None:
             assert dropped > 0  # the positivity limit dropped some demands
 
     def test_nonpositive_dt_rejected(self):

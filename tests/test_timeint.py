@@ -82,6 +82,24 @@ class TestInitField:
         state = init_field(lambda x: np.sin(np.pi * x), grid, burgers_system(), 8)
         assert state.total_mass()[0] == pytest.approx(0.0, abs=1e-13)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "system", [advection_system(1.0), burgers_system(), euler_system(1.4)],
+        ids=["advection", "burgers", "euler"],
+    )
+    def test_nonfinite_average_names_its_cv(self, system, bad):
+        grid = build_grid(0.0, 1.0, 5, 4)
+        lo, hi = grid.cv_edges[2, 1], grid.cv_edges[2, 2]
+        good = np.array([1.0, 0.0, 2.5])[: system.m]
+
+        def u0(x):
+            inside = (lo <= x) & (x < hi)
+            return np.where(inside[:, None], bad, good)
+
+        with pytest.raises(InadmissibleStateError) as info:
+            init_field(u0, grid, system)
+        assert info.value.where == (2, 1)
+
 
 def per_point_averages(u0, grid, m, quad_order=8, breakpoints=()):
     """The CV x segment x node loop that ``init_field`` vectorizes."""
@@ -124,8 +142,8 @@ class TestBatchedInitField:
         grid = build_grid(scen.a, scen.b, scen.n_sv, scen.n_cv)
         system = scen.build_system()
         u0, breaks = scen.initial_condition()
-        state = init_field(u0, grid, system, scen.quad_order, breaks)
-        ref = per_point_averages(u0, grid, system.m, scen.quad_order, breaks)
+        state = init_field(u0, grid, system, breakpoints=breaks)
+        ref = per_point_averages(u0, grid, system.m, breakpoints=breaks)
         assert np.array_equal(state.data, ref)
 
     def test_straddling_breakpoints_match_per_point(self):
@@ -211,8 +229,7 @@ class TestBaseRhs:
 class TestSolverConfig:
     @pytest.mark.parametrize(
         "field, bad",
-        [("lambda_max", -1.0), ("lambda_max", math.nan), ("lambda_max", "1"),
-         ("t_end", math.inf), ("t_end", math.nan), ("t_end", 0.0),
+        [("t_end", math.inf), ("t_end", math.nan), ("t_end", 0.0),
          ("diagnostics_every", -3), ("diagnostics_every", 2.5)],
     )
     def test_bad_value_rejected(self, field, bad):
@@ -221,8 +238,6 @@ class TestSolverConfig:
             SolverConfig(**kwargs)
 
     def test_good_values_accepted(self):
-        for lambda_max in (None, 0.0, 1.5, np.float64(2.0), math.inf):
-            SolverConfig(t_end=1.0, lambda_max=lambda_max)
         for every in (0, 7, np.int64(3)):
             SolverConfig(t_end=1.0, diagnostics_every=every)
         for sc in BUILTIN_SCENARIOS.values():
@@ -243,7 +258,7 @@ class TestSystemPassesPerStage:
         sc = BUILTIN_SCENARIOS["density-bump"]
         u0, breakpoints = sc.initial_condition()
         grid = build_grid(sc.a, sc.b, 16, sc.n_cv)
-        state = init_field(u0, grid, sc.build_system(), sc.quad_order, breakpoints)
+        state = init_field(u0, grid, sc.build_system(), breakpoints=breakpoints)
         config = SolverConfig(t_end=1.0, cfl=sc.cfl, stabilization_enabled=stab)
         op, gen = build_reconstruction(grid), build_generator(grid.cv_widths)
         dt = select_dt(grid, state, state.system, config.cfl)
@@ -356,7 +371,7 @@ def reference_stage(state, dt, op, gen, config):
     report = compute_correction(
         system.entropy_raw(state.data), system.entropy_gradient_raw(state.data),
         np.stack([rhs, direction]), sigma, f_star, widths, dt, gen,
-        isinstance(config.bc, PeriodicBC), d_llf, config.lambda_max, fallbacks,
+        isinstance(config.bc, PeriodicBC), d_llf, fallbacks,
     )
     return state.data + dt * (rhs + report.lambda_final[:, None, None] * direction), report
 
@@ -367,7 +382,7 @@ def scenario_state(name, t_end, n_sv=None):
     system = sc.build_system()
     u0, breakpoints = sc.initial_condition()
     grid = build_grid(sc.a, sc.b, n_sv or sc.n_sv, sc.n_cv)
-    state = init_field(u0, grid, system, sc.quad_order, breakpoints)
+    state = init_field(u0, grid, system, breakpoints=breakpoints)
     bc = PeriodicBC() if sc.bc == "periodic" else FixedBC(left=u0(sc.a), right=u0(sc.b))
     config = SolverConfig(t_end=t_end, cfl=sc.cfl, bc=bc)
     state, _ = integrate(state, config)
@@ -998,7 +1013,7 @@ class TestStageInvariants:
         # plan: the terms come from the arguments of the real correction.
         scen = dataclasses.replace(BUILTIN_SCENARIOS[name], n_sv=n_sv)
         system, grid, u0, breaks, config = cli._setup(scen)
-        state = init_field(u0, grid, system, scen.quad_order, breaks)
+        state = init_field(u0, grid, system, breakpoints=breaks)
         op, gen = build_reconstruction(grid), build_generator(grid.cv_widths)
         dt = select_dt(grid, state, system, scen.cfl)
         plan = timeint._StagePlan(grid, system, config.bc)

@@ -43,7 +43,7 @@ def time_case(name: str, n_sv: int, stab: bool, repeat: int) -> float:
     sc = BUILTIN_SCENARIOS[name]
     u0, breakpoints = sc.initial_condition()
     grid = build_grid(sc.a, sc.b, n_sv, sc.n_cv)
-    state = timeint.init_field(u0, grid, sc.build_system(), sc.quad_order, breakpoints)
+    state = timeint.init_field(u0, grid, sc.build_system(), breakpoints=breakpoints)
     if sc.bc == "periodic":
         bc = PeriodicBC()
     else:
