@@ -74,8 +74,13 @@ class ScenarioError(ValueError):
 
     A bad system, initial or boundary condition, grid, solver setting or
     reference size, or a convergence study of a scenario without an exact
-    solution.
+    solution has ``kind`` "bad-config"; a name that is neither a builtin
+    nor a config file has ``kind`` "unknown-scenario".
     """
+
+    def __init__(self, message, kind="bad-config"):
+        super().__init__(message)
+        self.kind = kind
 
 
 @dataclass(frozen=True)
@@ -126,23 +131,10 @@ class Scenario:
         return table[self.initial]
 
     def to_config_text(self) -> str:
+        """The INI text ``load_scenario`` reads back into this scenario, every field once."""
+        text = {str: str, int: str, float: lambda v: _FMT % v, bool: lambda v: str(v).lower()}
         cp = configparser.ConfigParser()
-        cp["scenario"] = {
-            "name": self.name,
-            "system": self.system,
-            "initial": self.initial,
-            "a": _FMT % self.a,
-            "b": _FMT % self.b,
-            "n_sv": str(self.n_sv),
-            "n_cv": str(self.n_cv),
-            "bc": self.bc,
-            "t_end": _FMT % self.t_end,
-            "cfl": _FMT % self.cfl,
-            "stabilization": str(self.stabilization).lower(),
-            "velocity": _FMT % self.velocity,
-            "gamma": _FMT % self.gamma,
-            "diagnostics_every": str(self.diagnostics_every),
-        }
+        cp["scenario"] = {f.name: text[f.type](getattr(self, f.name)) for f in fields(Scenario)}
         buf = io.StringIO()
         cp.write(buf)
         return buf.getvalue()
@@ -514,9 +506,8 @@ def _resolve_scenario(token: str) -> Scenario:
         return load_scenario(token)
     if token in BUILTIN_SCENARIOS:
         return BUILTIN_SCENARIOS[token]
-    raise SystemExit(
-        f"error kind=unknown-scenario name={token!r}; "
-        f"builtins: {', '.join(list_scenarios())}"
+    raise ScenarioError(
+        f"name={token!r}; builtins: {', '.join(list_scenarios())}", kind="unknown-scenario"
     )
 
 
@@ -594,7 +585,8 @@ def main(argv=None) -> int:
         else:
             results, path = run_convergence(scenario, _nsv_list(args.nsv_list), _out_dir(args))
     except ScenarioError as exc:
-        print(f"error kind=bad-config scenario={name} {exc}", file=sys.stderr)
+        subject = "" if exc.kind == "unknown-scenario" else f"scenario={name} "
+        print(f"error kind={exc.kind} {subject}{exc}", file=sys.stderr)
         return 2
     if args.command == "run":
         for kind, path in outputs.items():

@@ -24,4 +24,4 @@ class StepFailureError(RuntimeError):
 
 
 class DegenerateSpeedError(ValueError):
-    """Global signal speed is zero for a system that needs a CFL constraint."""
+    """Global signal speed too small (zero or subnormal) for a finite CFL time step."""

@@ -5,17 +5,16 @@ classical (global) Lax-Friedrichs flux on a fine uniform grid, the same
 yardstick the shock-tube comparisons use. Smooth and self-similar cases have
 closed-form solutions instead.
 
-The Lax-Friedrichs loop keeps its state inside one ghost-padded (n+2, m)
-array and writes each step's interface fluxes, jumps and updates into three
-buffers allocated once per call, so a step allocates only what the system's
-flux and signal speed methods return.
+The Lax-Friedrichs loop keeps its state in one (n+2, m) array whose two
+ghost cells the boundary condition's ``ghosts`` rule fills every step, and
+each step's interface fluxes, jumps and updates in three buffers allocated
+once per call, so a step allocates only what the system's methods return.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .riemann import PeriodicBC
 from .systems import ConservationSystem
 from .timeint import CellAverageField, _evaluate
 
@@ -78,10 +77,6 @@ def lax_friedrichs_solver(
     u[...] = _evaluate(u0, centers, m)
     system.check_admissible(u, "reference initial data")
 
-    periodic = isinstance(bc, PeriodicBC)
-    if not periodic:
-        ghost_l = np.asarray(bc.left, dtype=float)
-        ghost_r = np.asarray(bc.right, dtype=float)
     flux = np.empty((n_cells + 1, m))
     jump = np.empty((n_cells + 1, m))
     du = np.empty((n_cells, m))
@@ -94,12 +89,7 @@ def lax_friedrichs_solver(
         if c_now <= 0.0:
             break  # nothing propagates; the field is already final
         dt = min(cfl * dx / c_now, t_end - t)
-        if periodic:
-            ext[0] = u[-1]
-            ext[-1] = u[0]
-        else:
-            ext[0] = ghost_l
-            ext[-1] = ghost_r
+        ext[0], ext[-1] = bc.ghosts(u[0], u[-1])
         f = system.flux_raw(ext)
         lam = dx / (2.0 * dt)
         # flux = 0.5 (f_l + f_r) - lam (u_r - u_l), u += (dt/dx)(flux_l - flux_r):

@@ -12,9 +12,11 @@ caller: one ``stage_terms`` pass that the stage shares with its boundary
 traces and its cell averages.
 
 Interface arrays are indexed s = 0..N where interface s is the left boundary
-of SV s and interface N is the right end of the domain. Under periodic
-boundary conditions interfaces 0 and N are the same physical interface and
-carry identical values.
+of SV s and interface N is the right end of the domain. ``interface_states``
+builds the two sides of every interface, for the stage and the tests alike;
+at the domain's ends the boundary condition's ``ghosts`` rule gives the
+missing side. Under periodic boundary conditions interfaces 0 and N are the
+same physical interface and carry identical values.
 """
 
 from dataclasses import dataclass
@@ -35,7 +37,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PeriodicBC:
-    kind: str = "periodic"
+    periodic = True
+
+    def ghosts(self, first, last):
+        """The states just beyond the left and right ends: the domain wraps around."""
+        return last, first
 
 
 @dataclass(frozen=True)
@@ -44,7 +50,11 @@ class FixedBC:
 
     left: np.ndarray
     right: np.ndarray
-    kind: str = "fixed"
+    periodic = False
+
+    def ghosts(self, first, last):
+        """The states just beyond the left and right ends: the frozen ones."""
+        return self.left, self.right
 
 
 class InterfaceTerms(NamedTuple):
@@ -134,25 +144,17 @@ def interface_terms(
     return InterfaceTerms(flux, c_max, sigma, fallbacks, f_star, d_llf)
 
 
-def interface_states(traces: np.ndarray, bc):
-    """One-sided states at the N+1 SV interfaces of (N, k+1, m) traces.
+def interface_states(first, last, bc, out=None):
+    """(u_left, u_right) at the N+1 SV interfaces, each (N+1, m).
 
-    Returns (u_left, u_right), each shaped (N+1, m). Periodic runs wrap the
-    domain ends onto the same interface; fixed runs pair the end traces with
-    the frozen ghost states.
+    ``first`` and ``last`` are each SV's first and last trace, shaped (N, m);
+    ``bc.ghosts`` gives the sides beyond the domain's ends. The states go
+    into the (2, N+1, m) array ``out`` when given, else into a new one.
     """
-    n_sv = traces.shape[0]
-    m = traces.shape[2]
-    u_left = np.empty((n_sv + 1, m))
-    u_right = np.empty((n_sv + 1, m))
-    u_left[1:] = traces[:, -1]
-    u_right[:-1] = traces[:, 0]
-    if isinstance(bc, PeriodicBC):
-        u_left[0] = traces[-1, -1]
-        u_right[-1] = traces[0, 0]
-    elif isinstance(bc, FixedBC):
-        u_left[0] = np.asarray(bc.left, dtype=float)
-        u_right[-1] = np.asarray(bc.right, dtype=float)
-    else:
-        raise ValueError(f"unknown boundary condition {bc!r}")
+    if out is None:
+        out = np.empty((2, first.shape[0] + 1, first.shape[1]))
+    u_left, u_right = out
+    u_left[1:] = last
+    u_right[:-1] = first
+    u_left[0], u_right[-1] = bc.ghosts(first[0], last[-1])
     return u_left, u_right

@@ -112,7 +112,6 @@ def compute_correction(
     rates: np.ndarray,
     sigma: np.ndarray,
     f_star: np.ndarray,
-    cv_widths: np.ndarray,
     dt: float,
     gen: FilterGenerator,
     periodic: bool,
@@ -126,7 +125,8 @@ def compute_correction(
     in one pass with its traces and interface sides. ``rates`` (2, N, k, m)
     holds the time derivative D and the dissipation direction v, so that one
     product gives the entropy production <dU/du, D> and <dU/du, v> of every
-    SV. ``sigma``, ``f_star`` and ``dissipation_scale`` are interface arrays
+    SV, weighted by the CV widths ``gen`` was built from, the grid's own.
+    ``sigma``, ``f_star`` and ``dissipation_scale`` are interface arrays
     (N+1,), indexed like :func:`specvol.riemann.interface_states`, as
     :func:`specvol.riemann.interface_terms` returns them. For non-periodic
     runs the missing-neighbour inner products at the domain ends count as
@@ -145,8 +145,8 @@ def compute_correction(
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    production, direction_ip = np.einsum("ijc,bijc,j->bi", gradient, rates, cv_widths)
-    eps_den = DEN_FLOOR * np.maximum(1.0, np.abs(np.einsum("j,ij->i", cv_widths, entropy)))
+    production, direction_ip = np.einsum("ijc,bijc,j->bi", gradient, rates, gen.cv_widths)
+    eps_den = DEN_FLOOR * np.maximum(1.0, np.abs(np.einsum("j,ij->i", gen.cv_widths, entropy)))
     n_sv = direction_ip.size
 
     if not periodic:

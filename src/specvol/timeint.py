@@ -21,13 +21,15 @@ and the new averages, and ``interface_terms`` computes only the signal speeds
 and the LLF flux.
 
 The traces come in CV-face order from ``reconstruct_faces`` and v = H u from
-one matrix product over all SVs (see ``reconstruction``). The fluxes go into
-a flux array whose first N*k + 1 rows are the CV faces, left to right: face
-i*k + j is boundary j of SV i, so every SV interface has one slot shared by
-its two SVs. The analytical flux of the first N*k traces fills faces[:-1] in
-one contiguous pass (the stabilized stage's system pass writes it there
-directly, followed by the fluxes of the right-end traces and of the sides),
-the interface fluxes then overwrite the SV interfaces faces[::k], and
+one matrix product over all SVs (see ``reconstruction``), and
+``interface_states`` writes the interface sides, ghost states included, from
+each SV's first and last trace. The fluxes go into a flux array whose first
+N*k + 1 rows are the CV faces, left to right: face i*k + j is boundary j of
+SV i, so every SV interface has one slot shared by its two SVs. The
+analytical flux of the first N*k traces fills faces[:-1] in one contiguous
+pass (the stabilized stage's system pass writes it there directly, followed
+by the fluxes of the right-end traces and of the sides), the interface
+fluxes then overwrite the SV interfaces faces[::k], and
 D = (faces[:-1] - faces[1:]) / h is one contiguous pass with the CV widths
 tiled once per run.
 
@@ -35,19 +37,19 @@ A run keeps its arrays in a stage plan that ``integrate`` builds once: the
 rows array, the flux array, the tiled widths and three (N, k, m) arrays, one
 for the RK state and two that the stages write their new averages into, each
 stage into the one that is not its input. The traces and the interface
-sides, with the fixed ghost states written once, are views of the rows
-array; a stabilized stage copies its averages into the rest. Only a
-stabilized plan has the averages' rows and ``rates``, a (2, N, k, m) array
-that holds a stage's D and its filter direction v side by side, so that
-``compute_correction`` takes both inner products of every SV from one
-product. The RK combinations run in place with ``out=``, and the correction
-lambda_i v_i is computed into the stage's output array before it is added
-into D, so a step allocates no array of the field's size beyond what the
-system methods, the interface terms and the correction's per-SV arrays
-return. ``euler_adapted`` and ``ssp_rk3_step`` take the plan as the keyword
-``plan``. Without one they build a fresh plan, so the fields they return own
-their data; with one, those fields live in the plan's arrays until its next
-stage or step. ``integrate`` returns, and attaches to a failure, copies.
+sides, which every stage writes, are views of the rows array; a stabilized
+stage copies its averages into the rest. Only a stabilized plan has the
+averages' rows and ``rates``, a (2, N, k, m) array that holds a stage's D
+and its filter direction v side by side, so that ``compute_correction``
+takes both inner products of every SV from one product. The RK combinations
+run in place with ``out=``, and the correction lambda_i v_i is computed into
+the stage's output array before it is added into D, so a step allocates no
+array of the field's size beyond what the system methods, the interface
+terms and the correction's per-SV arrays return. ``euler_adapted`` and
+``ssp_rk3_step`` take the plan as the keyword ``plan``. Without one they
+build a fresh plan, so the fields they return own their data; with one,
+those fields live in the plan's arrays until its next stage or step.
+``integrate`` returns, and attaches to a failure, copies.
 
 The SSP-RK3 method chains three such stages through convex combinations, so
 conservation and the filter positivity bound survive the full step. The time
@@ -76,9 +78,8 @@ from .reconstruction import (
     reconstruct_all,
     reconstruct_faces,
 )
-# reconstruct_all, interface_states and _sigma_from_parts are not called here;
-# the benchmark's tracer wraps them as attributes of this module, so they stay
-# importable from it.
+# reconstruct_all and _sigma_from_parts are not called here; the benchmark's
+# tracer wraps them as attributes of this module, so they stay importable from it.
 from .riemann import FixedBC, PeriodicBC, _sigma_from_parts, interface_states, interface_terms
 from .stabilization import CorrectionReport, compute_correction, corrected_rhs
 from .systems import ConservationSystem, LinearAdvection
@@ -129,6 +130,8 @@ class SolverConfig:
         every = self.diagnostics_every
         if not (isinstance(every, numbers.Integral) and every >= 0):
             raise ValueError(f"diagnostics_every must be an integer >= 0, got {every!r}")
+        if not isinstance(self.bc, (PeriodicBC, FixedBC)):
+            raise ValueError(f"unknown boundary condition {self.bc!r}")
 
 
 @dataclass
@@ -232,30 +235,23 @@ def init_field(
 
 
 class _StagePlan:
-    """The arrays of one run's stages, for one grid, system and boundary condition.
+    """The arrays of one run's stages, for one grid and system.
 
     The correction's arrays, the averages' rows and ``rates``, exist only
     when ``stabilized`` is True.
     """
 
-    def __init__(self, grid: SpectralGrid, system: ConservationSystem, bc, stabilized=True):
+    def __init__(self, grid: SpectralGrid, system: ConservationSystem, stabilized=True):
         n_sv, k, m = grid.num_sv, grid.num_cv, system.m
-        self.periodic = isinstance(bc, PeriodicBC)
         # The states of one system pass: the traces in CV-face order, the
         # interface sides, side first (0 left, 1 right), and, stabilized,
-        # the averages. A fixed run's ghost states sit in slots no stage
-        # writes.
+        # the averages.
         self.n_traces = n_sv * (k + 1)
         self.n_sides = 2 * (n_sv + 1)
         n_rows = self.n_traces + self.n_sides + (n_sv * k if stabilized else 0)
         self.rows = np.empty((n_rows, m))
         self.traces = self.rows[: self.n_traces]
         self.sides = self.rows[self.n_traces : self.n_traces + self.n_sides].reshape(2, n_sv + 1, m)
-        if isinstance(bc, FixedBC):
-            self.sides[0, 0] = bc.left
-            self.sides[1, -1] = bc.right
-        elif not self.periodic:
-            raise ValueError(f"unknown boundary condition {bc!r}")
         # The CV-face fluxes, and in a stabilized run after them the fluxes
         # of the remaining traces and of the interface sides, as the system
         # pass writes them.
@@ -274,7 +270,7 @@ class _StagePlan:
 
 
 def _plan_for(state, config):
-    return _StagePlan(state.grid, state.system, config.bc, config.stabilization_enabled)
+    return _StagePlan(state.grid, state.system, config.stabilization_enabled)
 
 
 def euler_adapted(
@@ -303,12 +299,7 @@ def euler_adapted(
     n_sv, k, m = u.shape
     out = plan.stages[1] if u is plan.stages[0] else plan.stages[0]
     traces = reconstruct_faces(op, u, out=plan.traces)
-    u_l, u_r = plan.sides
-    u_l[1:] = traces[n_sv * k :]
-    u_r[:-1] = traces[: n_sv * k : k]
-    if plan.periodic:
-        u_l[0] = u_l[-1]
-        u_r[-1] = u_r[0]
+    interface_states(traces[: n_sv * k : k], traces[n_sv * k :], config.bc, out=plan.sides)
 
     faces = plan.faces
     stabilized = config.stabilization_enabled
@@ -344,10 +335,9 @@ def euler_adapted(
             plan.rates,
             terms.sigma,
             terms.f_star,
-            state.grid.cv_widths,
             dt,
             gen,
-            plan.periodic,
+            config.bc.periodic,
             dissipation_scale=terms.d_llf,
             sigma_fallbacks=terms.sigma_fallbacks,
         )
@@ -408,19 +398,20 @@ def select_dt(
     """CFL time step from the smallest CV width and the t = 0 signal speeds.
 
     dt = cfl * min_j h_j / c_global with c_global the largest per-cell signal
-    speed. Advection at velocity zero carries no CFL constraint; any other
-    system with vanishing c_global is degenerate. An inadmissible state
-    raises ``InadmissibleStateError``.
+    speed. Advection at velocity zero carries no CFL constraint; for any
+    other system a c_global that gives no finite dt (zero, or subnormal) is
+    degenerate. An inadmissible state raises ``InadmissibleStateError``.
     """
     system.check_admissible(state.data, "initial state")
     cells = state.data.reshape(-1, system.m)
     c_global = float(np.max(system.max_signal_speed_raw(cells, cells)))
     min_width = float(np.min(grid.cv_widths))
-    if c_global <= 0.0:
-        if isinstance(system, LinearAdvection):
-            return cfl * min_width
-        raise DegenerateSpeedError("global signal speed is zero")
-    return cfl * min_width / c_global
+    if c_global <= 0.0 and isinstance(system, LinearAdvection):
+        return cfl * min_width
+    dt = cfl * min_width / c_global if c_global > 0.0 else math.inf
+    if not math.isfinite(dt):
+        raise DegenerateSpeedError(f"global signal speed {c_global!r} gives no finite time step")
+    return dt
 
 
 def discrete_l2(state: CellAverageField) -> float:

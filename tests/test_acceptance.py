@@ -150,7 +150,7 @@ def test_criterion_5_per_sv_entropy_inequality():
     gen = build_generator(grid.cv_widths)
     widths = grid.cv_widths
     dt = select_dt(grid, state, system, config.cfl)
-    plan = _StagePlan(grid, system, config.bc)
+    plan = _StagePlan(grid, system)
     _, rep = euler_adapted(state, dt, op, gen, config, plan=plan)
     # The stage's D from the CV-face fluxes it left in its plan, and its F*
     # from the interface terms of the interface states it left there.

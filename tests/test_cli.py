@@ -213,9 +213,11 @@ class TestMain:
         assert main(["run", str(cfg)]) == 0
         assert os.path.exists(tmp_path / "envout" / "tiny-rect_solution.csv")
 
-    def test_unknown_scenario_exits_nonzero(self):
-        with pytest.raises(SystemExit):
-            main(["run", "not-a-scenario"])
+    def test_unknown_scenario_exits_nonzero(self, capsys):
+        # 2, the status of every usage error, not 1, that of a failed run.
+        assert main(["run", "not-a-scenario"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error kind=unknown-scenario name='not-a-scenario'; builtins: ")
 
     def test_convergence_command(self, tmp_path, capsys):
         code = main(

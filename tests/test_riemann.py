@@ -220,7 +220,7 @@ class TestAssembleFluxes:
     def stage_fluxes(self, data, system, bc, k=4):
         n_sv = data.shape[0]
         grid = build_grid(0.0, 1.0, n_sv, k)
-        plan = _StagePlan(grid, system, bc)
+        plan = _StagePlan(grid, system)
         state = CellAverageField(data=data, time=0.0, grid=grid, system=system)
         cfg = SolverConfig(t_end=1.0, bc=bc, stabilization_enabled=False)
         euler_adapted(
@@ -275,7 +275,33 @@ class TestAssembleFluxes:
     def test_interface_states_wrap(self):
         data = np.arange(8.0).reshape(2, 4, 1)
         _, traces = self.grid_traces(data)
-        u_l, u_r = interface_states(traces, PeriodicBC())
+        u_l, u_r = interface_states(traces[:, 0], traces[:, -1], PeriodicBC())
         assert u_l.shape == (3, 1)
         np.testing.assert_array_equal(u_l[0], traces[-1, -1])
         np.testing.assert_array_equal(u_r[-1], traces[0, 0])
+
+
+class TestBoundaryConditions:
+    """Each boundary condition's ghost rule, and the one builder of the interface sides."""
+
+    FIXED = FixedBC(left=np.array([-1.0]), right=np.array([2.0]))
+
+    def test_periodic_ghosts_wrap(self):
+        first, last = np.array([3.0]), np.array([4.0])
+        left, right = PeriodicBC().ghosts(first, last)
+        assert left is last and right is first
+
+    def test_fixed_ghosts_are_the_frozen_states(self):
+        left, right = self.FIXED.ghosts(np.array([3.0]), np.array([4.0]))
+        assert left is self.FIXED.left and right is self.FIXED.right
+
+    @pytest.mark.parametrize("bc", [PeriodicBC(), FIXED], ids=["periodic", "fixed"])
+    def test_interface_states_fill_out(self, bc):
+        first = np.arange(3.0).reshape(3, 1)
+        last = first + 10.0
+        buf = np.full((2, 4, 1), np.nan)
+        u_l, u_r = interface_states(first, last, bc, out=buf)
+        assert np.shares_memory(u_l, buf[0]) and np.shares_memory(u_r, buf[1])
+        ghost_l, ghost_r = (last[-1], first[0]) if bc.periodic else (bc.left, bc.right)
+        np.testing.assert_array_equal(buf[0], np.vstack([ghost_l, last]))
+        np.testing.assert_array_equal(buf[1], np.vstack([first, ghost_r]))

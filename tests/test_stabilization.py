@@ -13,12 +13,12 @@ REPORT_ATTRIBUTES = ("lambda_ed", "lambda_er_l", "lambda_er_r", "lambda_sum", "l
                      "clamped", "den_fallbacks", "sigma_fallbacks", "dropped_demands")
 
 
-def correction(averages, rhs, direction, sigma, f_star, widths, system, *args, **kwargs):
+def correction(averages, rhs, direction, sigma, f_star, system, *args, **kwargs):
     """compute_correction with U and dU/du of the cell averages of ``system``."""
     terms = system.stage_terms(averages, len(averages))
     rates = np.stack([rhs, direction])
     return compute_correction(
-        terms.entropy, terms.gradient, rates, sigma, f_star, widths, *args, **kwargs
+        terms.entropy, terms.gradient, rates, sigma, f_star, *args, **kwargs
     )
 
 
@@ -93,7 +93,7 @@ class TestComputeCorrection:
     def test_all_sizes_nonnegative_and_final_clamped(self):
         data, rhs, direction, sigma, f_star, d_llf, widths, system, gen = self.make_inputs()
         rep = correction(
-            data, rhs, direction, sigma, f_star, widths, system, 0.01, gen, True, d_llf
+            data, rhs, direction, sigma, f_star, system, 0.01, gen, True, d_llf
         )
         for arr in (rep.lambda_ed, rep.lambda_er_l, rep.lambda_er_r, rep.lambda_sum, rep.lambda_final):
             assert np.all(arr >= 0.0)
@@ -106,10 +106,10 @@ class TestComputeCorrection:
         a = self.make_inputs(seed=11)
         b = self.make_inputs(seed=11)
         rep_a = correction(
-            a[0], a[1], a[2], a[3], a[4], a[6], a[7], 0.01, a[8], True, a[5]
+            a[0], a[1], a[2], a[3], a[4], a[7], 0.01, a[8], True, a[5]
         )
         rep_b = correction(
-            b[0], b[1], b[2], b[3], b[4], b[6], b[7], 0.01, b[8], True, b[5]
+            b[0], b[1], b[2], b[3], b[4], b[7], 0.01, b[8], True, b[5]
         )
         np.testing.assert_array_equal(rep_a.lambda_final, rep_b.lambda_final)
 
@@ -118,7 +118,7 @@ class TestComputeCorrection:
         # derivative satisfies the per-SV entropy budget
         data, rhs, direction, sigma, f_star, d_llf, widths, system, gen = self.make_inputs(seed=23)
         rep = correction(
-            data, rhs, direction, sigma, f_star, widths, system, 1e-4, gen, True, d_llf
+            data, rhs, direction, sigma, f_star, system, 1e-4, gen, True, d_llf
         )
         grad = system.entropy_gradient_raw(data)
         corrected = rhs + rep.lambda_final[:, None, None] * direction
@@ -133,7 +133,7 @@ class TestComputeCorrection:
         sigma[0] = -50.0
         sigma[-1] = -50.0
         rep = correction(
-            data, rhs, direction, sigma, f_star, widths, system, 0.01, gen, False, d_llf
+            data, rhs, direction, sigma, f_star, system, 0.01, gen, False, d_llf
         )
         # boundary sigma is treated as absent: no entropy-rate part may come
         # from the domain-end interfaces
@@ -144,7 +144,7 @@ class TestComputeCorrection:
         data, rhs, direction, sigma, f_star, d_llf, widths, system, gen = self.make_inputs(seed=7)
         before = sigma.copy()
         correction(
-            data, rhs, direction, sigma, f_star, widths, system, 0.01, gen, False, d_llf
+            data, rhs, direction, sigma, f_star, system, 0.01, gen, False, d_llf
         )
         np.testing.assert_array_equal(sigma, before)
 
@@ -172,16 +172,15 @@ class TestComputeCorrection:
         ip = float(np.einsum("jc,jc,j->", data[0], direction[0], widths))
         assert ip < 0.0
         sigma = np.full(2, 2.0 * ip)
-        args = (data, np.zeros_like(data), direction, sigma, np.zeros(2), widths,
-                burgers_system(), gen)
+        args = (data, np.zeros_like(data), direction, sigma, np.zeros(2), burgers_system(), gen)
         return args, np.full(2, 1e9)
 
     def test_sum_clamps_at_positivity_limit(self):
         # Each demand (1) is below the limit 1 / (dt max|H_jj|) = 1.5, their sum is not.
-        (data, rhs, direction, sigma, f_star, widths, system, gen), d_llf = self.one_sv_demands()
+        (data, rhs, direction, sigma, f_star, system, gen), d_llf = self.one_sv_demands()
         dt = 1.0 / (1.5 * gen.max_diag)
         rep = correction(
-            data, rhs, direction, sigma, f_star, widths, system, dt, gen, True, d_llf
+            data, rhs, direction, sigma, f_star, system, dt, gen, True, d_llf
         )
         assert rep.lambda_er_l[0] == pytest.approx(1.0, rel=1e-14)
         assert rep.lambda_er_r[0] == pytest.approx(1.0, rel=1e-14)
@@ -197,7 +196,7 @@ class TestComputeCorrection:
         data = np.arange(5.0).reshape(5, 1, 1)
         direction = apply_generator(gen, data)
         rep = correction(
-            data, np.ones_like(data), direction, -np.ones(6), np.zeros(6), widths,
+            data, np.ones_like(data), direction, -np.ones(6), np.zeros(6),
             burgers_system(), 0.1, gen, True, np.ones(6),
         )
         assert np.all(rep.lambda_final == 0.0)
@@ -222,10 +221,10 @@ def one_sv(scale_to_ip=None, data=(1.0, 0.0, 0.0, -1.0)):
 
 def correct_one_sv(sv, rhs=None, sigma=(0.0, 0.0), f_star=(0.0, 0.0), dt=1e-6):
     """compute_correction of ``one_sv`` with an uncapping dissipation scale."""
-    data, direction, _, widths, gen = sv
+    data, direction, _, _, gen = sv
     rhs = np.zeros_like(data) if rhs is None else rhs
     return correction(
-        data, rhs, direction, np.array(sigma), np.array(f_star), widths, burgers_system(),
+        data, rhs, direction, np.array(sigma), np.array(f_star), burgers_system(),
         dt, gen, True, np.full(2, 1e9),
     )
 
@@ -317,9 +316,9 @@ def lambda_final(lambda_sum, dt, gen):
     return np.minimum(lambda_max, lambda_sum)
 
 
-def composed_correction(averages, rhs, direction, sigma, f_star, widths, system, dt, gen,
-                        periodic, d_llf):
+def composed_correction(averages, rhs, direction, sigma, f_star, system, dt, gen, periodic, d_llf):
     """compute_correction spelled out part by part, with np.roll for the neighbours."""
+    widths = gen.cv_widths
     grad = system.entropy_gradient_raw(averages)
     production = np.einsum("ijc,ijc,j->i", grad, rhs, widths)
     direction_ip = np.einsum("ijc,ijc,j->i", grad, direction, widths)
@@ -385,7 +384,7 @@ class TestComputeCorrectionComposition:
         sigma = -np.abs(rng.normal(size=n_sv + 1))
         f_star = rng.normal(size=n_sv + 1)
         d_llf = np.abs(rng.normal(size=n_sv + 1)) * rng.choice([1e-3, 10.0], n_sv + 1)
-        return data, rhs, direction, sigma, f_star, widths, system, gen, d_llf
+        return data, rhs, direction, sigma, f_star, system, gen, d_llf
 
     @pytest.mark.parametrize("kind", ["burgers", "euler"])
     @pytest.mark.parametrize("periodic", [True, False])
@@ -396,10 +395,10 @@ class TestComputeCorrectionComposition:
     def test_matches_composition(self, kind, periodic, dt, limit):
         dropped = 0
         for seed in range(6):
-            data, rhs, direction, sigma, f_star, widths, system, gen, d_llf = self.inputs(kind, seed)
+            data, rhs, direction, sigma, f_star, system, gen, d_llf = self.inputs(kind, seed)
             if limit is not None:
                 dt = 1.0 / (limit * gen.max_diag)
-            args = (data, rhs, direction, sigma, f_star, widths, system, dt, gen, periodic)
+            args = (data, rhs, direction, sigma, f_star, system, dt, gen, periodic)
             got = correction(*args, d_llf, sigma_fallbacks=4)
             want = composed_correction(*args, d_llf)
             for name in REPORT_ATTRIBUTES:
@@ -412,8 +411,8 @@ class TestComputeCorrectionComposition:
             assert dropped > 0  # the positivity limit dropped some demands
 
     def test_nonpositive_dt_rejected(self):
-        data, rhs, direction, sigma, f_star, widths, system, gen, d_llf = self.inputs("burgers", 0)
+        data, rhs, direction, sigma, f_star, system, gen, d_llf = self.inputs("burgers", 0)
         with pytest.raises(ValueError):
             correction(
-                data, rhs, direction, sigma, f_star, widths, system, 0.0, gen, True, d_llf
+                data, rhs, direction, sigma, f_star, system, 0.0, gen, True, d_llf
             )

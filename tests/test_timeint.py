@@ -243,6 +243,10 @@ class TestSolverConfig:
         for sc in BUILTIN_SCENARIOS.values():
             SolverConfig(t_end=sc.t_end, cfl=sc.cfl, diagnostics_every=sc.diagnostics_every)
 
+    def test_unknown_boundary_condition_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown boundary condition 'open'"):
+            SolverConfig(t_end=1.0, bc="open")
+
 
 class TestSystemPassesPerStage:
     """A stage computes the primitives of each of its state sets once.
@@ -354,7 +358,7 @@ def reference_stage(state, dt, op, gen, config):
     """One stabilized stage from the formulas above, on (N, k+1, m) traces."""
     system, widths = state.system, state.grid.cv_widths
     traces = reconstruct_all(op, state.data)
-    u_l, u_r = interface_states(traces, config.bc)
+    u_l, u_r = interface_states(traces[:, 0], traces[:, -1], config.bc)
     interface_flux = llf_flux(u_l, u_r, system)
     fluxes = system.flux_raw(traces)
     fluxes[:, 0] = interface_flux[:-1]
@@ -370,8 +374,7 @@ def reference_stage(state, dt, op, gen, config):
     direction = apply_generator(gen, state.data)
     report = compute_correction(
         system.entropy_raw(state.data), system.entropy_gradient_raw(state.data),
-        np.stack([rhs, direction]), sigma, f_star, widths, dt, gen,
-        isinstance(config.bc, PeriodicBC), d_llf, fallbacks,
+        np.stack([rhs, direction]), sigma, f_star, dt, gen, config.bc.periodic, d_llf, fallbacks,
     )
     return state.data + dt * (rhs + report.lambda_final[:, None, None] * direction), report
 
@@ -499,8 +502,21 @@ class TestSelectDt:
         with pytest.raises(DegenerateSpeedError):
             select_dt(grid, state, system, 0.1)
 
+    def test_subnormal_speed_rejected(self):
+        # h / c overflows to inf: a degenerate speed, not a step.
+        grid, system, state, _, _ = setup_burgers(n_sv=5)
+        state = state.with_data(np.full_like(state.data, 2.2e-313))
+        with pytest.raises(DegenerateSpeedError, match="2.2e-313"):
+            select_dt(grid, state, system, 0.1)
+
 
 class TestIntegrate:
+    def test_subnormal_speed_raises_instead_of_stamping_t_end(self):
+        grid, system, state, op, gen = setup_burgers(n_sv=5)
+        state = state.with_data(np.full_like(state.data, 2.2e-313))
+        with pytest.raises(DegenerateSpeedError):
+            integrate(state, SolverConfig(t_end=1.0, bc=PeriodicBC()), op, gen)
+
     def test_lands_exactly_on_t_end(self):
         grid, system, state, op, gen = setup_burgers(n_sv=10)
         cfg = SolverConfig(t_end=0.0371, cfl=0.1, bc=PeriodicBC())
@@ -651,7 +667,7 @@ class TestStagePlan:
 
     def test_stage_with_plan_equals_fresh_stage(self):
         state, config, op, gen = sod_setup()
-        plan = timeint._StagePlan(state.grid, state.system, config.bc)
+        plan = timeint._StagePlan(state.grid, state.system)
         dt = select_dt(state.grid, state, state.system, config.cfl)
         # Twice on one plan, so the second stage starts from used arrays.
         for _ in range(2):
@@ -671,6 +687,17 @@ class TestStagePlan:
         stabilized = dataclasses.replace(config, stabilization_enabled=True)
         with pytest.raises(ValueError, match="built with stabilization"):
             euler_adapted(state, 1e-3, op, gen, stabilized, plan=plan)
+
+    @pytest.mark.parametrize("stab", [True, False])
+    def test_one_interface_states_call_into_the_plan(self, stab):
+        # Called as an attribute of timeint, where the benchmark's tracer wraps it.
+        state, config, op, gen = burgers_setup(6, stab=stab)
+        plan = timeint._plan_for(state, config)
+        with mock.patch.object(timeint, "interface_states",
+                               side_effect=timeint.interface_states) as spy:
+            euler_adapted(state, 1e-3, op, gen, config, plan=plan)
+        (call,) = spy.call_args_list
+        assert call.kwargs["out"] is plan.sides
 
     def test_unknown_boundary_condition_rejected(self):
         state, config, op, gen = burgers_setup(5)
@@ -740,7 +767,7 @@ class TestResultsOwnTheirData:
 
 def step_peak(state, config, op, gen):
     """tracemalloc peak of one SSP-RK3 step on a plan after a warm-up step, in field sizes."""
-    plan = timeint._StagePlan(state.grid, state.system, config.bc)
+    plan = timeint._StagePlan(state.grid, state.system)
     state, _ = ssp_rk3_step(state, 1e-4, op, gen, config, plan=plan)  # warm-up
     tracemalloc.start()
     try:
@@ -1016,7 +1043,7 @@ class TestStageInvariants:
         state = init_field(u0, grid, system, breakpoints=breaks)
         op, gen = build_reconstruction(grid), build_generator(grid.cv_widths)
         dt = select_dt(grid, state, system, scen.cfl)
-        plan = timeint._StagePlan(grid, system, config.bc)
+        plan = timeint._StagePlan(grid, system)
         stages = []
         real = timeint.compute_correction
 

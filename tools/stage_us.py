@@ -6,7 +6,8 @@
 Cases, all at k = 4: the builtin density bump at N = 20, 200, 2000 and 20000
 and the builtin Sod tube at N = 200, each with stabilization on and off.
 Every case runs in a Python process of its own, which imports ``specvol``
-from ``--src``, builds the scenario's t = 0 field, one stage plan and the
+from ``--src``, sets the scenario up as ``specvol run`` does (``cli._setup``),
+builds its t = 0 field, the stage plan ``integrate`` would build and the
 CFL step, and times stages from that field on that plan with ``timeit``.
 A case's figure is the minimum over ``--repeat`` repeats of the mean time
 per stage; each repeat runs the stage often enough to last about 50 ms.
@@ -30,31 +31,17 @@ TARGET_S = 0.05
 def time_case(name: str, n_sv: int, stab: bool, repeat: int) -> float:
     """Minimum mean µs per stage of one case, in this process."""
     import timeit
+    from dataclasses import replace
 
-    import numpy as np
-
-    from specvol import timeint
-    from specvol.cli import BUILTIN_SCENARIOS
+    from specvol import cli, timeint
     from specvol.filters import build_generator
-    from specvol.mesh import build_grid
     from specvol.reconstruction import build_reconstruction
-    from specvol.riemann import FixedBC, PeriodicBC
 
-    sc = BUILTIN_SCENARIOS[name]
-    u0, breakpoints = sc.initial_condition()
-    grid = build_grid(sc.a, sc.b, n_sv, sc.n_cv)
-    state = timeint.init_field(u0, grid, sc.build_system(), breakpoints=breakpoints)
-    if sc.bc == "periodic":
-        bc = PeriodicBC()
-    else:
-        left, right = (np.asarray(u0(x), dtype=float) for x in (sc.a, sc.b))
-        bc = FixedBC(left=left, right=right)
-    config = timeint.SolverConfig(t_end=sc.t_end, cfl=sc.cfl, bc=bc, stabilization_enabled=stab)
+    sc = replace(cli.BUILTIN_SCENARIOS[name], n_sv=n_sv, stabilization=stab)
+    system, grid, u0, breakpoints, config = cli._setup(sc)
+    state = timeint.init_field(u0, grid, system, breakpoints=breakpoints)
     op, gen = build_reconstruction(grid), build_generator(grid.cv_widths)
-    try:
-        plan = timeint._StagePlan(grid, state.system, bc, stab)
-    except TypeError:  # a checkout whose plans are always stabilized
-        plan = timeint._StagePlan(grid, state.system, bc)
+    plan = timeint._plan_for(state, config)
     dt = timeint.select_dt(grid, state, state.system, config.cfl)
     timer = timeit.Timer(lambda: timeint.euler_adapted(state, dt, op, gen, config, plan=plan))
     once = min(timer.repeat(repeat=3, number=1))
