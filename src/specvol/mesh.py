@@ -5,13 +5,18 @@ subdivided into k control volumes (CVs) whose boundaries are Gauss-Lobatto
 points mapped from the reference interval [-1, 1]. The nonuniform subdivision
 clusters CVs toward SV edges, which keeps the reconstruction polynomial from
 oscillating the way it would on equidistant sub-cells.
+
+The reference-element data, the Gauss-Lobatto nodes and the Gauss-Legendre
+quadrature rules, are computed once per process and handed out as read-only
+arrays, so grids with the same k share one ``ref_nodes`` array.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["SpectralGrid", "gauss_lobatto_nodes", "build_grid"]
+__all__ = ["SpectralGrid", "gauss_lobatto_nodes", "gauss_legendre_rule", "build_grid"]
 
 
 def _legendre_and_derivatives(degree: int, x: np.ndarray):
@@ -33,18 +38,26 @@ def _legendre_and_derivatives(degree: int, x: np.ndarray):
     return p1, d1, s1
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+@lru_cache(maxsize=None)
 def gauss_lobatto_nodes(n_nodes: int) -> np.ndarray:
     """Gauss-Lobatto nodes on [-1, 1], ascending.
 
     The nodes are -1, +1 and the roots of the derivative of the Legendre
     polynomial of degree ``n_nodes - 1``. Interior roots are found by Newton
     iteration from a Chebyshev-Gauss-Lobatto initial guess, converged to
-    1e-14, then symmetrized so the set is exactly symmetric about 0.
+    1e-14, then symmetrized so the set is exactly symmetric about 0. They
+    are computed once per process; every call with the same ``n_nodes``
+    returns the same read-only array.
     """
     if n_nodes < 2:
         raise ValueError(f"need at least 2 Gauss-Lobatto nodes, got {n_nodes}")
     if n_nodes == 2:
-        return np.array([-1.0, 1.0])
+        return _read_only(np.array([-1.0, 1.0]))
 
     degree = n_nodes - 1
     # Interior initial guess: Chebyshev-Gauss-Lobatto points.
@@ -59,8 +72,18 @@ def gauss_lobatto_nodes(n_nodes: int) -> np.ndarray:
     nodes[0], nodes[-1] = -1.0, 1.0
     nodes[1:-1] = np.sort(x)
     # Enforce exact symmetry; Newton leaves ~1e-16 asymmetries.
-    nodes = 0.5 * (nodes - nodes[::-1])
-    return nodes
+    return _read_only(0.5 * (nodes - nodes[::-1]))
+
+
+@lru_cache(maxsize=None)
+def gauss_legendre_rule(order: int):
+    """The ``order``-point Gauss-Legendre (nodes, weights) on [-1, 1].
+
+    ``numpy.polynomial.legendre.leggauss``, computed once per process and
+    returned as read-only arrays.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    return _read_only(nodes), _read_only(weights)
 
 
 @dataclass(frozen=True)

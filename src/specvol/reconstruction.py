@@ -4,7 +4,10 @@ Within each spectral volume the k cell averages determine a unique polynomial
 of degree k-1, expressed in the Legendre basis on [-1, 1]. The moment matrix M
 maps Legendre coefficients to cell averages; A evaluates the basis at the k+1
 CV boundaries; C = A @ inv(M) goes straight from averages to boundary traces.
-M is inverted once and reused for every time step.
+M is inverted once and reused for every time step. The operator depends
+only on the reference subdivision, so ``build_reconstruction`` assembles it
+once per process for each subdivision and hands every grid that shares one
+the same operator, with read-only matrices.
 
 Every SV shares the reference subdivision, so applying C (or any other (p, k)
 per-SV operator, such as the filter generator) to all N SVs is one matrix
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import SpectralGrid
+from .mesh import SpectralGrid, _read_only
 
 __all__ = [
     "ReconstructionOperator",
@@ -105,8 +108,18 @@ class ReconstructionOperator:
         return np.einsum("ml,...lc->...mc", self.moments_inv, averages)
 
 
+_OPERATORS = {}  # (ref_nodes bytes, ref_widths bytes) -> ReconstructionOperator
+
+
 def build_reconstruction(grid: SpectralGrid) -> ReconstructionOperator:
-    """Assemble M, inv(M), A and C = A @ inv(M) for the grid's subdivision."""
+    """M, inv(M), A and C = A @ inv(M) for the grid's subdivision.
+
+    Assembled on the first call for a reference subdivision; later grids
+    with the same ``ref_nodes`` and ``ref_widths`` get the same operator.
+    """
+    key = (grid.ref_nodes.tobytes(), grid.ref_widths.tobytes())
+    if key in _OPERATORS:
+        return _OPERATORS[key]
     k = grid.num_cv
     moments = moment_matrix(grid)
     try:
@@ -117,7 +130,10 @@ def build_reconstruction(grid: SpectralGrid) -> ReconstructionOperator:
     for m in range(k):
         evaluation[:, m] = legendre_eval(m, grid.ref_nodes)
     combined = evaluation @ moments_inv
-    return ReconstructionOperator(moments, moments_inv, evaluation, combined)
+    op = _OPERATORS[key] = ReconstructionOperator(
+        *map(_read_only, (moments, moments_inv, evaluation, combined))
+    )
+    return op
 
 
 def _per_sv_product(matrix: np.ndarray, blocks: dict, data: np.ndarray, out=None) -> np.ndarray:
@@ -157,8 +173,8 @@ def reconstruct_faces(op: ReconstructionOperator, data: np.ndarray, out=None) ->
         # With m = 1 the right-end block also yields trace k-1; see below.
         eye = np.eye(m)
         blocks = op._blocks[m] = (
-            np.kron(op.combined[:k].T, eye),
-            np.kron(op.combined[k - (m == 1) :].T, eye),
+            _read_only(np.kron(op.combined[:k].T, eye)),
+            _read_only(np.kron(op.combined[k - (m == 1) :].T, eye)),
         )
     if out is None:
         out = np.empty((n * (k + 1), m))

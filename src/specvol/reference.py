@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .mesh import gauss_legendre_rule
+from .riemann import _check_bc
 from .systems import ConservationSystem
-from .timeint import CellAverageField, _evaluate
+from .timeint import CellAverageField, _evaluate, _quadrature_batches
 
 __all__ = [
     "MIN_CELLS",
@@ -65,9 +67,12 @@ def lax_friedrichs_solver(
     grid of midpoint-sampled cells. The step size follows the CFL condition
     against the current maximum signal speed (shock breakup can raise it
     well above the initial value), with a shortened final step onto t_end.
+    A ``bc`` that is neither a ``PeriodicBC`` nor a ``FixedBC`` raises
+    ``ValueError`` before any work.
     """
     if n_cells < MIN_CELLS:
         raise ValueError(f"need at least {MIN_CELLS} cells, got {n_cells}")
+    _check_bc(bc)
     dx = (b - a) / n_cells
     centers = a + dx * (np.arange(n_cells) + 0.5)
     m = system.m
@@ -147,16 +152,17 @@ def exact_euler_density_bump(t: float, x, gamma: float = 1.4):
 
 
 def _exact_cv_averages(exact, grid, m: int, quad_order: int = 12) -> np.ndarray:
-    """Gauss-Legendre cell averages of an exact state function on the grid."""
-    nodes, weights = np.polynomial.legendre.leggauss(quad_order)
+    """Gauss-Legendre cell averages of an exact state function on the grid.
+
+    ``exact`` is called on batches of quadrature nodes, as in ``init_field``.
+    """
+    nodes, weights = gauss_legendre_rule(quad_order)
     lo = grid.cv_edges[:, :-1]
     hi = grid.cv_edges[:, 1:]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     out = np.zeros((grid.num_sv, grid.num_cv, m))
-    for q, w in zip(nodes, weights):
-        pts = mid + half * q
-        vals = np.asarray(exact(pts.ravel()), dtype=float).reshape(grid.num_sv, grid.num_cv, m)
-        out += 0.5 * w * vals
+    for q, vals in _quadrature_batches(exact, mid, half, nodes, m):
+        out += 0.5 * weights[q] * vals
     return out
 
 

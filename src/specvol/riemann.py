@@ -57,6 +57,12 @@ class FixedBC:
         return self.left, self.right
 
 
+def _check_bc(bc) -> None:
+    """The one boundary-condition check: a ``PeriodicBC`` or a ``FixedBC``."""
+    if not isinstance(bc, (PeriodicBC, FixedBC)):
+        raise ValueError(f"unknown boundary condition {bc!r}")
+
+
 class InterfaceTerms(NamedTuple):
     """Per-interface results of ``interface_terms``.
 

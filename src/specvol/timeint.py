@@ -70,7 +70,7 @@ import numpy as np
 
 from .exceptions import DegenerateSpeedError, InadmissibleStateError, StepFailureError
 from .filters import FilterGenerator, apply_generator, build_generator
-from .mesh import SpectralGrid
+from .mesh import SpectralGrid, gauss_legendre_rule
 from .reconstruction import (
     ReconstructionOperator,
     _sv_traces,
@@ -80,7 +80,7 @@ from .reconstruction import (
 )
 # reconstruct_all and _sigma_from_parts are not called here; the benchmark's
 # tracer wraps them as attributes of this module, so they stay importable from it.
-from .riemann import FixedBC, PeriodicBC, _sigma_from_parts, interface_states, interface_terms
+from .riemann import PeriodicBC, _check_bc, _sigma_from_parts, interface_states, interface_terms
 from .stabilization import CorrectionReport, compute_correction, corrected_rhs
 from .systems import ConservationSystem, LinearAdvection
 
@@ -130,8 +130,7 @@ class SolverConfig:
         every = self.diagnostics_every
         if not (isinstance(every, numbers.Integral) and every >= 0):
             raise ValueError(f"diagnostics_every must be an integer >= 0, got {every!r}")
-        if not isinstance(self.bc, (PeriodicBC, FixedBC)):
-            raise ValueError(f"unknown boundary condition {self.bc!r}")
+        _check_bc(self.bc)
 
 
 @dataclass
@@ -185,10 +184,15 @@ def _segments(edges: np.ndarray, breakpoints):
     Each CV is split at the breakpoints strictly inside it. Returns (cvs,
     mid, half) per segment rank r: the midpoints and half-widths of the r-th
     segment, left to right, of every CV that has one; ``cvs`` holds flat CV
-    indices, a slice for r = 0, which every CV has.
+    indices, a slice for r = 0, which every CV has. The CVs tile their
+    domain left to right, as a grid's do.
     """
     lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
     cuts = np.array(sorted(set(breakpoints)), dtype=float)
+    # The CV each cut falls in, if any: the last one starting below it.
+    holder = np.searchsorted(lo, cuts) - 1
+    if not np.any((holder >= 0) & (cuts < hi[holder])):
+        return [(slice(None), 0.5 * (lo + hi), 0.5 * (hi - lo))]
     ends = np.append(cuts, np.inf)
     first = np.searchsorted(cuts, lo, side="right")  # first cut above lo
     n_cuts = np.searchsorted(cuts, hi, side="left") - first  # cuts in (lo, hi)
@@ -201,6 +205,28 @@ def _segments(edges: np.ndarray, breakpoints):
     return segments
 
 
+# The most positions one quadrature batch passes to u0: as many nodes as fit
+# go into one call. A grid of more CVs (the 80000 of N = 20000, k = 4) takes
+# one node per call, which keeps the call's arrays, and u0's temporaries, at
+# one node's size.
+QUAD_BATCH_POINTS = 1 << 16
+
+
+def _quadrature_batches(u0, mid: np.ndarray, half: np.ndarray, nodes: np.ndarray, m: int):
+    """Yield (q, u0 at mid + half * nodes[q]) per node q, in node order.
+
+    ``mid`` and ``half`` have one shape; each value has that shape plus (m,).
+    ``u0`` is called once per batch of nodes that fits in
+    ``QUAD_BATCH_POINTS`` positions, at least one node per call.
+    """
+    per_call = max(1, QUAD_BATCH_POINTS // mid.size)
+    for q0 in range(0, nodes.size, per_call):
+        batch = nodes[q0 : q0 + per_call]
+        x = mid + half * batch.reshape((-1,) + (1,) * mid.ndim)
+        vals = _evaluate(u0, x.ravel(), m).reshape(x.shape + (m,))
+        yield from enumerate(vals, q0)
+
+
 def init_field(
     u0,
     grid: SpectralGrid,
@@ -211,23 +237,24 @@ def init_field(
     """Cell-average the initial condition with Gauss-Legendre quadrature.
 
     ``u0`` maps an array of n positions to an (n, m) array of states, or to
-    an (n,) array when m = 1, and is called once per quadrature node for all
-    CVs together. A callable that only takes a scalar position and returns an
-    m-vector (or a scalar for m = 1) still works: it is called once per
-    point, which is much slower on large grids. Known discontinuity
-    locations can be passed as ``breakpoints``, in any order; each
-    straddling CV is then integrated piecewise so jumps are averaged exactly
-    to quadrature tolerance.
+    an (n,) array when m = 1. Per segment rank it is called on batches of
+    quadrature nodes, each node at every CV of that rank: as many nodes per
+    call as fit in ``QUAD_BATCH_POINTS`` positions, and at least one. A
+    callable that only takes a scalar position and returns an m-vector (or a
+    scalar for m = 1) still works: it is called once per point, which is much
+    slower on large grids. Known discontinuity locations can be passed as
+    ``breakpoints``, in any order; each straddling CV is then integrated
+    piecewise so jumps are averaged exactly to quadrature tolerance. The
+    averages do not depend on the batch size.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(quad_order)
+    nodes, weights = gauss_legendre_rule(quad_order)
     edges = grid.cv_edges
     acc = np.zeros((grid.num_sv * grid.num_cv, system.m))
     # Rank by rank and node by node: each CV sums its segments left to
     # right, the order of a per-CV quadrature loop.
     for cvs, mid, half in _segments(edges, breakpoints):
-        for node, weight in zip(nodes, weights):
-            vals = _evaluate(u0, mid + half * node, system.m)
-            acc[cvs] += (half * weight)[:, None] * vals
+        for q, vals in _quadrature_batches(u0, mid, half, nodes, system.m):
+            acc[cvs] += (half * weights[q])[:, None] * vals
     acc /= (edges[:, 1:] - edges[:, :-1]).reshape(-1, 1)
     data = acc.reshape(grid.num_sv, grid.num_cv, system.m)
     system.check_admissible(data, "initial cell average")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specvol.mesh import build_grid, gauss_lobatto_nodes
+from specvol.mesh import build_grid, gauss_legendre_rule, gauss_lobatto_nodes
 
 
 def legendre_derivative(degree, x):
@@ -73,6 +73,28 @@ class TestGaussLobattoNodes:
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ValueError):
             gauss_lobatto_nodes(1)
+
+
+class TestReferenceElementCache:
+    def test_grids_with_one_subdivision_share_read_only_nodes(self):
+        one, two = build_grid(0.0, 1.0, 3, 4), build_grid(-2.0, 7.0, 11, 4)
+        assert one.ref_nodes is two.ref_nodes is gauss_lobatto_nodes(5)
+        assert not one.ref_nodes.flags.writeable
+        with pytest.raises(ValueError):
+            one.ref_nodes[1] = 0.0
+
+    def test_other_cv_count_gets_its_own_nodes(self):
+        four, five = build_grid(0.0, 1.0, 3, 4), build_grid(0.0, 1.0, 3, 5)
+        assert four.ref_nodes is not five.ref_nodes
+        assert five.ref_nodes.shape == (6,)
+
+    @pytest.mark.parametrize("order", [1, 8, 12])
+    def test_gauss_legendre_rule_is_leggauss_read_only(self, order):
+        nodes, weights = gauss_legendre_rule(order)
+        expected = np.polynomial.legendre.leggauss(order)
+        assert np.array_equal(nodes, expected[0]) and np.array_equal(weights, expected[1])
+        assert gauss_legendre_rule(order)[0] is nodes
+        assert not (nodes.flags.writeable or weights.flags.writeable)
 
 
 class TestBuildGrid:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,35 @@ class TestMomentMatrix:
         op = build_reconstruction(grid)
         np.testing.assert_allclose(op.moments_inv @ op.moments, np.eye(4), atol=1e-12)
         assert np.isfinite(np.linalg.cond(op.moments))
+
+
+class TestOperatorCache:
+    def test_grids_with_one_subdivision_share_the_operator(self):
+        op = build_reconstruction(build_grid(0.0, 1.0, 3, 4))
+        assert build_reconstruction(build_grid(-5.0, 5.0, 40, 4)) is op
+        for arr in (op.moments, op.moments_inv, op.evaluation, op.combined):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            op.combined[0, 0] = 1.0
+
+    def test_kronecker_blocks_are_read_only(self):
+        op = build_reconstruction(build_grid(0.0, 1.0, 3, 4))
+        for m in (1, 3):
+            reconstruct_all(op, np.zeros((3, 4, m)))
+            assert not any(block.flags.writeable for block in op._blocks[m])
+
+    def test_other_subdivisions_get_their_own_operator(self):
+        grid = build_grid(0.0, 1.0, 3, 4)
+        op = build_reconstruction(grid)
+        assert build_reconstruction(build_grid(0.0, 1.0, 3, 5)) is not op
+        # A second partition of the SV: faces at [-1, zeros of P_3, 1].
+        zeros = np.polynomial.legendre.leggauss(3)[0]
+        nodes = np.concatenate(([-1.0], zeros, [1.0]))
+        lg = dataclasses.replace(grid, ref_nodes=nodes, ref_widths=np.diff(nodes))
+        lg_op = build_reconstruction(lg)
+        assert lg_op is not op
+        assert build_reconstruction(dataclasses.replace(lg, ref_nodes=nodes.copy())) is lg_op
+        np.testing.assert_allclose(lg_op.combined.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestReconstruction:

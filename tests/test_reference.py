@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from specvol import timeint
 from specvol.cli import BUILTIN_SCENARIOS
 from specvol.mesh import build_grid
 from specvol.reference import (
     ReferenceSolution,
+    _exact_cv_averages,
     error_norms,
     exact_advection,
     exact_burgers_rarefaction,
@@ -65,6 +67,17 @@ class TestLaxFriedrichsSolver:
         ]
         assert calls == [(2000,)]
         assert np.array_equal(runs[0].values, runs[1].values)
+
+    def test_unknown_boundary_condition_rejected_before_any_work(self):
+        calls = []
+
+        def u0(x):
+            calls.append(x)
+            return np.zeros_like(x)
+
+        with pytest.raises(ValueError, match="unknown boundary condition 'open'"):
+            lax_friedrichs_solver(burgers_system(), u0, 0.0, 1.0, 20, 0.9, 0.1, "open")
+        assert calls == []
 
     def test_too_few_cells_rejected(self):
         with pytest.raises(ValueError):
@@ -276,6 +289,25 @@ class TestErrorNorms:
         b = error_norms(fields[1], zero, "L1")
         both = fields[0].with_data(fields[0].data + fields[1].data)
         assert error_norms(both, zero, "L1") <= a + b + 1e-12
+
+    @pytest.mark.parametrize("budget", [1, 100])
+    def test_exact_averages_batched_match_one_node_per_call(self, monkeypatch, budget):
+        grid = build_grid(0.0, 10.0, 12, 4)  # 48 CVs, 12 nodes
+        calls = []
+
+        def exact(x):
+            calls.append(x.size)
+            rho, v, p = exact_euler_density_bump(0.3, x)
+            return np.stack([rho, rho * v, p / 0.4 + 0.5 * rho * v * v], axis=-1)
+
+        batched = _exact_cv_averages(exact, grid, 3)
+        assert calls == [48 * 12]
+        monkeypatch.setattr(timeint, "QUAD_BATCH_POINTS", budget)
+        calls.clear()
+        split = _exact_cv_averages(exact, grid, 3)
+        per_call = max(1, budget // 48)
+        assert calls == [48 * min(per_call, 12 - q) for q in range(0, 12, per_call)]
+        assert np.array_equal(split, batched)
 
     def test_unknown_norm_rejected(self):
         state = self.make_field(lambda x: 0.0)

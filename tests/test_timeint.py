@@ -137,7 +137,7 @@ class CountingU0:
 
 class TestBatchedInitField:
     @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
-    def test_builtin_scenarios_match_per_point(self, name):
+    def test_builtin_scenarios_match_per_point(self, name, monkeypatch):
         scen = BUILTIN_SCENARIOS[name]
         grid = build_grid(scen.a, scen.b, scen.n_sv, scen.n_cv)
         system = scen.build_system()
@@ -145,12 +145,19 @@ class TestBatchedInitField:
         state = init_field(u0, grid, system, breakpoints=breaks)
         ref = per_point_averages(u0, grid, system.m, breakpoints=breaks)
         assert np.array_equal(state.data, ref)
+        # One node per call, as on a grid above the point budget.
+        monkeypatch.setattr(timeint, "QUAD_BATCH_POINTS", 1)
+        counted = CountingU0(u0)
+        per_node = init_field(counted, grid, system, breakpoints=breaks)
+        assert np.array_equal(per_node.data, state.data)
+        assert counted.array_calls == 8 * len(timeint._segments(grid.cv_edges, breaks))
 
     def test_straddling_breakpoints_match_per_point(self):
         grid = build_grid(0.0, 1.0, 7, 4)  # 0.25 and 0.75 fall inside CVs
-        u0 = BUILTIN_SCENARIOS["advect-rect"].initial_condition()[0]
+        u0 = CountingU0(BUILTIN_SCENARIOS["advect-rect"].initial_condition()[0])
         state = init_field(u0, grid, advection_system(1.0), 8, (0.25, 0.75))
-        ref = per_point_averages(u0, grid, 1, 8, (0.25, 0.75))
+        assert (u0.array_calls, u0.scalar_calls) == (2, 0)  # one per segment rank
+        ref = per_point_averages(u0.fn, grid, 1, 8, (0.25, 0.75))
         assert np.array_equal(state.data, ref)
 
     @pytest.mark.parametrize(
@@ -162,8 +169,8 @@ class TestBatchedInitField:
         grid = build_grid(0.0, 1.0, 7, 4)  # two CVs straddle a breakpoint
         counted = CountingU0(u0)
         state = init_field(counted, grid, advection_system(1.0), 8, (0.25, 0.75))
-        # one rejected array call per node and segment rank, then every point
-        assert counted.array_calls == 2 * 8
+        # one rejected array call per segment rank (all 8 nodes), then every point
+        assert counted.array_calls == 2
         assert counted.scalar_calls == 8 * (grid.num_sv * grid.num_cv + 2)
         assert np.array_equal(state.data, per_point_averages(u0, grid, 1, 8, (0.25, 0.75)))
 
@@ -174,7 +181,7 @@ class TestBatchedInitField:
             lambda x: primitive_to_conserved(1.0 + np.exp(-0.5 * (x - 5.0) ** 2), 1.0, 1.0)
         )
         state = init_field(u0, grid, system, 8)
-        assert (u0.array_calls, u0.scalar_calls) == (8, 0)
+        assert (u0.array_calls, u0.scalar_calls) == (1, 0)
         assert np.array_equal(state.data, per_point_averages(u0.fn, grid, 3, 8))
 
     def test_component_major_u0_not_mistaken_for_batched(self):
@@ -187,11 +194,46 @@ class TestBatchedInitField:
         assert np.array_equal(state.data, per_point_averages(u0, grid, 3, 8, breaks))
 
     @pytest.mark.parametrize("breaks", [(), (0.25, 0.75)])
-    def test_one_call_per_node_without_straddling(self, breaks):
+    def test_one_call_without_straddling(self, breaks):
         grid = build_grid(0.0, 1.0, 60, 4)  # 0.25 and 0.75 are SV edges
         u0 = CountingU0(lambda x: np.sin(np.pi * x))
         init_field(u0, grid, advection_system(1.0), 6, breaks)
-        assert (u0.array_calls, u0.scalar_calls) == (6, 0)
+        assert (u0.array_calls, u0.scalar_calls) == (1, 0)
+
+    def test_batches_split_at_the_point_budget(self, monkeypatch):
+        # 40 CVs and a budget of 100 positions: two nodes per call.
+        monkeypatch.setattr(timeint, "QUAD_BATCH_POINTS", 100)
+        grid = build_grid(0.0, 2.0, 10, 4)
+        u0 = CountingU0(lambda x: np.sin(np.pi * x))
+        state = init_field(u0, grid, burgers_system(), 5)
+        assert (u0.array_calls, u0.scalar_calls) == (3, 0)
+        assert np.array_equal(state.data, per_point_averages(u0.fn, grid, 1, 5))
+
+    @pytest.mark.parametrize("u0", [
+        lambda x: primitive_to_conserved(1.0 + np.exp(-0.5 * (x - 5.0) ** 2), 1.0, 1.0),
+        lambda x: np.array([1.5 + np.sin(x), 0.2 * x, 2.5 + 0.0 * x]),
+    ], ids=["batched", "component-major"])
+    def test_above_the_point_budget_one_call_per_node(self, monkeypatch, u0):
+        # A grid of 48 CVs over a budget of 40 positions: each call takes one
+        # node, and the averages equal those of one batch for all nodes.
+        grid = build_grid(0.0, 10.0, 12, 4)
+        batched = init_field(u0, grid, euler_system(1.4), 8).data
+        monkeypatch.setattr(timeint, "QUAD_BATCH_POINTS", 40)
+        counted = CountingU0(u0)
+        state = init_field(counted, grid, euler_system(1.4), 8)
+        assert counted.array_calls == 8
+        assert np.array_equal(state.data, batched)
+        assert np.array_equal(state.data, per_point_averages(u0, grid, 3, 8))
+
+    @pytest.mark.parametrize("breaks", [(), (0.0, 1.0), (-3.0, 7.5), "cv-edges"])
+    def test_segments_without_straddling_are_the_cvs(self, breaks):
+        grid = build_grid(0.0, 1.0, 7, 4)
+        if breaks == "cv-edges":
+            breaks = tuple(grid.cv_edges[[0, 3, 6], [1, 2, 4]])
+        lo, hi = grid.cv_edges[:, :-1].ravel(), grid.cv_edges[:, 1:].ravel()
+        [(cvs, mid, half)] = timeint._segments(grid.cv_edges, breaks)
+        assert cvs == slice(None)
+        assert np.array_equal(mid, 0.5 * (lo + hi)) and np.array_equal(half, 0.5 * (hi - lo))
 
     def test_breakpoint_order_and_duplicates_do_not_matter(self):
         rect = BUILTIN_SCENARIOS["advect-rect"].initial_condition()[0]
