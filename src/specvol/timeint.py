@@ -184,18 +184,15 @@ def _segments(edges: np.ndarray, breakpoints):
     Each CV is split at the breakpoints strictly inside it. Returns (cvs,
     mid, half) per segment rank r: the midpoints and half-widths of the r-th
     segment, left to right, of every CV that has one; ``cvs`` holds flat CV
-    indices, a slice for r = 0, which every CV has. The CVs tile their
-    domain left to right, as a grid's do.
+    indices, a slice for r = 0, which every CV has.
     """
     lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
     cuts = np.array(sorted(set(breakpoints)), dtype=float)
-    # The CV each cut falls in, if any: the last one starting below it.
-    holder = np.searchsorted(lo, cuts) - 1
-    if not np.any((holder >= 0) & (cuts < hi[holder])):
-        return [(slice(None), 0.5 * (lo + hi), 0.5 * (hi - lo))]
-    ends = np.append(cuts, np.inf)
     first = np.searchsorted(cuts, lo, side="right")  # first cut above lo
     n_cuts = np.searchsorted(cuts, hi, side="left") - first  # cuts in (lo, hi)
+    if not n_cuts.any():
+        return [(slice(None), 0.5 * (lo + hi), 0.5 * (hi - lo))]
+    ends = np.append(cuts, np.inf)
     segments = []
     for r in range(int(n_cuts.max()) + 1):
         cvs = slice(None) if r == 0 else np.flatnonzero(n_cuts >= r)

@@ -2,7 +2,7 @@
 """Microseconds per ``euler_adapted`` stage on a stage plan, printed as JSON.
 
     python3 tools/stage_us.py --src <checkout>/src [--repeat 15]
-    python3 tools/stage_us.py --src <a>/src --ab <b>/src [--chunks 20]
+    python3 tools/stage_us.py --src <a>/src --ab <b>/src
 
 Cases, all at k = 4: the builtin density bump at N = 20, 200, 2000 and 20000
 and the builtin Sod tube at N = 200, each with stabilization on and off.
@@ -21,7 +21,7 @@ JSON holds the figures under "stage_us", keyed "<scenario> N=<n> on" (or
 
 With ``--ab`` one process imports both trees, ``--src`` as the package
 ``specvol_a`` and ``--ab`` as ``specvol_b``, and for each case alternates
-``--chunks`` pairs of chunks between them, which side goes first
+``CHUNKS`` pairs of chunks between them, which side goes first
 alternating too. A chunk is a fixed number of ``ssp_rk3_step`` calls from
 the case's t = 0 field, about 50 ms of work; after every pair the two
 states must agree bit for bit, or the tool stops with status 1. The JSON
@@ -47,6 +47,7 @@ from dataclasses import replace
 CASES = [("density-bump", n) for n in (20, 200, 2000, 20000)] + [("sod", 200)]
 TARGET_S = 0.05
 WARMUP_S = 2.0
+CHUNKS = 20
 
 
 def load_tree(src: str, name: str):
@@ -111,13 +112,13 @@ def chunk_runner(cli, timeint, name: str, n_sv: int, stab: bool):
     return run
 
 
-def ab_case(trees, name: str, n_sv: int, stab: bool, chunks: int) -> dict:
+def ab_case(trees, name: str, n_sv: int, stab: bool) -> dict:
     """Interleaved chunks of SSP-RK3 steps of trees a and b on one case."""
     runs = [chunk_runner(cli, timeint, name, n_sv, stab) for cli, timeint in trees]
     warm_up(*(lambda run=run: run(1) for run in runs))
     steps = max(1, int(TARGET_S / min(runs[0](1)[0] for _ in range(3))))
     ratios = []
-    for c in range(chunks):
+    for c in range(CHUNKS):
         order = (0, 1) if c % 2 == 0 else (1, 0)
         results = {side: runs[side](steps) for side in order}
         if results[0][1].tobytes() != results[1][1].tobytes():
@@ -126,7 +127,7 @@ def ab_case(trees, name: str, n_sv: int, stab: bool, chunks: int) -> dict:
     return {
         "median_ratio_b_over_a": round(statistics.median(ratios), 4),
         "b_wins": sum(r < 1.0 for r in ratios),
-        "chunks": chunks,
+        "chunks": CHUNKS,
         "steps_per_chunk": steps,
     }
 
@@ -136,7 +137,6 @@ def main(argv=None) -> int:
     parser.add_argument("--src", required=True, help="the src directory of a checkout")
     parser.add_argument("--ab", help="the src directory of a second checkout to compare")
     parser.add_argument("--repeat", type=int, default=15)
-    parser.add_argument("--chunks", type=int, default=20, help="chunk pairs per case with --ab")
     parser.add_argument("--case", help="only this case, as <scenario>:<n>:<on|off>")
     args = parser.parse_args(argv)
     srcs = [os.path.abspath(s) for s in (args.src, args.ab) if s]
@@ -159,7 +159,7 @@ def main(argv=None) -> int:
 
         trees = [load_tree(src, f"specvol_{side}") for src, side in zip(srcs, "ab")]
         figures = {
-            f"{name} N={n_sv} {stab}": ab_case(trees, name, n_sv, stab == "on", args.chunks)
+            f"{name} N={n_sv} {stab}": ab_case(trees, name, n_sv, stab == "on")
             for name, n_sv, stab in cases
         }
         versions = [platform.python_version(), numpy.__version__]
