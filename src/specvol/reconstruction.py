@@ -19,6 +19,17 @@ each length-k dot product (roundoff-level differences), and a non-finite
 entry of one component reaches the other components of its SV through
 0 * inf; every such state is inadmissible either way.
 
+The cached blocks are C-contiguous. For m = 1, kron(C^T, I_1) comes out in
+C^T's own layout, F-ordered, and OpenBLAS runs a product with an F-ordered B
+as a transposed-B product, about 3x slower at k = 2..6: (20000, 4) @ (4, 4)
+took 170 us F-ordered and 38 us C-ordered on a 2-core machine with OpenBLAS
+0.3.31 (no difference at k = 8). For N >= 2 both layouts give the same bits.
+A one-row product (N = 1) is different: numpy runs it as a matrix-vector
+kernel, whose summation order follows the layout of the block. A one-SV
+field therefore takes the blocks in the layout kron gives, uncached:
+F-ordered for m = 1, so that its traces stay those of ``data @ C^T``, and
+C-ordered for m > 1.
+
 The solver takes the traces in CV-face order (``reconstruct_faces``): one
 (N*(k+1), m) array whose first N*k rows are the traces j < k of every SV,
 row i*k + j being the left boundary of CV j of SV i, and whose last N rows
@@ -136,18 +147,30 @@ def build_reconstruction(grid: SpectralGrid) -> ReconstructionOperator:
     return op
 
 
+def _kron_block(matrix: np.ndarray, m: int, n: int) -> np.ndarray:
+    """kron(matrix^T, I_m) for an (n, k*m) @ block product.
+
+    C-contiguous and read-only, for the caller to cache, when n >= 2; for
+    n = 1 in the layout kron gives (see the module docstring).
+    """
+    block = np.kron(matrix.T, np.eye(m))
+    return block if n == 1 else _read_only(np.ascontiguousarray(block))
+
+
 def _per_sv_product(matrix: np.ndarray, blocks: dict, data: np.ndarray, out=None) -> np.ndarray:
     """``matrix`` (p, k) applied to every SV of the (N, k, m) ``data``.
 
     Equals ``einsum("jl,ilc->ijc", matrix, data)`` up to the order of each
     sum, as one BLAS product with the block kron(matrix^T, I_m), which
-    ``blocks`` caches per m. The result is a C-contiguous (N, p, m) array,
-    written into ``out`` when one is given.
+    ``blocks`` caches per m for N >= 2. The result is a C-contiguous
+    (N, p, m) array, written into ``out`` when one is given.
     """
     n, k, m = data.shape
-    block = blocks.get(m)
+    block = blocks.get(m) if n > 1 else None
     if block is None:
-        block = blocks[m] = np.kron(matrix.T, np.eye(m))
+        block = _kron_block(matrix, m, n)
+        if n > 1:
+            blocks[m] = block
     if out is None:
         return (data.reshape(n, k * m) @ block).reshape(n, matrix.shape[0], m)
     np.matmul(data.reshape(n, k * m), block, out=out.reshape(n, matrix.shape[0] * m))
@@ -168,14 +191,13 @@ def reconstruct_faces(op: ReconstructionOperator, data: np.ndarray, out=None) ->
             f"expected field shaped (N, {op.num_cv}, m), got {data.shape}"
         )
     n, k, m = data.shape
-    blocks = op._blocks.get(m)
+    blocks = op._blocks.get(m) if n > 1 else None
     if blocks is None:
         # With m = 1 the right-end block also yields trace k-1; see below.
-        eye = np.eye(m)
-        blocks = op._blocks[m] = (
-            _read_only(np.kron(op.combined[:k].T, eye)),
-            _read_only(np.kron(op.combined[k - (m == 1) :].T, eye)),
-        )
+        rows = (op.combined[:k], op.combined[k - (m == 1) :])
+        blocks = tuple(_kron_block(a, m, n) for a in rows)
+        if n > 1:
+            op._blocks[m] = blocks
     if out is None:
         out = np.empty((n * (k + 1), m))
     flat = data.reshape(n, k * m)

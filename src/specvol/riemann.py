@@ -128,17 +128,19 @@ def interface_terms(
     u_l, u_r = sides
     n = u_l.shape[0]
     if side_terms is None:
-        f_l, f_r = system.flux_raw(sides)
+        # The LLF flux alone, built in the array of the sides' fluxes with
+        # the operations, and so the bits, of the stabilized branch below.
+        flux, work = system.flux_raw(sides)
         c_max = system.max_signal_speed_raw(u_l, u_r)
-    else:
-        flux_lr, speed_lr = side_terms.flux, side_terms.speed
-        f_l, f_r = flux_lr[:n], flux_lr[n : 2 * n]
-        c_max = np.maximum(speed_lr[:n], speed_lr[n : 2 * n])
+        np.multiply(np.add(flux, work, out=flux), 0.5, out=flux)
+        np.multiply(np.subtract(u_r, u_l, out=work), (0.5 * c_max)[:, None], out=work)
+        return InterfaceTerms(np.subtract(flux, work, out=flux), c_max)
+    flux_lr, speed_lr = side_terms.flux, side_terms.speed
+    f_l, f_r = flux_lr[:n], flux_lr[n : 2 * n]
+    c_max = np.maximum(speed_lr[:n], speed_lr[n : 2 * n])
     jump = u_r - u_l
     half_c = 0.5 * c_max
     flux = 0.5 * (f_l + f_r) - half_c[:, None] * jump
-    if side_terms is None:
-        return InterfaceTerms(flux, c_max)
     ent_lr, eflux_lr, grad_lr = side_terms.entropy, side_terms.entropy_flux, side_terms.gradient
     ent_l, ent_r = ent_lr[:n], ent_lr[n : 2 * n]
     eflux_l, eflux_r = eflux_lr[:n], eflux_lr[n : 2 * n]

@@ -12,6 +12,11 @@ Each quantity has one method (``flux_raw``, ``max_signal_speed_raw``,
 ``entropy_raw``, ``entropy_flux_raw``, ``entropy_gradient_raw``), and
 ``stage_terms`` gives all of them in one pass over the states of a stage,
 together with the admissibility mask and the flux of its boundary traces.
+``flux_raw(u, out=buf)`` writes the flux into ``buf``, a float array shaped
+like u that does not overlap it (a view such as the solver's CV-face rows
+will do), and returns ``buf``; its bits are those of ``flux_raw(u)``. The
+stage's large arrays of traces and faces thereby take their flux without a
+temporary of their size.
 None of them checks its input: states are checked once where they enter the
 solver, with ``admissible`` / ``check_admissible`` (or the mask of
 ``stage_terms``), and the methods assume admissible states.
@@ -60,7 +65,7 @@ class ConservationSystem:
     name: str = "abstract"
 
     # The benchmark's tracer wraps these methods by name, hence the suffix.
-    def flux_raw(self, u: np.ndarray) -> np.ndarray:
+    def flux_raw(self, u: np.ndarray, out=None) -> np.ndarray:
         raise NotImplementedError
 
     def max_signal_speed_raw(self, u_l: np.ndarray, u_r: np.ndarray) -> np.ndarray:
@@ -93,10 +98,7 @@ class ConservationSystem:
         work override this whole pass; no hook replaces a single term.
         """
         u = np.asarray(u, dtype=float)
-        flux = self.flux_raw(u[:n])
-        if out is not None:
-            out[...] = flux
-            flux = out
+        flux = self.flux_raw(u[:n], out=out)
         head, rest = u[skip:n], u[skip:]
         return StageTerms(
             flux[skip:],
@@ -149,8 +151,8 @@ class LinearAdvection(ConservationSystem):
             raise ValueError(f"velocity must be finite, got {velocity}")
         self.velocity = float(velocity)
 
-    def flux_raw(self, u):
-        return self.velocity * np.asarray(u, dtype=float)
+    def flux_raw(self, u, out=None):
+        return np.multiply(self.velocity, np.asarray(u, dtype=float), out=out)
 
     def max_signal_speed_raw(self, u_l, u_r):
         u_l = np.asarray(u_l, dtype=float)
@@ -174,9 +176,10 @@ class Burgers(ConservationSystem):
     m = 1
     name = "burgers"
 
-    def flux_raw(self, u):
+    def flux_raw(self, u, out=None):
         u = np.asarray(u, dtype=float)
-        return 0.5 * u * u
+        f = np.multiply(0.5, u, out=out)
+        return np.multiply(f, u, out=f)  # (0.5 * u) * u, in that order
 
     def max_signal_speed_raw(self, u_l, u_r):
         u_l = np.asarray(u_l, dtype=float)
@@ -277,10 +280,10 @@ class Euler(ConservationSystem):
         rho, _, p = self._primitives(u)
         return self._mask(u, rho, p), -rho * self._log_entropy(rho, p)
 
-    def flux_raw(self, u):
+    def flux_raw(self, u, out=None):
         u = np.asarray(u, dtype=float)
         mom = u[..., 1]
-        return self._flux(mom, u[..., 2], mom / u[..., 0])
+        return self._flux(mom, u[..., 2], mom / u[..., 0], out)
 
     def max_signal_speed_raw(self, u_l, u_r):
         # One pass when both sides are the same array: max(a, a) == a.

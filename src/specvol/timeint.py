@@ -26,12 +26,12 @@ one matrix product over all SVs (see ``reconstruction``), and
 each SV's first and last trace. The fluxes go into a flux array whose first
 N*k + 1 rows are the CV faces, left to right: face i*k + j is boundary j of
 SV i, so every SV interface has one slot shared by its two SVs. The
-analytical flux of the first N*k traces fills faces[:-1] in one contiguous
-pass (the stabilized stage's system pass writes it there directly, followed
-by the fluxes of the right-end traces and of the sides), the interface
-fluxes then overwrite the SV interfaces faces[::k], and
-D = (faces[:-1] - faces[1:]) / h is one contiguous pass with the CV widths
-tiled once per run.
+analytical flux of the first N*k traces is written straight into
+faces[:-1] in one contiguous pass (``flux_raw``'s ``out``; the stabilized
+stage's system pass follows it with the fluxes of the right-end traces and
+of the sides), the interface fluxes then overwrite the SV interfaces
+faces[::k], and D = (faces[:-1] - faces[1:]) / h is one contiguous pass
+with the CV widths tiled once per run.
 
 A run keeps its arrays in a stage plan that ``integrate`` builds once: the
 rows array, the flux array, the tiled widths and three (N, k, m) arrays, one
@@ -342,7 +342,7 @@ def euler_adapted(
         system.check_admissible(_sv_traces(traces, n_sv), "boundary trace")
     if k > 1 and not stabilized:
         # Every trace j < k in one pass; the SV interfaces are overwritten below.
-        faces[:-1] = system.flux_raw(traces[: n_sv * k])
+        system.flux_raw(traces[: n_sv * k], out=faces[:-1])
     terms = interface_terms(plan.sides, system, row_terms)
     faces[::k] = terms.flux
     rhs = plan.rates[0] if stabilized else out

@@ -127,6 +127,33 @@ class TestPerSvProduct:
         assert got[: n_sv * k, 0].tobytes() == np.ascontiguousarray(traces[:, :k]).tobytes()
         assert got[n_sv * k :, 0].tobytes() == np.ascontiguousarray(traces[:, k]).tobytes()
 
+    @pytest.mark.parametrize("k", [1, 4, 8])
+    def test_cached_blocks_are_c_contiguous(self, k):
+        # For m = 1 kron(A^T, I_1) comes out F-ordered, and OpenBLAS runs an
+        # F-ordered block about 3x slower: every block kept for N >= 2 is
+        # C-ordered, for both component counts and both operators.
+        grid = build_grid(0.0, 1.0, 5, k)
+        op, gen = build_reconstruction(grid), build_generator(grid.cv_widths)
+        for m in (1, 3):
+            data = np.ones((5, k, m))
+            reconstruct_faces(op, data)
+            apply_generator(gen, data)
+        for cache in (op._blocks, gen._blocks):
+            assert sorted(cache) == [1, 3]
+            assert all(b.flags.c_contiguous for blocks in cache.values() for b in blocks)
+
+    @pytest.mark.parametrize("k", [1, 4, 8])
+    def test_one_sv_filter_product_is_that_of_the_transpose(self, k):
+        # One SV is a one-row product, which numpy runs as a matrix-vector
+        # kernel whose sum order follows the block's layout: for m = 1 the
+        # block is H^T as it is, bit for bit that product, and nothing is
+        # cached.
+        gen = build_generator(build_grid(0.0, 1.0, 1, k).cv_widths)
+        data = np.random.default_rng(k).normal(size=(1, k, 1))
+        got = apply_generator(gen, data)
+        assert got[0, :, 0].tobytes() == (data.reshape(1, k) @ gen.matrix.T)[0].tobytes()
+        assert not gen._blocks
+
     @settings(max_examples=200, deadline=None)
     @given(fields())
     def test_apply_generator_matches_einsum(self, case):

@@ -291,6 +291,23 @@ class TestFusedTerms:
         assert_bitwise(np.where(ok, in_out.trace_flux, 0.0), np.where(ok, terms.trace_flux, 0.0))
         assert_bitwise(in_out.flux, terms.flux)
 
+    @settings(max_examples=150, deadline=None)
+    @given(system_and_states())
+    def test_flux_into_a_given_array(self, case):
+        # flux_raw(u, out=buf) fills buf and returns it, with the bits of
+        # flux_raw(u), also when buf is a view, as the stage's CV faces are.
+        system, u = case
+        want = system.flux_raw(u)
+        buf = np.full_like(want, np.nan)
+        assert system.flux_raw(u, out=buf) is buf
+        assert_bitwise(buf, want)
+        rows = u.reshape(-1, system.m)
+        faces = np.full((len(rows) + 1, system.m), np.nan)
+        view = faces[:-1]
+        assert system.flux_raw(rows, out=view) is view
+        assert_bitwise(faces[:-1], want.reshape(rows.shape))
+        assert np.isnan(faces[-1]).all()
+
     @settings(max_examples=100, deadline=None)
     @given(system_and_states())
     def test_speed_of_one_array_against_itself_is_one_pass(self, case):
