@@ -8,9 +8,15 @@ digits so they parse back to the exact in-memory values.
 
 ``run_scenario(..., ref_cells=R)`` computes the fine Lax-Friedrichs
 reference in a child forked with ``os.fork`` (so it needs a POSIX system)
-once the field and the operators are set up, while the parent solves: the
-reference depends on nothing the solve makes, so on a machine with a second
-core it costs the run almost no time. The child sends the
+once the field is set up, while the parent solves: the reference depends on
+nothing the solve makes, so on a machine with a second core it runs beside
+the solve. It is not free there: on a shared 2-vCPU host, over 9
+interleaved pairs, ``specvol run sod`` solved in 3.04-4.02 s alone and in
+3.04-5.06 s beside the 10000-cell child (the reference alone takes
+1.56-1.74 s), the pairs differing by -0.73 to +1.43 s. The solve builds its
+operators after the fork, inside ``integrate``'s stage plan; both builders
+cache them per process, so a repeated run pays only the lookups there. The
+child sends the
 ``ReferenceSolution`` back through a pipe, or the type, message and
 ``where`` of the exception it raised, which the run records as an
 ``error kind=reference-failure`` line. A failed solve, or anything that
@@ -41,7 +47,6 @@ from .reference import (
 )
 from .riemann import FixedBC, PeriodicBC
 from .systems import advection_system, burgers_system, euler_system, primitive_to_conserved
-from . import timeint
 from .timeint import SolverConfig, init_field, integrate
 
 __all__ = ["Scenario", "ScenarioError", "BUILTIN_SCENARIOS", "list_scenarios",
@@ -350,15 +355,6 @@ def run_scenario(scenario: Scenario, out_dir: str, ref_cells: int = 0):
     system, grid, u0, breakpoints, config = _setup(scenario, ref_cells)
     os.makedirs(out_dir, exist_ok=True)
     state = init_field(u0, grid, system, breakpoints=breakpoints)
-    # The operators integrate would build, built before the fork: after a
-    # fork the parent's first write to each page it shares with the child
-    # copies that page (about 470 minor faults, 2 ms, for Sod at N=200 on a
-    # 2-vCPU VM), and that cost belongs in the long solve, not in a 3 ms
-    # setup. They are called as attributes of ``timeint``, the names
-    # integrate itself calls, so a tracer that wraps those names still sees
-    # them.
-    op = timeint.build_reconstruction(grid)
-    gen = timeint.build_generator(grid.cv_widths)
     reference = None
     if ref_cells:
         reference = _ReferenceProcess(
@@ -367,7 +363,7 @@ def run_scenario(scenario: Scenario, out_dir: str, ref_cells: int = 0):
     error = ref = None
     try:
         try:
-            final, diag = integrate(state, config, op, gen)
+            final, diag = integrate(state, config)
         except (StepFailureError, InadmissibleStateError) as exc:
             final, diag = getattr(exc, "last_state", state), getattr(exc, "diagnostics", None)
             error = exc
@@ -524,8 +520,9 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
 def _nsv_list(text: str):
     """The spectral-volume counts of ``--nsv-list``.
 
-    Raises ``ScenarioError`` when a count is not an integer or the list
-    names none.
+    Raises ``ScenarioError`` when a count is not an integer, the list names
+    none, or it names a count twice (two runs at one resolution give no
+    order).
     """
     try:
         counts = [int(tok) for tok in text.split(",") if tok.strip()]
@@ -533,6 +530,8 @@ def _nsv_list(text: str):
         raise ScenarioError(f"bad --nsv-list {text!r}: {exc}") from exc
     if not counts:
         raise ScenarioError(f"--nsv-list {text!r} names no resolution")
+    if len(set(counts)) < len(counts):
+        raise ScenarioError(f"--nsv-list {text!r} names a count more than once")
     return counts
 
 

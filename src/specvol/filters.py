@@ -7,12 +7,17 @@ off-diagonal entries, so Y = I + tau*H is a conservative, positive (hence
 entropy-dissipative) filter whenever tau * max_j |H_jj| <= 1. Its nullspace
 is exactly the constants, which makes v = H u a usable dissipation direction
 for every non-constant u.
+
+H depends only on the CV widths, so ``build_generator`` hands out one
+read-only generator per width vector and process, as ``build_reconstruction``
+does one trace operator per CV partition.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .mesh import _read_only
 from .reconstruction import _per_sv_product
 
 __all__ = [
@@ -36,18 +41,26 @@ class FilterGenerator:
         return self.matrix.shape[0]
 
 
+_GENERATORS = {}  # cv_widths bytes -> FilterGenerator
+
+
 def build_generator(cv_widths) -> FilterGenerator:
     """Assemble H from the CV widths of one spectral volume.
 
     Boundary rows implement the zero-flux end condition; interior row j
     couples to both neighbours through 2 / (h_j (h_{j +- 1} + h_j)). For
     k = 1 the generator degenerates to [0] and the filter is the identity.
+    Assembled on the first call for a width vector; later calls with the
+    same widths get the same generator, whose arrays are read-only copies.
     """
     widths = np.asarray(cv_widths, dtype=float)
     if widths.ndim != 1 or widths.size < 1:
         raise ValueError("cv_widths must be a 1-D array with at least one entry")
     if np.any(widths <= 0.0):
         raise ValueError("cv_widths must be strictly positive")
+    key = widths.tobytes()
+    if key in _GENERATORS:
+        return _GENERATORS[key]
     k = widths.size
     h = np.zeros((k, k))
     if k > 1:
@@ -58,7 +71,10 @@ def build_generator(cv_widths) -> FilterGenerator:
         h[idx, idx + 1] = right
         h[np.arange(k), np.arange(k)] = -h.sum(axis=1)
     max_diag = float(np.max(np.abs(np.diag(h))))
-    return FilterGenerator(matrix=h, cv_widths=widths, max_diag=max_diag)
+    gen = _GENERATORS[key] = FilterGenerator(
+        matrix=_read_only(h), cv_widths=_read_only(widths.copy()), max_diag=max_diag
+    )
+    return gen
 
 
 def apply_generator(gen: FilterGenerator, u: np.ndarray, out=None) -> np.ndarray:

@@ -193,11 +193,17 @@ def error_norms(
 
 
 def observed_order(errors, resolutions) -> np.ndarray:
-    """Per-pair experimental order: ln(e1/e2) / ln(N2/N1) for consecutive runs."""
+    """Per-pair experimental order: ln(e1/e2) / ln(N2/N1) for consecutive runs.
+
+    Raises ``ValueError`` for sequences of unequal length or shorter than 2,
+    and for two consecutive equal resolutions, which give no order.
+    """
     errors = np.asarray(errors, dtype=float)
     ns = np.asarray(resolutions, dtype=float)
     if errors.size != ns.size or errors.size < 2:
         raise ValueError("need matching error/resolution sequences of length >= 2")
+    if np.any(ns[1:] == ns[:-1]):
+        raise ValueError(f"consecutive resolutions must differ, got {ns.tolist()}")
     return np.log(errors[:-1] / errors[1:]) / np.log(ns[1:] / ns[:-1])
 
 

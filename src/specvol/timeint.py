@@ -33,23 +33,30 @@ of the sides), the interface fluxes then overwrite the SV interfaces
 faces[::k], and D = (faces[:-1] - faces[1:]) / h is one contiguous pass
 with the CV widths tiled once per run.
 
-A run keeps its arrays in a stage plan that ``integrate`` builds once: the
-rows array, the flux array, the tiled widths and three (N, k, m) arrays, one
-for the RK state and two that the stages write their new averages into, each
-stage into the one that is not its input. The traces and the interface
-sides, which every stage writes, are views of the rows array; a stabilized
-stage copies its averages into the rest. Only a stabilized plan has the
-averages' rows and ``rates``, a (2, N, k, m) array that holds a stage's D
-and its filter direction v side by side, so that ``compute_correction``
-takes both inner products of every SV from one product. The RK combinations
-run in place with ``out=``, and the correction lambda_i v_i is computed into
-the stage's output array before it is added into D, so a step allocates no
-array of the field's size beyond what the system methods, the interface
-terms and the correction's per-SV arrays return. ``euler_adapted`` and
-``ssp_rk3_step`` take the plan as the keyword ``plan``. Without one they
-build a fresh plan, so the fields they return own their data; with one,
-those fields live in the plan's arrays until its next stage or step.
-``integrate`` returns, and attaches to a failure, copies.
+A run keeps its operators and arrays in a stage plan that ``integrate``
+builds once for the state's grid and system. It owns the two per-SV
+operators that the grid's CV partition fixes, the trace reconstruction C
+(``plan.op``) and the filter generator H (``plan.gen``), which the cached
+builders hand out; a stage applies its plan's, and a stage given a plan
+built for another grid raises ``ValueError``. The plan's arrays are the
+rows array, the flux array, the tiled widths and three (N, k, m) arrays,
+one for the RK state and two that the stages write their new averages
+into, each stage into the one that is not its input. The traces and the
+interface sides, which every stage writes, are views of the rows array; a
+stabilized stage copies its averages into the rest. Only a stabilized plan
+has the averages' rows and ``rates``, a (2, N, k, m) array that holds a
+stage's D and its filter direction v side by side, so that
+``compute_correction`` takes both inner products of every SV from one
+product. The RK combinations run in place with ``out=``, and the correction
+lambda_i v_i is computed into the stage's output array before it is added
+into D, so a step allocates no array of the field's size beyond what the
+system methods, the interface terms and the correction's per-SV arrays
+return. ``euler_adapted(state, dt, config, plan=...)`` and
+``ssp_rk3_step(state, dt, config, plan=...)`` take the plan as the keyword
+``plan``. Without one they build a fresh plan, so the fields they return
+own their data; with one, those fields live in the plan's arrays until its
+next stage or step. ``integrate`` returns, and attaches to a failure,
+copies.
 
 The SSP-RK3 method chains three such stages through convex combinations, so
 conservation and the filter positivity bound survive the full step. The time
@@ -69,15 +76,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DegenerateSpeedError, InadmissibleStateError, StepFailureError
-from .filters import FilterGenerator, apply_generator, build_generator
+from .filters import apply_generator, build_generator
 from .mesh import SpectralGrid, gauss_legendre_rule
-from .reconstruction import (
-    ReconstructionOperator,
-    _sv_traces,
-    build_reconstruction,
-    reconstruct_all,
-    reconstruct_faces,
-)
+from .reconstruction import _sv_traces, build_reconstruction, reconstruct_all, reconstruct_faces
 # reconstruct_all and _sigma_from_parts are not called here; the benchmark's
 # tracer wraps them as attributes of this module, so they stay importable from it.
 from .riemann import PeriodicBC, _check_bc, _sigma_from_parts, interface_states, interface_terms
@@ -259,14 +260,19 @@ def init_field(
 
 
 class _StagePlan:
-    """The arrays of one run's stages, for one grid and system.
+    """The operators and arrays of one run's stages, for one grid and system.
 
-    The correction's arrays, the averages' rows and ``rates``, exist only
-    when ``stabilized`` is True.
+    ``op`` and ``gen`` are the grid's trace reconstruction and filter
+    generator, built through this module's ``build_reconstruction`` and
+    ``build_generator``. The correction's arrays, the averages' rows and
+    ``rates``, exist only when ``stabilized`` is True.
     """
 
     def __init__(self, grid: SpectralGrid, system: ConservationSystem, stabilized=True):
         n_sv, k, m = grid.num_sv, grid.num_cv, system.m
+        self.grid = grid
+        self.op = build_reconstruction(grid)
+        self.gen = build_generator(grid.cv_widths)
         # The states of one system pass: the traces in CV-face order, the
         # interface sides, side first (0 left, 1 right), and, stabilized,
         # the averages.
@@ -297,32 +303,28 @@ def _plan_for(state, config):
     return _StagePlan(state.grid, state.system, config.stabilization_enabled)
 
 
-def euler_adapted(
-    state: CellAverageField,
-    dt: float,
-    op: ReconstructionOperator,
-    gen: FilterGenerator,
-    config: SolverConfig,
-    *,
-    plan=None,
-):
+def euler_adapted(state: CellAverageField, dt: float, config: SolverConfig, *, plan=None):
     """One (possibly corrected) Euler stage; returns (new_field, report).
 
-    With stabilization disabled the entropy machinery is skipped entirely and
-    the report is None. With a run's stage ``plan`` the new averages go into
-    its stage array that is not ``state.data``; without one the new field
-    owns its data. The report's arrays are always fresh.
+    The stage applies the operators of ``state.grid``, its plan's. With
+    stabilization disabled the entropy machinery is skipped entirely and
+    the report is None. With a run's stage ``plan``, which must have been
+    built for ``state.grid``, the new averages go into its stage array that
+    is not ``state.data``; without one the new field owns its data. The
+    report's arrays are always fresh.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if plan is None:
         plan = _plan_for(state, config)
+    elif plan.grid is not state.grid:
+        raise ValueError("the stage plan was built for another grid than the state's")
     elif config.stabilization_enabled and plan.rates is None:
         raise ValueError("a stabilized stage needs a plan built with stabilization")
     u, system = state.data, state.system
     n_sv, k, m = u.shape
     out = plan.stages[1] if u is plan.stages[0] else plan.stages[0]
-    traces = reconstruct_faces(op, u, out=plan.traces)
+    traces = reconstruct_faces(plan.op, u, out=plan.traces)
     interface_states(traces[: n_sv * k : k], traces[n_sv * k :], config.bc, out=plan.sides)
 
     faces = plan.faces
@@ -352,7 +354,7 @@ def euler_adapted(
 
     report = None
     if stabilized:
-        direction = apply_generator(gen, u, out=plan.rates[1])
+        direction = apply_generator(plan.gen, u, out=plan.rates[1])
         report = compute_correction(
             row_terms.entropy[plan.n_sides :].reshape(n_sv, k),
             row_terms.gradient[plan.n_sides :].reshape(n_sv, k, m),
@@ -360,7 +362,7 @@ def euler_adapted(
             terms.sigma,
             terms.f_star,
             dt,
-            gen,
+            plan.gen,
             config.bc.periodic,
             dissipation_scale=terms.d_llf,
             sigma_fallbacks=terms.sigma_fallbacks,
@@ -383,15 +385,7 @@ def euler_adapted(
     return state.with_data(new, time=state.time + dt), report
 
 
-def ssp_rk3_step(
-    state: CellAverageField,
-    dt: float,
-    op: ReconstructionOperator,
-    gen: FilterGenerator,
-    config: SolverConfig,
-    *,
-    plan=None,
-):
+def ssp_rk3_step(state: CellAverageField, dt: float, config: SolverConfig, *, plan=None):
     """Third-order SSP Runge-Kutta step built from adapted Euler stages.
 
     u1 = E(u0); u2 = 3/4 u0 + 1/4 E(u1); u_new = 1/3 u0 + 2/3 E(u2). The
@@ -403,22 +397,20 @@ def ssp_rk3_step(
     if plan is None:
         plan = _plan_for(state, config)
     u0 = state.data
-    stage1, r1 = euler_adapted(state, dt, op, gen, config, plan=plan)
-    stage2_full, r2 = euler_adapted(stage1, dt, op, gen, config, plan=plan)
+    stage1, r1 = euler_adapted(state, dt, config, plan=plan)
+    stage2_full, r2 = euler_adapted(stage1, dt, config, plan=plan)
     # The combinations reuse the stage arrays an earlier stage is done with.
     u2 = np.multiply(stage2_full.data, 0.25, out=stage2_full.data)
     np.add(np.multiply(u0, 0.75, out=stage1.data), u2, out=u2)
     stage2 = state.with_data(u2, time=state.time + 0.5 * dt)
-    stage3_full, r3 = euler_adapted(stage2, dt, op, gen, config, plan=plan)
+    stage3_full, r3 = euler_adapted(stage2, dt, config, plan=plan)
     u3 = np.multiply(stage3_full.data, 2.0 / 3.0, out=stage3_full.data)
     new = np.add(np.divide(u0, 3.0, out=u2), u3, out=plan.state)
     reports = () if r1 is None else (r1, r2, r3)
     return state.with_data(new, time=state.time + dt), reports
 
 
-def select_dt(
-    grid: SpectralGrid, state: CellAverageField, system: ConservationSystem, cfl: float
-) -> float:
+def select_dt(state: CellAverageField, cfl: float) -> float:
     """CFL time step from the smallest CV width and the t = 0 signal speeds.
 
     dt = cfl * min_j h_j / c_global with c_global the largest per-cell signal
@@ -426,10 +418,11 @@ def select_dt(
     other system a c_global that gives no finite dt (zero, or subnormal) is
     degenerate. An inadmissible state raises ``InadmissibleStateError``.
     """
+    system = state.system
     system.check_admissible(state.data, "initial state")
     cells = state.data.reshape(-1, system.m)
     c_global = float(np.max(system.max_signal_speed_raw(cells, cells)))
-    min_width = float(np.min(grid.cv_widths))
+    min_width = float(np.min(state.grid.cv_widths))
     if c_global <= 0.0 and isinstance(system, LinearAdvection):
         return cfl * min_width
     dt = cfl * min_width / c_global if c_global > 0.0 else math.inf
@@ -443,24 +436,16 @@ def discrete_l2(state: CellAverageField) -> float:
     return float(np.sqrt(np.einsum("j,ijc,ijc->", state.grid.cv_widths, state.data, state.data)))
 
 
-def integrate(
-    state: CellAverageField,
-    config: SolverConfig,
-    op: ReconstructionOperator | None = None,
-    gen: FilterGenerator | None = None,
-):
+def integrate(state: CellAverageField, config: SolverConfig):
     """Run SSP-RK3 from the field's time to t_end; returns (field, diagnostics).
 
     The step size is frozen at the start (T = floor(t_end / dt) full steps);
     a final shortened step hits t_end exactly. Identical inputs produce
-    bitwise-identical results. Every step runs on one stage plan; the
-    returned field, and ``last_state`` of a failure, own their data.
+    bitwise-identical results. Every step runs on one stage plan, built for
+    the state's grid, with that grid's operators; the returned field, and
+    ``last_state`` of a failure, own their data.
     """
-    if op is None:
-        op = build_reconstruction(state.grid)
-    if gen is None:
-        gen = build_generator(state.grid.cv_widths)
-    dt = select_dt(state.grid, state, state.system, config.cfl)
+    dt = select_dt(state, config.cfl)
     remaining = config.t_end - state.time
     if remaining <= 0.0:
         raise ValueError(f"t_end={config.t_end} is not ahead of t={state.time}")
@@ -472,7 +457,7 @@ def integrate(
         diag.record_l2(state.time, discrete_l2(state))
     try:
         for n in range(n_full):
-            state, reports = ssp_rk3_step(state, dt, op, gen, config, plan=plan)
+            state, reports = ssp_rk3_step(state, dt, config, plan=plan)
             diag.steps += 1
             for report in reports:
                 diag.record_report(report)
@@ -480,7 +465,7 @@ def integrate(
                 diag.record_l2(state.time, discrete_l2(state))
         dt_last = config.t_end - state.time
         if dt_last > 1e-12 * dt:
-            state, reports = ssp_rk3_step(state, dt_last, op, gen, config, plan=plan)
+            state, reports = ssp_rk3_step(state, dt_last, config, plan=plan)
             diag.steps += 1
             for report in reports:
                 diag.record_report(report)

@@ -119,16 +119,14 @@ def test_criterion_4_conservation_100_steps():
     grid = build_grid(0.0, 2.0, 50, 4)
     system = burgers_system()
     state0 = init_field(lambda x: np.sin(np.pi * x), grid, system, 8)
-    op = build_reconstruction(grid)
-    gen = build_generator(grid.cv_widths)
     scale = float(np.einsum("j,ijc->", grid.cv_widths, np.abs(state0.data)))
     worst = 0.0
     for stab in (True, False):
         config = SolverConfig(t_end=1.0, cfl=0.1, bc=PeriodicBC(), stabilization_enabled=stab)
-        dt = select_dt(grid, state0, system, config.cfl)
+        dt = select_dt(state0, config.cfl)
         state = state0
         for _ in range(100):
-            state, _ = ssp_rk3_step(state, dt, op, gen, config)
+            state, _ = ssp_rk3_step(state, dt, config)
         drift = float(np.max(np.abs(state.total_mass() - state0.total_mass())))
         worst = max(worst, drift / scale)
     report(
@@ -146,18 +144,16 @@ def test_criterion_5_per_sv_entropy_inequality():
     config = SolverConfig(t_end=0.35, cfl=0.1, bc=PeriodicBC())
     state, _ = integrate(state, config)  # just past shock formation at 1/pi
 
-    op = build_reconstruction(grid)
-    gen = build_generator(grid.cv_widths)
     widths = grid.cv_widths
-    dt = select_dt(grid, state, system, config.cfl)
+    dt = select_dt(state, config.cfl)
     plan = _StagePlan(grid, system)
-    _, rep = euler_adapted(state, dt, op, gen, config, plan=plan)
+    _, rep = euler_adapted(state, dt, config, plan=plan)
     # The stage's D from the CV-face fluxes it left in its plan, and its F*
     # from the interface terms of the interface states it left there.
     rhs = ((plan.faces[:-1] - plan.faces[1:]) / plan.widths).reshape(state.data.shape)
     side_terms = system.stage_terms(plan.sides.reshape(-1, 1), plan.n_sides)
     f_star = interface_terms(plan.sides, system, side_terms).f_star
-    direction = apply_generator(gen, state.data)
+    direction = apply_generator(plan.gen, state.data)
     grad = system.entropy_gradient_raw(state.data)
     corrected = rhs + rep.lambda_final[:, None, None] * direction
     lhs = np.einsum("ijc,ijc,j->i", grad, corrected, widths)

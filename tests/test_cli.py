@@ -397,11 +397,13 @@ class TestBadConfig:
 
     @pytest.mark.parametrize(
         "name, nsv_list",
-        [("density-bump", "6,0"), ("sod", "6"), ("density-bump", "6,x"), ("density-bump", ",")],
+        [("density-bump", "6,0"), ("sod", "6"), ("density-bump", "6,x"), ("density-bump", ","),
+         ("advect-rect", "10,10"), ("density-bump", "8,10,8")],
     )
     def test_bad_convergence_study(self, tmp_path, capsys, calls, name, nsv_list):
         # A resolution the grid rejects, a scenario without an exact
-        # solution, a count that is not an integer, or no count at all.
+        # solution, a count that is not an integer, no count at all, or a
+        # count named twice, which would give no order.
         out = tmp_path / "out"
         code = main(["convergence", name, "--nsv-list", nsv_list, "--out-dir", str(out)])
         err = capsys.readouterr().err.splitlines()

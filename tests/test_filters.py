@@ -61,6 +61,34 @@ class TestBuildGenerator:
             build_generator(np.array([1.0, 0.0]))
 
 
+class TestGeneratorCache:
+    def test_one_read_only_generator_per_width_vector(self):
+        widths = gl_widths(4)
+        gen = build_generator(widths)
+        assert build_generator(widths.copy()) is gen
+        assert build_generator(list(widths)) is gen
+        for arr in (gen.matrix, gen.cv_widths):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            gen.matrix[0, 0] = 1.0
+        # The caller's widths stay its own, writable.
+        assert widths.flags.writeable and not np.shares_memory(gen.cv_widths, widths)
+        np.testing.assert_array_equal(gen.cv_widths, widths)
+
+    def test_other_widths_get_their_own_generator(self):
+        widths = gl_widths(4)
+        gen = build_generator(widths)
+        zeros = np.polynomial.legendre.leggauss(3)[0]
+        lg_widths = 0.5 * np.diff(np.concatenate(([-1.0], zeros, [1.0])))
+        others = [build_generator(w) for w in (0.5 * widths, lg_widths, gl_widths(5))]
+        assert all(other is not gen for other in others)
+        assert len({id(other) for other in others}) == 3
+        for other, w in zip(others, (0.5 * widths, lg_widths, gl_widths(5))):
+            np.testing.assert_array_equal(other.cv_widths, w)
+        # H scales like 1 / h^2.
+        np.testing.assert_allclose(others[0].matrix, 4.0 * gen.matrix, rtol=1e-14)
+
+
 class TestApplyGenerator:
     def test_constant_in_nullspace(self):
         gen = build_generator(gl_widths(4))

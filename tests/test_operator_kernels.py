@@ -9,6 +9,8 @@ input. The stage takes its traces from ``timeint.reconstruct_faces``, so the
 kernel swaps below replace that name.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,8 +149,10 @@ class TestPerSvProduct:
         # One SV is a one-row product, which numpy runs as a matrix-vector
         # kernel whose sum order follows the block's layout: for m = 1 the
         # block is H^T as it is, bit for bit that product, and nothing is
-        # cached.
-        gen = build_generator(build_grid(0.0, 1.0, 1, k).cv_widths)
+        # cached. The generator is a copy with blocks of its own: the
+        # builder's shared one may hold blocks that other grids with these
+        # widths cached.
+        gen = dataclasses.replace(build_generator(build_grid(0.0, 1.0, 1, k).cv_widths))
         data = np.random.default_rng(k).normal(size=(1, k, 1))
         got = apply_generator(gen, data)
         assert got[0, :, 0].tobytes() == (data.reshape(1, k) @ gen.matrix.T)[0].tobytes()
@@ -214,8 +218,7 @@ class TestNonFiniteInput:
         data = euler_field(10, 4, seed=5)
         data[6, 1, 2] = np.inf
         state = timeint.CellAverageField(data, 0.0, grid, system)
-        args = (state, 1e-4, build_reconstruction(grid), build_generator(grid.cv_widths),
-                SolverConfig(t_end=1.0, bc=PeriodicBC()))
+        args = (state, 1e-4, SolverConfig(t_end=1.0, bc=PeriodicBC()))
         wheres, calls = [], []
         for swap in (False, True):
             if swap:
@@ -249,14 +252,13 @@ class TestStageAgainstEinsumKernels:
     @pytest.mark.parametrize("name", ["sod", "density-bump", "burgers-sine", "advect-rect"])
     def test_stage_within_roundoff(self, name, monkeypatch):
         state, config = initial_state(name)
-        grid = state.grid
-        op, gen = build_reconstruction(grid), build_generator(grid.cv_widths)
-        dt = select_dt(grid, state, state.system, config.cfl)
-        new, report = euler_adapted(state, dt, op, gen, config)
+        gen = build_generator(state.grid.cv_widths)
+        dt = select_dt(state, config.cfl)
+        new, report = euler_adapted(state, dt, config)
         calls = []
         monkeypatch.setattr(timeint, "reconstruct_faces", counted(einsum_faces, calls))
         monkeypatch.setattr(timeint, "apply_generator", counted(einsum_generator, calls))
-        want, want_report = euler_adapted(state, dt, op, gen, config)
+        want, want_report = euler_adapted(state, dt, config)
         assert calls == ["einsum_faces", "einsum_generator"]
         assert_close_to(new.data, want.data, want.data)
         v_max = np.abs(einsum_generator(gen, state.data)).max(axis=(1, 2))

@@ -334,6 +334,14 @@ class TestObservedOrder:
         with pytest.raises(ValueError):
             observed_order([1.0], [10])
 
+    def test_equal_consecutive_resolutions_rejected(self):
+        with pytest.raises(ValueError, match="consecutive resolutions must differ"):
+            observed_order([1e-3, 1e-3], [10, 10])
+        with pytest.raises(ValueError, match="consecutive resolutions must differ"):
+            observed_order([1e-2, 1e-3, 1e-3], [8, 10, 10])
+        # Equal resolutions apart are still a pair each with its own order.
+        np.testing.assert_allclose(observed_order([4.0, 1.0, 4.0], [8, 16, 8]), [2.0, 2.0])
+
 
 class TestFixedBcReference:
     def test_ghost_states_hold_plateaus(self):

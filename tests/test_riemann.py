@@ -3,7 +3,6 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from specvol.filters import build_generator
 from specvol.mesh import build_grid
 from specvol.reconstruction import build_reconstruction, reconstruct_all
 from specvol.riemann import (
@@ -223,10 +222,7 @@ class TestAssembleFluxes:
         plan = _StagePlan(grid, system)
         state = CellAverageField(data=data, time=0.0, grid=grid, system=system)
         cfg = SolverConfig(t_end=1.0, bc=bc, stabilization_enabled=False)
-        euler_adapted(
-            state, 1e-3, build_reconstruction(grid), build_generator(grid.cv_widths), cfg,
-            plan=plan,
-        )
+        euler_adapted(state, 1e-3, cfg, plan=plan)
         faces = plan.faces
         fluxes = np.empty((n_sv, k + 1, system.m))
         fluxes[:, :-1] = faces[:-1].reshape(n_sv, k, system.m)

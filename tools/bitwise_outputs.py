@@ -9,6 +9,7 @@ writes only into a fresh temporary directory:
 
 * the six builtin scenarios, with sod and lax at ``--ref-cells 3000``;
 * ``burgers-sine --no-stabilization --nsv 50``;
+* ``sod --no-stabilization --t-end 0.5``: the pure Euler stage;
 * ``burgers-sine --nsv 1``, stabilized and pure: a one-SV field, whose
   per-SV products numpy runs as matrix-vector kernels;
 * ``convergence density-bump --nsv-list 8,10,12 --t-end 2``.
@@ -33,6 +34,7 @@ RUNS = {
     "lax": ["run", "lax", "--ref-cells", "3000"],
     "density-bump": ["run", "density-bump"],
     "burgers-sine-pure": ["run", "burgers-sine", "--no-stabilization", "--nsv", "50"],
+    "sod-pure": ["run", "sod", "--no-stabilization", "--t-end", "0.5"],
     "burgers-sine-one-sv": ["run", "burgers-sine", "--nsv", "1"],
     "burgers-sine-one-sv-pure": ["run", "burgers-sine", "--no-stabilization", "--nsv", "1"],
     "density-bump-convergence": ["convergence", "density-bump", "--nsv-list", "8,10,12",

@@ -9,8 +9,8 @@ the builtin Sod tube at N = 200 and the builtin Burgers sine wave at
 N = 20000, each with stabilization on and off. The Burgers cases are the only
 scalar (m = 1) ones.
 Each case sets the scenario up as ``specvol run`` does (``cli._setup``),
-builds its t = 0 field, the operators and the stage plan ``integrate``
-would build and the CFL step, then runs stages from that field for
+builds its t = 0 field, the stage plan ``integrate`` would build (which
+holds the grid's operators) and the CFL step, then runs stages from that field for
 ``WARMUP_S`` seconds of wall time before anything is timed: OpenBLAS and
 the allocator take many stages to settle at large N.
 
@@ -28,7 +28,10 @@ versions and the core count.
 With ``--ab`` one process imports both trees, ``--src`` as the package
 ``specvol_a`` and ``--ab`` as ``specvol_b``, and for each case alternates
 ``CHUNKS`` pairs of chunks between them, which side goes first
-alternating too. A chunk is a fixed number of ``ssp_rk3_step`` calls from
+alternating too. Both trees must have the stage API this tool calls, in
+which the plan holds the grid's operators (``euler_adapted(state, dt,
+config, plan=...)``, ``select_dt(state, cfl)``); a tree from before that
+API cannot be compared with one after it. A chunk is a fixed number of ``ssp_rk3_step`` calls from
 the case's t = 0 field, about 50 ms of work; after every pair the two
 states must agree bit for bit, or the tool stops with status 1. The JSON
 holds, per case under "ab", the median of the per-chunk time ratios b / a,
@@ -79,14 +82,13 @@ def load_tree(src: str, name: str):
 
 
 def build_case(cli, timeint, name: str, n_sv: int, stab: bool):
-    """(state, dt, op, gen, config, plan) of one case, as ``integrate`` sets it up."""
+    """(state, dt, config, plan) of one case, as ``integrate`` sets it up."""
     sc = replace(cli.BUILTIN_SCENARIOS[name], n_sv=n_sv, stabilization=stab)
     system, grid, u0, breakpoints, config = cli._setup(sc)
     state = timeint.init_field(u0, grid, system, breakpoints=breakpoints)
-    op, gen = timeint.build_reconstruction(grid), timeint.build_generator(grid.cv_widths)
     plan = timeint._plan_for(state, config)
-    dt = timeint.select_dt(grid, state, state.system, config.cfl)
-    return state, dt, op, gen, config, plan
+    dt = timeint.select_dt(state, config.cfl)
+    return state, dt, config, plan
 
 
 def warm_up(*calls) -> None:
@@ -109,8 +111,8 @@ def time_case(name: str, n_sv: int, stab: bool, repeat: int):
 
     from specvol import cli, timeint
 
-    state, dt, op, gen, config, plan = build_case(cli, timeint, name, n_sv, stab)
-    stage = lambda: timeint.euler_adapted(state, dt, op, gen, config, plan=plan)
+    state, dt, config, plan = build_case(cli, timeint, name, n_sv, stab)
+    stage = lambda: timeint.euler_adapted(state, dt, config, plan=plan)
     warm_up(stage)
     timer = timeit.Timer(stage)
     once = min(timer.repeat(repeat=3, number=1))
@@ -124,14 +126,14 @@ def time_case(name: str, n_sv: int, stab: bool, repeat: int):
 def chunk_runner(cli, timeint, name: str, n_sv: int, stab: bool):
     """A function of ``steps`` that runs that many SSP-RK3 steps of one case
     from its t = 0 field and returns (seconds, minor faults, final averages)."""
-    state, dt, op, gen, config, plan = build_case(cli, timeint, name, n_sv, stab)
+    state, dt, config, plan = build_case(cli, timeint, name, n_sv, stab)
 
     def run(steps):
         current = state
         faults = minor_faults()
         t0 = time.perf_counter()
         for _ in range(steps):
-            current, _ = timeint.ssp_rk3_step(current, dt, op, gen, config, plan=plan)
+            current, _ = timeint.ssp_rk3_step(current, dt, config, plan=plan)
         return time.perf_counter() - t0, minor_faults() - faults, current.data
 
     return run
