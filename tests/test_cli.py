@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from specvol import cli
+from specvol import cli, filters, reconstruction
 from specvol.cli import (
     BUILTIN_SCENARIOS,
     Scenario,
@@ -546,3 +546,24 @@ class TestOverlappedReference:
         with pytest.raises(ValueError, match="inside the solve"):
             main(["run", "sod", "--ref-cells", "300", "--out-dir", str(tmp_path)])
         assert_no_child_left()
+
+    def test_operators_are_built_before_the_fork(self, tmp_path, monkeypatch):
+        # Built after the fork, C and H would add to the set-up the pages
+        # the fork makes the parent copy; the stage plan only looks them up.
+        monkeypatch.setattr(reconstruction, "_OPERATORS", {})
+        monkeypatch.setattr(filters, "_GENERATORS", {})
+        cached = lambda: (len(reconstruction._OPERATORS), len(filters._GENERATORS))
+        at_fork = []
+        real_fork = os.fork
+
+        def fork():
+            at_fork.append(cached())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        scen = replace(BUILTIN_SCENARIOS["sod"], **MINI_RUNS["sod"])
+        outputs = run_scenario(scen, str(tmp_path), ref_cells=300)
+        assert_no_child_left()
+        assert "error" not in outputs
+        assert at_fork == [(1, 1)]
+        assert cached() == (1, 1)
