@@ -33,7 +33,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from .exceptions import InadmissibleStateError, StepFailureError
+from .exceptions import DegenerateSpeedError, InadmissibleStateError, StepFailureError
 from .mesh import build_grid
 from .reference import (
     MIN_CELLS,
@@ -214,7 +214,8 @@ def _setup(scenario: Scenario, ref_cells: int = 0):
     """(system, grid, u0, breakpoints, config) of a run, checked before any solve.
 
     Raises ``ScenarioError`` when the scenario names an unknown system,
-    initial condition or boundary condition, when the grid or the
+    initial condition or boundary condition, an initial condition with
+    another number of components than the system's, when the grid or the
     ``SolverConfig`` rejects its values, or when ``ref_cells`` is neither 0
     nor at least ``MIN_CELLS``.
     """
@@ -224,6 +225,12 @@ def _setup(scenario: Scenario, ref_cells: int = 0):
         system = scenario.build_system()
         grid = build_grid(scenario.a, scenario.b, scenario.n_sv, scenario.n_cv)
         u0, breakpoints = scenario.initial_condition()
+        components = np.size(u0(scenario.a))
+        if components != system.m:
+            raise ValueError(
+                f"initial condition {scenario.initial!r} has {components} components, "
+                f"system {scenario.system!r} has {system.m}"
+            )
         config = SolverConfig(
             t_end=scenario.t_end,
             cfl=scenario.cfl,
@@ -341,9 +348,12 @@ def run_scenario(scenario: Scenario, out_dir: str, ref_cells: int = 0):
     """Run one scenario and write its output files; returns {kind: path}.
 
     A scenario that cannot run raises ``ScenarioError`` before anything is
-    solved or written. A step failure keeps whatever was computed: the last
-    admissible field and the diagnostics collected so far are written, and
-    the error is recorded in the returned mapping under ``"error"``.
+    solved or written; one whose initial field has no signal speed, and so
+    no CFL step, raises it when the solve starts, after the output directory
+    is made and before any file is written. A step failure keeps whatever
+    was computed: the last admissible field and the diagnostics collected so
+    far are written, and the error is recorded in the returned mapping under
+    ``"error"``.
 
     With ``ref_cells`` the Lax-Friedrichs reference runs in a forked child
     while this process solves (see the module docstring). It is written
@@ -376,6 +386,8 @@ def run_scenario(scenario: Scenario, out_dir: str, ref_cells: int = 0):
         except (StepFailureError, InadmissibleStateError) as exc:
             final, diag = getattr(exc, "last_state", state), getattr(exc, "diagnostics", None)
             error = exc
+        except DegenerateSpeedError as exc:  # an initial field with no signal speed
+            raise ScenarioError(str(exc)) from exc
         if reference is not None and error is None:
             ref = reference.result()
     finally:

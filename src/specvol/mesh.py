@@ -118,8 +118,10 @@ def build_grid(a: float, b: float, num_sv: int, num_cv: int) -> SpectralGrid:
     """
     if not (np.isfinite(a) and np.isfinite(b)) or not a < b:
         raise ValueError(f"invalid domain [{a}, {b}]")
-    if num_sv < 1 or num_cv < 1:
-        raise ValueError(f"need num_sv >= 1 and num_cv >= 1, got {num_sv}, {num_cv}")
+    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (num_sv, num_cv)):
+        raise ValueError(
+            f"need integers num_sv >= 1 and num_cv >= 1, got {num_sv!r}, {num_cv!r}"
+        )
 
     h = (b - a) / num_sv
     centers = a + h * (np.arange(num_sv) + 0.5)

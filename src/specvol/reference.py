@@ -67,11 +67,17 @@ def lax_friedrichs_solver(
     grid of midpoint-sampled cells. The step size follows the CFL condition
     against the current maximum signal speed (shock breakup can raise it
     well above the initial value), with a shortened final step onto t_end.
-    A ``bc`` that is neither a ``PeriodicBC`` nor a ``FixedBC`` raises
-    ``ValueError`` before any work.
+    A ``bc`` that is neither a ``PeriodicBC`` nor a ``FixedBC``, or a
+    ``cfl`` or ``t_end`` that ``SolverConfig`` would reject (``cfl`` outside
+    (0, 1], ``t_end`` not positive and finite), raises ``ValueError`` before
+    any work.
     """
     if n_cells < MIN_CELLS:
         raise ValueError(f"need at least {MIN_CELLS} cells, got {n_cells}")
+    if not 0.0 < cfl <= 1.0:
+        raise ValueError(f"cfl must be in (0, 1], got {cfl}")
+    if not 0.0 < t_end < np.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
     _check_bc(bc)
     dx = (b - a) / n_cells
     centers = a + dx * (np.arange(n_cells) + 0.5)
@@ -173,18 +179,21 @@ def error_norms(
 
     ``reference`` is either a callable x -> (n_points, m) of exact states
     (compared through exact CV averages) or a :class:`ReferenceSolution`
-    (sampled at CV midpoints). ``component`` restricts the norm to one state
-    component; by default all components contribute.
+    (sampled at CV midpoints). ``component`` restricts the norm to the state
+    component of that index, -1 the last; by default all components
+    contribute. An index outside -m..m-1 raises ``ValueError``.
     """
     grid = numerical.grid
     m = numerical.system.m
+    if component is not None and not -m <= component < m:
+        raise ValueError(f"component {component} out of range for m = {m}")
     if callable(reference):
         ref = _exact_cv_averages(reference, grid, m)
     else:
         ref = reference.sample(grid.cv_centers().ravel()).reshape(grid.num_sv, grid.num_cv, m)
     diff = numerical.data - ref
     if component is not None:
-        diff = diff[..., component : component + 1]
+        diff = diff[..., component, None]
     if norm == "L1":
         return float(np.einsum("j,ijc->", grid.cv_widths, np.abs(diff)))
     if norm == "L2":

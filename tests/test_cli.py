@@ -436,6 +436,42 @@ class TestBadConfig:
         assert calls == []
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, system, initial",
+        [("run", "euler", "sine"), ("run", "burgers", "sod"),
+         ("run", "advection", "density-bump"), ("convergence", "advection", "density-bump")],
+    )
+    def test_initial_condition_of_another_system(self, tmp_path, capsys, calls, command,
+                                                 system, initial):
+        text = BUILTIN_SCENARIOS["advect-rect"].to_config_text()
+        text = text.replace("system = advection", f"system = {system}")
+        path = tmp_path / "mismatch.cfg"
+        path.write_text(text.replace("initial = rectangle", f"initial = {initial}"))
+        out = tmp_path / "out"
+        code = main([command, str(path), "--out-dir", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error kind=bad-config scenario=advect-rect ")
+        assert "components" in err[0]
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ref_cells", ["0", "100"])
+    def test_initial_field_without_signal_speed(self, tmp_path, capsys, ref_cells):
+        # Burgers on [2, 3], where the rectangle is 0: no signal speed, no CFL step.
+        text = BUILTIN_SCENARIOS["advect-rect"].to_config_text()
+        text = text.replace("system = advection", "system = burgers")
+        path = tmp_path / "still.cfg"
+        path.write_text(text.replace("a = 0\n", "a = 2\n").replace("b = 1\n", "b = 3\n"))
+        assert load_scenario(str(path)).a == 2.0
+        out = tmp_path / "out"
+        code = main(["run", str(path), "--out-dir", str(out), "--ref-cells", ref_cells])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error kind=bad-config scenario=advect-rect ")
+        assert list(out.glob("*")) == []
+        assert_no_child_left()
+
     @pytest.mark.parametrize("flags", [["--nsv", "12"], ["--ref-cells", "300"]])
     def test_run_only_flags_rejected_by_convergence(self, tmp_path, calls, flags):
         with pytest.raises(SystemExit) as info:

@@ -139,8 +139,15 @@ class TestBuildGrid:
             np.testing.assert_allclose(recovered, grid.ref_nodes, atol=1e-14)
 
     @pytest.mark.parametrize(
-        "a, b, n, k", [(1.0, 0.0, 4, 4), (0.0, np.inf, 4, 4), (0.0, 1.0, 0, 4), (0.0, 1.0, 4, 0)]
+        "a, b, n, k",
+        [(1.0, 0.0, 4, 4), (0.0, np.inf, 4, 4), (0.0, 1.0, 0, 4), (0.0, 1.0, 4, 0),
+         (0.0, 1.0, 2.5, 4), (0.0, 1.0, 3.0, 4), (0.0, 1.0, 3, 2.0)],
     )
     def test_invalid_arguments_rejected(self, a, b, n, k):
         with pytest.raises(ValueError):
             build_grid(a, b, n, k)
+
+    def test_numpy_integer_counts_accepted(self):
+        grid = build_grid(0.0, 1.0, np.int64(3), np.int32(4))
+        assert (grid.num_sv, grid.num_cv) == (3, 4)
+        np.testing.assert_array_equal(grid.cv_edges, build_grid(0.0, 1.0, 3, 4).cv_edges)

@@ -17,7 +17,12 @@ from specvol.reference import (
 )
 from specvol.exceptions import InadmissibleStateError
 from specvol.riemann import FixedBC, PeriodicBC
-from specvol.systems import advection_system, burgers_system, euler_system
+from specvol.systems import (
+    advection_system,
+    burgers_system,
+    euler_system,
+    primitive_to_conserved,
+)
 from specvol.timeint import _evaluate, init_field
 
 
@@ -85,6 +90,22 @@ class TestLaxFriedrichsSolver:
                 advection_system(1.0), lambda x: 0.0, 0.0, 1.0, 5, 0.9, 0.1, PeriodicBC()
             )
 
+    # SolverConfig's rule. A negative cfl and t_end = inf are left out: a
+    # solver without the check would loop forever on them.
+    @pytest.mark.parametrize(
+        "cfl, t_end", [(0.0, 0.1), (1.5, 0.1), (np.nan, 0.1), (0.9, 0.0), (0.9, np.nan)]
+    )
+    def test_cfl_and_t_end_out_of_range_rejected_before_any_work(self, cfl, t_end):
+        calls = []
+
+        def u0(x):
+            calls.append(x)
+            return np.sin(np.pi * x)
+
+        with pytest.raises(ValueError, match="cfl must be|t_end must be"):
+            lax_friedrichs_solver(burgers_system(), u0, 0.0, 2.0, 20, cfl, t_end, PeriodicBC())
+        assert calls == []
+
 
 def lax_friedrichs_oracle(system, u0, a, b, n_cells, cfl, t_end, bc):
     """The reference loop on fresh arrays every step, as it was before it used
@@ -131,7 +152,7 @@ def _rect(x):
     return np.where((0.25 <= x) & (x <= 0.75), 1.0, 0.0)
 
 
-def _oracle_case(name, cfl=0.9):
+def _oracle_case(name):
     """(system, u0, a, b, n_cells, cfl, t_end, bc) of one oracle comparison."""
     if name in ("sod", "lax", "density-bump"):
         scen = BUILTIN_SCENARIOS[name]
@@ -140,7 +161,7 @@ def _oracle_case(name, cfl=0.9):
             bc = PeriodicBC()
         else:
             bc = FixedBC(left=u0(scen.a), right=u0(scen.b))
-        return scen.build_system(), u0, scen.a, scen.b, 1000, cfl, 2.0, bc
+        return scen.build_system(), u0, scen.a, scen.b, 1000, 0.9, 2.0, bc
     if name == "advection-periodic":
         return advection_system(1.0), _rect, 0.0, 1.0, 400, 0.9, 1.0, PeriodicBC()
     if name == "burgers-periodic":
@@ -169,12 +190,15 @@ class TestLaxFriedrichsOracle:
     @pytest.mark.parametrize(
         "case",
         [
-            # Unstable Courant number: the field overflows and the check at
-            # step 1200 (t = 24) names it.
-            (advection_system(1.0), _rect, 0.0, 1.0, 100, 2.0, 100.0, PeriodicBC()),
-            # Negative pressure makes the speed NaN and ends the loop; the
-            # final check names it.
-            _oracle_case("sod", cfl=1.5),
+            # Overflow: the fluxes of a 1e308 plateau are inf, its updates
+            # NaN, and the check at step 200 names it.
+            (advection_system(1.0), lambda x: 1e308 * _rect(x), 0.0, 1.0, 100, 0.9, 100.0,
+             PeriodicBC()),
+            # A right ghost state of negative energy drives the last cell's
+            # pressure negative, which makes the speed NaN and ends the loop;
+            # the final check names it.
+            (*_oracle_case("sod")[:-1],
+             FixedBC(left=np.array([1.0, 0.0, 2.5]), right=np.array([0.125, 0.0, -1.0]))),
             # Inadmissible initial data.
             (euler_system(), lambda x: np.tile([1.0, 0.0, -1.0], (np.size(x), 1)),
              0.0, 1.0, 50, 0.9, 0.1, PeriodicBC()),
@@ -308,6 +332,27 @@ class TestErrorNorms:
         per_call = max(1, budget // 48)
         assert calls == [48 * min(per_call, 12 - q) for q in range(0, 12, per_call)]
         assert np.array_equal(split, batched)
+
+    def euler_field(self):
+        grid = build_grid(0.0, 10.0, 6, 4)
+        u0 = lambda x: primitive_to_conserved(*exact_euler_density_bump(0.0, x))
+        return init_field(u0, grid, euler_system(1.4))
+
+    def test_component_selected_by_index(self):
+        state = self.euler_field()
+        zero = lambda xs: np.zeros((np.size(xs), 3))
+        energy = error_norms(state, zero, "L1", component=2)
+        assert energy > 0.0
+        assert error_norms(state, zero, "L1", component=-1) == energy
+        assert error_norms(state, zero, "L2", component=-3) == error_norms(
+            state, zero, "L2", component=0
+        )
+
+    @pytest.mark.parametrize("component", [3, -4])
+    def test_component_out_of_range_rejected(self, component):
+        state = self.euler_field()
+        with pytest.raises(ValueError, match="component"):
+            error_norms(state, lambda xs: np.zeros((np.size(xs), 3)), "L1", component=component)
 
     def test_unknown_norm_rejected(self):
         state = self.make_field(lambda x: 0.0)

@@ -1,49 +1,44 @@
 #!/usr/bin/env python3
-"""Microseconds per ``euler_adapted`` stage on a stage plan, printed as JSON.
+"""Microseconds and minor page faults per SSP-RK3 stage, in interleaved chunks, as JSON.
 
-    python3 tools/stage_us.py --src <checkout>/src [--repeat 15]
-    python3 tools/stage_us.py --src <a>/src --ab <b>/src
+    python3 tools/stage_us.py --src <checkout>/src [--case <scenario>:<n>:<on|off>]
+    python3 tools/stage_us.py --src <a>/src --src <b>/src [--case ...]
 
 Cases, all at k = 4: the builtin density bump at N = 20, 200, 2000 and 20000,
 the builtin Sod tube at N = 200 and the builtin Burgers sine wave at
 N = 20000, each with stabilization on and off. The Burgers cases are the only
-scalar (m = 1) ones.
-Each case sets the scenario up as ``specvol run`` does (``cli._setup``),
-builds its t = 0 field, the stage plan ``integrate`` would build (which
-holds the grid's operators) and the CFL step, then runs stages from that field for
-``WARMUP_S`` seconds of wall time before anything is timed: OpenBLAS and
-the allocator take many stages to settle at large N.
+scalar (m = 1) ones. ``--case`` names one case, which may be any builtin at
+any N.
 
-Without ``--ab`` every case runs in a Python process of its own, which
-imports ``specvol`` from ``--src`` and times stages with ``timeit``. A
-case's figure is the minimum over ``--repeat`` repeats of the mean time per
-stage; each repeat runs the stage often enough to last about 50 ms. Beside
-it goes the mean count of minor page faults per stage over all the timed
-repeats (``ru_minflt`` of the process): a stage whose temporaries the
-allocator maps afresh every call faults on each of their pages. The JSON
-holds the figures under "stage_us" and the faults under "faults_per_stage",
-both keyed "<scenario> N=<n> on" (or "off"), and the Python and numpy
-versions and the core count.
+Without ``--case`` every case runs in a Python process of its own, this
+script with that ``--case``, so no case inherits another's allocator state.
+A case's process imports each ``--src`` tree as a package of its own and
+sets the case up as ``specvol run`` does (``cli._setup``): its t = 0 field,
+the stage plan ``integrate`` would build (which holds the grid's operators)
+and the CFL step. It then runs steps of every tree in turn for ``WARMUP_S``
+seconds of wall time, because OpenBLAS and the allocator take many stages to
+settle at large N. A chunk is a fixed number of ``ssp_rk3_step`` calls from
+the t = 0 field, about ``TARGET_S`` of work; ``CHUNKS`` chunks per tree run
+alternately, which tree goes first alternating too, so every tree sees the
+same machine load. On a 2-core machine two identical checkouts differed by up
+to 14 % between processes, and by 2-3 % in chunks. With two trees the states
+must agree bit for bit after every pair of chunks, or the tool stops with
+status 1. Both trees need the stage API in which the plan holds the grid's
+operators (``ssp_rk3_step(state, dt, config, plan=...)``, ``select_dt(state,
+cfl)``).
 
-With ``--ab`` one process imports both trees, ``--src`` as the package
-``specvol_a`` and ``--ab`` as ``specvol_b``, and for each case alternates
-``CHUNKS`` pairs of chunks between them, which side goes first
-alternating too. Both trees must have the stage API this tool calls, in
-which the plan holds the grid's operators (``euler_adapted(state, dt,
-config, plan=...)``, ``select_dt(state, cfl)``); a tree from before that
-API cannot be compared with one after it. A chunk is a fixed number of ``ssp_rk3_step`` calls from
-the case's t = 0 field, about 50 ms of work; after every pair the two
-states must agree bit for bit, or the tool stops with status 1. The JSON
-holds, per case under "ab", the median of the per-chunk time ratios b / a,
-the number of chunks b won, the chunk count, the steps per chunk and each
-side's minor page faults per stage over its timed chunks. Faults depend on
-what the process freed before: glibc raises its mmap threshold when it frees
-a large block, after which arrays of that size come from the heap without
-faulting. Both sides share one process, and a run of several cases carries
-each case's history into the next, so compare faults of one ``--case`` run.
-Interleaved chunks in one process see the same machine load, which
-separate processes do not: on a 2-core machine two identical checkouts
-differed by up to 14 % between processes, and by 2-3 % in chunks.
+The JSON holds the Python and numpy versions, the core count, the trees, the
+chunk count and, under "cases" keyed "<scenario> N=<n> on" (or "off"), the
+steps per chunk and, per tree in ``--src`` order, the median µs per stage
+over the chunks ("stage_us") and the minor page faults per stage over all
+chunks ("faults_per_stage", ``ru_minflt`` of the process): a stage whose
+temporaries the allocator maps afresh every call faults on each of their
+pages. With two trees it also holds the median of the per-chunk time ratios
+second / first ("median_ratio") and the number of chunks the second tree won
+("wins"). Faults depend on what the process freed before: glibc raises its
+mmap threshold when it frees a large block, after which arrays of that size
+come from the heap without faulting, and the two trees of a case share one
+process.
 """
 
 import argparse
@@ -58,6 +53,8 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+
+import numpy
 
 CASES = [("density-bump", n) for n in (20, 200, 2000, 20000)] + [
     ("sod", 200),
@@ -81,52 +78,20 @@ def load_tree(src: str, name: str):
     return importlib.import_module(f"{name}.cli"), importlib.import_module(f"{name}.timeint")
 
 
-def build_case(cli, timeint, name: str, n_sv: int, stab: bool):
-    """(state, dt, config, plan) of one case, as ``integrate`` sets it up."""
-    sc = replace(cli.BUILTIN_SCENARIOS[name], n_sv=n_sv, stabilization=stab)
-    system, grid, u0, breakpoints, config = cli._setup(sc)
-    state = timeint.init_field(u0, grid, system, breakpoints=breakpoints)
-    plan = timeint._plan_for(state, config)
-    dt = timeint.select_dt(state, config.cfl)
-    return state, dt, config, plan
-
-
-def warm_up(*calls) -> None:
-    """Run the calls in turn until ``WARMUP_S`` seconds have passed."""
-    end = time.perf_counter() + WARMUP_S
-    while time.perf_counter() < end:
-        for call in calls:
-            call()
-
-
 def minor_faults() -> int:
     """Minor page faults of this process so far."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def time_case(name: str, n_sv: int, stab: bool, repeat: int):
-    """(minimum mean µs per stage, minor faults per timed stage) of one case,
-    in this process."""
-    import timeit
-
-    from specvol import cli, timeint
-
-    state, dt, config, plan = build_case(cli, timeint, name, n_sv, stab)
-    stage = lambda: timeint.euler_adapted(state, dt, config, plan=plan)
-    warm_up(stage)
-    timer = timeit.Timer(stage)
-    once = min(timer.repeat(repeat=3, number=1))
-    number = max(1, int(TARGET_S / max(once, 1e-9)))
-    faults = minor_faults()
-    best = min(timer.repeat(repeat=repeat, number=number))
-    faults = (minor_faults() - faults) / (repeat * number)
-    return best / number * 1e6, faults
-
-
 def chunk_runner(cli, timeint, name: str, n_sv: int, stab: bool):
     """A function of ``steps`` that runs that many SSP-RK3 steps of one case
-    from its t = 0 field and returns (seconds, minor faults, final averages)."""
-    state, dt, config, plan = build_case(cli, timeint, name, n_sv, stab)
+    from its t = 0 field, as ``integrate`` sets it up, and returns (seconds,
+    minor faults, final averages)."""
+    sc = replace(cli.BUILTIN_SCENARIOS[name], n_sv=n_sv, stabilization=stab)
+    system, grid, u0, breakpoints, config = cli._setup(sc)
+    state = timeint.init_field(u0, grid, system, breakpoints=breakpoints)
+    plan = timeint._plan_for(state, config)
+    dt = timeint.select_dt(state, config.cfl)
 
     def run(steps):
         current = state
@@ -139,87 +104,83 @@ def chunk_runner(cli, timeint, name: str, n_sv: int, stab: bool):
     return run
 
 
-def ab_case(trees, name: str, n_sv: int, stab: bool) -> dict:
-    """Interleaved chunks of SSP-RK3 steps of trees a and b on one case."""
+def measure_case(srcs, name: str, n_sv: int, stab: bool) -> dict:
+    """Interleaved chunks of every tree on one case, in this process."""
+    trees = [load_tree(src, f"specvol_{i}") for i, src in enumerate(srcs)]
     runs = [chunk_runner(cli, timeint, name, n_sv, stab) for cli, timeint in trees]
-    warm_up(*(lambda run=run: run(1) for run in runs))
+    end = time.perf_counter() + WARMUP_S
+    while time.perf_counter() < end:
+        for run in runs:
+            run(1)
     steps = max(1, int(TARGET_S / min(runs[0](1)[0] for _ in range(3))))
-    ratios, faults = [], [0, 0]
+    seconds = [[] for _ in runs]
+    faults = [0] * len(runs)
     for c in range(CHUNKS):
-        order = (0, 1) if c % 2 == 0 else (1, 0)
-        results = {side: runs[side](steps) for side in order}
-        if results[0][2].tobytes() != results[1][2].tobytes():
+        states = {}
+        for i in range(len(runs)) if c % 2 == 0 else reversed(range(len(runs))):
+            chunk_s, chunk_faults, states[i] = runs[i](steps)
+            seconds[i].append(chunk_s)
+            faults[i] += chunk_faults
+        if len(states) == 2 and states[0].tobytes() != states[1].tobytes():
             raise SystemExit(f"error: {name} N={n_sv} states differ after chunk {c}")
-        ratios.append(results[1][0] / results[0][0])
-        for side in (0, 1):
-            faults[side] += results[side][1]
-    stages = 3 * steps * CHUNKS
-    return {
-        "median_ratio_b_over_a": round(statistics.median(ratios), 4),
-        "b_wins": sum(r < 1.0 for r in ratios),
-        "chunks": CHUNKS,
+    stages = 3 * steps
+    figures = {
         "steps_per_chunk": steps,
-        "faults_per_stage_a": round(faults[0] / stages, 2),
-        "faults_per_stage_b": round(faults[1] / stages, 2),
+        "stage_us": [round(statistics.median(s) / stages * 1e6, 2) for s in seconds],
+        "faults_per_stage": [round(f / (stages * CHUNKS), 2) for f in faults],
     }
+    if len(runs) == 2:
+        ratios = [b / a for a, b in zip(*seconds)]
+        figures["median_ratio"] = round(statistics.median(ratios), 4)
+        figures["wins"] = sum(r < 1.0 for r in ratios)
+    return figures
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", required=True, help="the src directory of a checkout")
-    parser.add_argument("--ab", help="the src directory of a second checkout to compare")
-    parser.add_argument("--repeat", type=int, default=15)
+    parser.add_argument("--src", action="append", required=True,
+                        help="the src directory of a checkout; give it once or twice")
     parser.add_argument("--case", help="only this case, as <scenario>:<n>:<on|off>")
     args = parser.parse_args(argv)
-    srcs = [os.path.abspath(s) for s in (args.src, args.ab) if s]
+    srcs = [os.path.abspath(s) for s in args.src]
+    if len(srcs) > 2:
+        parser.error("give --src once or twice")
     for src in srcs:
         if not os.path.isfile(os.path.join(src, "specvol", "__init__.py")):
             print(f"error: no specvol sources under {src}", file=sys.stderr)
             return 2
-    if args.case and not args.ab:
-        sys.path.insert(0, srcs[0])
-        name, n_sv, stab = args.case.split(":")
-        print(*time_case(name, int(n_sv), stab == "on", args.repeat))
-        return 0
 
-    cases = [(name, n_sv, stab) for name, n_sv in CASES for stab in ("on", "off")]
     if args.case:
         name, n_sv, stab = args.case.split(":")
-        cases = [(name, int(n_sv), stab)]
-    if args.ab:
-        import numpy
+        figures = {f"{name} N={n_sv} {stab}": measure_case(srcs, name, int(n_sv), stab == "on")}
+        print(json.dumps({
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "cpus": os.cpu_count(),
+            "src": srcs,
+            "chunks": CHUNKS,
+            "cases": figures,
+        }, indent=1))
+        return 0
 
-        trees = [load_tree(src, f"specvol_{side}") for src, side in zip(srcs, "ab")]
-        figures = {
-            f"{name} N={n_sv} {stab}": ab_case(trees, name, n_sv, stab == "on")
-            for name, n_sv, stab in cases
-        }
-        versions = [platform.python_version(), numpy.__version__]
-        key, extra = "ab", {"a": srcs[0], "b": srcs[1]}
-    else:
-        figures, faults = {}, {}
-        for name, n_sv, stab in cases:
-            out = subprocess.run(
-                [sys.executable, os.path.abspath(__file__), "--src", srcs[0],
-                 "--repeat", str(args.repeat), "--case", f"{name}:{n_sv}:{stab}"],
-                check=True, capture_output=True, text=True,
-            ).stdout
-            us, per_stage = map(float, out.split())
-            figures[f"{name} N={n_sv} {stab}"] = round(us, 2)
-            faults[f"{name} N={n_sv} {stab}"] = round(per_stage, 2)
-        versions = subprocess.run(
-            [sys.executable, "-c", "import numpy, platform; "
-             "print(platform.python_version(), numpy.__version__)"],
-            check=True, capture_output=True, text=True,
-        ).stdout.split()
-        key, extra = "stage_us", {"repeat": args.repeat, "faults_per_stage": faults}
-    print(json.dumps({
-        "python": versions[0],
-        "numpy": versions[1],
-        "cpus": os.cpu_count(),
-        **extra,
-        key: figures,
-    }, indent=1))
+    out = None
+    for name, n_sv in CASES:
+        for stab in ("on", "off"):
+            proc = subprocess.run(
+                [sys.executable, os.path.abspath(__file__),
+                 *(arg for src in srcs for arg in ("--src", src)),
+                 "--case", f"{name}:{n_sv}:{stab}"],
+                capture_output=True, text=True,
+            )
+            if proc.returncode != 0:
+                sys.stderr.write(proc.stderr)
+                return proc.returncode
+            case = json.loads(proc.stdout)
+            if out is None:
+                out = case
+            else:
+                out["cases"].update(case["cases"])
+    print(json.dumps(out, indent=1))
     return 0
 
 
