@@ -78,9 +78,10 @@ class ScenarioError(ValueError):
     """A scenario that cannot run as asked, found before any solve.
 
     A bad system, initial or boundary condition, grid, solver setting or
-    reference size, or a convergence study of a scenario without an exact
-    solution has ``kind`` "bad-config"; a name that is neither a builtin
-    nor a config file has ``kind`` "unknown-scenario".
+    reference size, an output directory that cannot be made, or a
+    convergence study of a scenario without an exact solution has ``kind``
+    "bad-config"; a name that is neither a builtin nor a config file has
+    ``kind`` "unknown-scenario".
     """
 
     def __init__(self, message, kind="bad-config"):
@@ -243,7 +244,24 @@ def _setup(scenario: Scenario, ref_cells: int = 0):
     return system, grid, u0, breakpoints, config
 
 
-def _write_csv(path, header_comment, columns, rows):
+def _make_out_dir(out_dir):
+    """Make the output directory ``out_dir`` and its parents unless it exists.
+
+    Raises ``ScenarioError`` when it cannot be made, as when ``out_dir`` or
+    one of its parents is a file.
+    """
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"cannot make out_dir {out_dir!r}: {exc.strerror}") from exc
+
+
+def _write_csv(path, header_comment, table):
+    """Write ``table``, {column name: 1-D column}, as a CSV under one comment line.
+
+    The rows are streamed from the columns (arrays, lists or ranges of one
+    length), floats with 17 significant digits and anything else as ``str``.
+    """
     # Overwrite in place and cut the file at the end of the new content.
     # open(path, "w") would truncate an existing file to zero first, which
     # makes ext4 (auto_da_alloc) flush the old file to disk: 30-90 ms per
@@ -258,8 +276,8 @@ def _write_csv(path, header_comment, columns, rows):
     with open(fd, "w") as fh:
         try:
             fh.write(f"# {header_comment}\n")
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
+            fh.write(",".join(table) + "\n")
+            for row in zip(*table.values()):
                 fh.write(",".join(_FMT % v if isinstance(v, float) else str(v) for v in row))
                 fh.write("\n")
         except BaseException:
@@ -269,20 +287,24 @@ def _write_csv(path, header_comment, columns, rows):
     return path
 
 
+def _profile_table(system, centers, widths, values):
+    """The columns of a solution or reference CSV: ``x_center``, ``width``, components."""
+    table = {"x_center": centers, "width": widths}
+    table.update(zip(_component_names(system), values.T))
+    return table
+
+
 def _write_solution_csv(path, scenario, state):
-    names = _component_names(state.system)
-    centers = state.grid.cv_centers().ravel()
-    widths = np.tile(state.grid.cv_widths, state.grid.num_sv)
-    flat = state.data.reshape(-1, state.system.m)
-    rows = [
-        [float(x), float(w), *map(float, u)] for x, w, u in zip(centers, widths, flat)
-    ]
+    grid = state.grid
+    table = _profile_table(state.system, grid.cv_centers().ravel(),
+                           np.tile(grid.cv_widths, grid.num_sv),
+                           state.data.reshape(-1, state.system.m))
     comment = (
         f"system={scenario.system} scenario={scenario.name} t={_FMT % state.time} "
         f"n_sv={scenario.n_sv} n_cv={scenario.n_cv} "
         f"stabilization={'on' if scenario.stabilization else 'off'}"
     )
-    return _write_csv(path, comment, ["x_center", "width", *names], rows)
+    return _write_csv(path, comment, table)
 
 
 def read_solution_csv(path):
@@ -347,13 +369,13 @@ class _ReferenceProcess:
 def run_scenario(scenario: Scenario, out_dir: str, ref_cells: int = 0):
     """Run one scenario and write its output files; returns {kind: path}.
 
-    A scenario that cannot run raises ``ScenarioError`` before anything is
-    solved or written; one whose initial field has no signal speed, and so
-    no CFL step, raises it when the solve starts, after the output directory
-    is made and before any file is written. A step failure keeps whatever
-    was computed: the last admissible field and the diagnostics collected so
-    far are written, and the error is recorded in the returned mapping under
-    ``"error"``.
+    A scenario that cannot run, or an output directory that cannot be made,
+    raises ``ScenarioError`` before anything is solved or written; one whose
+    initial field has no signal speed, and so no CFL step, raises it when
+    the solve starts, after the output directory is made and before any
+    file is written. A step failure keeps whatever was computed: the last
+    admissible field and the diagnostics collected so far are written, and
+    the error is recorded in the returned mapping under ``"error"``.
 
     With ``ref_cells`` the Lax-Friedrichs reference runs in a forked child
     while this process solves (see the module docstring). It is written
@@ -363,7 +385,7 @@ def run_scenario(scenario: Scenario, out_dir: str, ref_cells: int = 0):
     or raises.
     """
     system, grid, u0, breakpoints, config = _setup(scenario, ref_cells)
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     state = init_field(u0, grid, system, breakpoints=breakpoints)
     # Fill both operator caches before the fork, so that integrate's stage
     # plan only looks them up: after a fork the parent's first write to each
@@ -401,43 +423,26 @@ def run_scenario(scenario: Scenario, out_dir: str, ref_cells: int = 0):
         outputs["l2"] = _write_csv(
             f"{base}_l2.csv",
             f"scenario={scenario.name} discrete L2 norm over time",
-            ["t", "l2"],
-            [[float(t), float(v)] for t, v in zip(diag.l2_times, diag.l2_values)],
+            {"t": diag.l2_times, "l2": diag.l2_values},
         )
     if diag is not None and diag.last_report is not None:
         rep = diag.last_report
-        rows = [
-            [
-                i,
-                float(rep.lambda_ed[i]),
-                float(rep.lambda_er_l[i]),
-                float(rep.lambda_er_r[i]),
-                float(rep.lambda_sum[i]),
-                float(rep.lambda_final[i]),
-                int(rep.clamped[i]),
-                int(diag.clamp_totals[i]),
-            ]
-            for i in range(rep.num_sv)
-        ]
         outputs["diagnostics"] = _write_csv(
             f"{base}_lambda.csv",
             f"scenario={scenario.name} correction sizes of the last stage; "
             f"den_fallbacks={rep.den_fallbacks} sigma_fallbacks={rep.sigma_fallbacks}",
-            ["sv", "lambda_ed", "lambda_er_l", "lambda_er_r", "lambda_sum",
-             "lambda_final", "clamped", "clamp_total"],
-            rows,
+            {"sv": range(rep.num_sv), "lambda_ed": rep.lambda_ed,
+             "lambda_er_l": rep.lambda_er_l, "lambda_er_r": rep.lambda_er_r,
+             "lambda_sum": rep.lambda_sum, "lambda_final": rep.lambda_final,
+             "clamped": rep.clamped.astype(int), "clamp_total": diag.clamp_totals},
         )
     if isinstance(ref, ReferenceSolution):
-        rows = [
-            [float(x), float((scenario.b - scenario.a) / ref_cells), *map(float, u)]
-            for x, u in zip(ref.positions, ref.values)
-        ]
+        width = (scenario.b - scenario.a) / ref_cells
         outputs["reference"] = _write_csv(
             f"{base}_reference.csv",
             f"system={scenario.system} scenario={scenario.name} reference "
             f"t={_FMT % scenario.t_end} cells={ref_cells} provenance={ref.provenance}",
-            ["x_center", "width", *_component_names(system)],
-            rows,
+            _profile_table(system, ref.positions, np.full(ref_cells, width), ref.values),
         )
     elif isinstance(ref, str):
         outputs["error"] = f"error kind=reference-failure scenario={scenario.name} {ref}"
@@ -479,41 +484,33 @@ def _periodic_exact(scenario: Scenario, t: float):
 
 
 def run_convergence(base: Scenario, n_sv_list, out_dir: str):
-    """One run per resolution against the exact solution; returns table rows.
+    """One run per resolution against the exact solution; returns (results, path).
 
-    Rows are (n_sv, L1, L2); the written CSV adds per-pair experimental
-    orders for both norms (empty for the first resolution). Every
-    resolution is set up before the first solve, so a bad one raises
-    ``ScenarioError`` before anything is solved or written.
+    ``results`` holds (n_sv, L1, L2) per resolution; the CSV at ``path`` adds
+    per-pair experimental orders for both norms (empty for the first
+    resolution). Every resolution is set up, and the output directory made,
+    before the first solve, so a bad one raises ``ScenarioError`` before
+    anything is solved or written.
     """
     exact = _periodic_exact(base, base.t_end)
     setups = [
         (int(n_sv), _setup(replace(base, n_sv=int(n_sv), diagnostics_every=0)))
         for n_sv in n_sv_list
     ]
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     results = []
     for n_sv, (system, grid, u0, breakpoints, config) in setups:
         state = init_field(u0, grid, system, breakpoints=breakpoints)
         final, _ = integrate(state, config)
-        results.append(
-            (int(n_sv), error_norms(final, exact, "L1"), error_norms(final, exact, "L2"))
-        )
-    ns = [r[0] for r in results]
-    rows = []
-    for idx, (n_sv, l1, l2) in enumerate(results):
-        if idx == 0:
-            rows.append([n_sv, l1, l2, "", ""])
-        else:
-            eoc1 = observed_order([results[idx - 1][1], l1], [ns[idx - 1], n_sv])[0]
-            eoc2 = observed_order([results[idx - 1][2], l2], [ns[idx - 1], n_sv])[0]
-            rows.append([n_sv, l1, l2, float(eoc1), float(eoc2)])
+        results.append((n_sv, error_norms(final, exact, "L1"), error_norms(final, exact, "L2")))
+    ns, l1, l2 = zip(*results)
+    # One order per consecutive pair, so none for the first resolution.
+    orders = [observed_order(errors, ns) if len(ns) > 1 else [] for errors in (l1, l2)]
     path = os.path.join(out_dir, f"{base.name}_convergence.csv")
     _write_csv(
         path,
         f"scenario={base.name} t={_FMT % base.t_end} n_cv={base.n_cv}",
-        ["n_sv", "l1", "l2", "eoc_l1", "eoc_l2"],
-        rows,
+        {"n_sv": ns, "l1": l1, "l2": l2, "eoc_l1": ["", *orders[0]], "eoc_l2": ["", *orders[1]]},
     )
     return results, path
 

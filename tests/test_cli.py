@@ -2,6 +2,7 @@ import builtins
 import os
 import signal
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -136,6 +137,31 @@ class TestRunScenario:
         assert code == 1
         assert "error kind=" in capsys.readouterr().err
 
+    def test_failed_pure_run_prints_no_warning(self, tmp_path, capsys):
+        # The pure stage's fluxes overflow before the check on its new
+        # averages names the failure; numpy must not warn on the way.
+        errstate = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "burgers-sine", "--nsv", "25", "--no-stabilization",
+                         "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error kind=step-failure scenario=burgers-sine sv=4 cv=3 t=0.371785"
+        ]
+        assert sorted(os.listdir(tmp_path)) == ["burgers-sine_l2.csv", "burgers-sine_solution.csv"]
+        assert np.geterr() == errstate
+
+    def test_columns_of_every_kind(self, tmp_path):
+        # Arrays, lists and ranges; floats with 17 digits, the rest as str.
+        path = tmp_path / "kinds.csv"
+        _write_csv(str(path), "kinds", {"i": range(2), "x": np.array([0.1, 1 / 3]),
+                                        "flag": np.array([True, False]).astype(int),
+                                        "eoc": ["", 2.5]})
+        assert path.read_text() == (
+            "# kinds\ni,x,flag,eoc\n0,0.10000000000000001,1,\n1,0.33333333333333331,0,2.5\n"
+        )
+
 
 class TestRunConvergence:
     def test_advection_smoke_orders(self, tmp_path):
@@ -251,26 +277,27 @@ class TestCsvRewrite:
     def test_shorter_content_leaves_no_stale_tail(self, tmp_path):
         path = tmp_path / "table.csv"
         path.write_text("9" * 5000 + "\n")
-        _write_csv(str(path), "short", ["a", "b"], [[0.5, 1], [0.25, 2]])
-        _write_csv(str(tmp_path / "fresh.csv"), "short", ["a", "b"], [[0.5, 1], [0.25, 2]])
+        table = {"a": [0.5, 0.25], "b": [1, 2]}
+        _write_csv(str(path), "short", table)
+        _write_csv(str(tmp_path / "fresh.csv"), "short", table)
         assert path.read_bytes() == b"# short\na,b\n0.5,1\n0.25,2\n"
         assert path.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
     def test_failed_write_leaves_no_stale_tail(self, tmp_path, monkeypatch):
         # A rewrite that raises partway is cut at what it wrote, as a
         # truncating open would leave it: a prefix of the new content.
-        rows = [[0.5, i] for i in range(5000)]
-        _write_csv(str(tmp_path / "full.csv"), "new", ["a", "b"], rows)
+        table = {"a": np.full(5000, 0.5), "b": range(5000)}
+        _write_csv(str(tmp_path / "full.csv"), "new", table)
         full = (tmp_path / "full.csv").read_bytes()
 
-        def failing_rows():
-            yield from rows
+        def failing_column():
+            yield from table["a"]
             raise RuntimeError("row formatting failed")
 
         path = tmp_path / "table.csv"
         path.write_text("old\n" * 50000)
         with pytest.raises(RuntimeError, match="row formatting failed"):
-            _write_csv(str(path), "new", ["a", "b"], failing_rows())
+            _write_csv(str(path), "new", {"a": failing_column(), "b": table["b"]})
         assert path.read_bytes() == full
 
         class FullDisk:
@@ -299,7 +326,7 @@ class TestCsvRewrite:
         with monkeypatch.context() as mp:
             mp.setattr(builtins, "open", lambda *a, **k: FullDisk(real_open(*a, **k)))
             with pytest.raises(OSError, match="No space left"):
-                _write_csv(str(path), "new", ["a", "b"], rows)
+                _write_csv(str(path), "new", table)
         got = path.read_bytes()
         assert 0 < len(got) < len(full) and full.startswith(got)
 
@@ -310,7 +337,7 @@ class TestCsvRewrite:
         target.write_text("old\n" * 100)
         (tmp_path / "sym.csv").symlink_to(target)
         os.link(target, tmp_path / "hard.csv")
-        _write_csv(str(tmp_path / "sym.csv"), "new", ["a"], [[1.0]])
+        _write_csv(str(tmp_path / "sym.csv"), "new", {"a": [1.0]})
         assert (tmp_path / "sym.csv").is_symlink()
         assert target.read_text() == (tmp_path / "hard.csv").read_text() == "# new\na\n1\n"
 
@@ -325,10 +352,10 @@ class TestCsvRewrite:
             open(probe, "w").close()
         except PermissionError:
             with pytest.raises(PermissionError):
-                _write_csv(str(path), "new", ["a"], [[1.0]])
+                _write_csv(str(path), "new", {"a": [1.0]})
             assert path.read_text() == "old\n"
         else:
-            _write_csv(str(path), "new", ["a"], [[1.0]])
+            _write_csv(str(path), "new", {"a": [1.0]})
             assert path.read_text() == "# new\na\n1\n"
         assert path.stat().st_mode & 0o777 == 0o444
 
@@ -360,7 +387,7 @@ class TestCsvRewrite:
         with monkeypatch.context() as mp:
             mp.setattr(os, "open", spy_os_open)
             mp.setattr(builtins, "open", spy_open)
-            _write_csv(str(path), "new", ["a"], [[1.0]])
+            _write_csv(str(path), "new", {"a": [1.0]})
         assert sizes and all(size == 4000 for size in sizes)
         assert path.read_text() == "# new\na\n1\n"
 
@@ -471,6 +498,27 @@ class TestBadConfig:
         assert len(err) == 1 and err[0].startswith("error kind=bad-config scenario=advect-rect ")
         assert list(out.glob("*")) == []
         assert_no_child_left()
+
+    @pytest.mark.parametrize("below_a_file", [False, True], ids=["a-file", "below-a-file"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "advect-rect", "--t-end", "0.01", "--ref-cells", "300"],
+         ["convergence", "density-bump", "--nsv-list", "6,8", "--t-end", "0.1"]],
+        ids=["run", "convergence"],
+    )
+    def test_out_dir_that_cannot_be_made(self, tmp_path, capsys, monkeypatch, calls, argv,
+                                         below_a_file):
+        monkeypatch.setattr(os, "fork", lambda: calls.append("fork"))
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        out = taken / "out" if below_a_file else taken
+        code = main([*argv, "--out-dir", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith(f"error kind=bad-config scenario={argv[1]} ")
+        assert repr(str(out)) in err[0]
+        assert calls == []
+        assert taken.read_text() == "a file\n"
 
     @pytest.mark.parametrize("flags", [["--nsv", "12"], ["--ref-cells", "300"]])
     def test_run_only_flags_rejected_by_convergence(self, tmp_path, calls, flags):

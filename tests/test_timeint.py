@@ -1067,9 +1067,8 @@ def stage_cases(draw):
     return system, data
 
 
-def assert_entropy_inequality(grad, rates, f_star, widths, report):
-    """<dU/du, D + lambda v>_S <= F*_{i-1/2} - F*_{i+1/2} on every SV whose correction
-    was neither clamped nor a denominator fallback; returns how many SVs it checked.
+def entropy_inequality_holds(grad, rates, f_star, widths, report):
+    """Per SV, whether <dU/du, D + lambda v>_S <= F*_{i-1/2} - F*_{i+1/2}.
 
     ``grad`` (N, k, m) is dU/du of the stage's averages, ``rates`` its D and
     filter direction v, ``f_star`` the numerical entropy flux of its
@@ -1084,9 +1083,27 @@ def assert_entropy_inequality(grad, rates, f_star, widths, report):
     budget = f_star[:-1] - f_star[1:]
     tol = 1e-12 * (magnitude + np.abs(f_star[:-1]) + np.abs(f_star[1:]))
     tol += 4 * grad[0].size * np.finfo(float).smallest_subnormal
+    return production <= budget + tol
+
+
+def assert_entropy_inequality(grad, rates, f_star, widths, report):
+    """The per-SV entropy inequality on every SV whose correction was neither
+    clamped nor a denominator fallback; returns how many SVs it checked."""
     checked = ~report.clamped & report._usable  # _usable: its denominator was usable
-    assert np.all((production <= budget + tol)[checked])
+    assert np.all(entropy_inequality_holds(grad, rates, f_star, widths, report)[checked])
     return int(np.count_nonzero(checked))
+
+
+# Per builtin, the SV-stages of its first 20 steps that fail the per-SV
+# entropy inequality: (denominator fallbacks, the rest). Of 2400 SV-stages
+# (720 for the density bump, 1800 for advect-rect).
+FAILING_SV_STAGES = {
+    "sod": (390, 0),
+    "lax": (167, 0),
+    "density-bump": (0, 329),
+    "burgers-sine": (0, 1200),
+    "advect-rect": (13, 0),
+}
 
 
 class TestStageInvariants:
@@ -1169,3 +1186,13 @@ class TestStageInvariants:
         checked = sum(assert_entropy_inequality(g, r, f, grid.cv_widths, rep)
                       for g, r, f, rep in stages)
         assert len(stages) == 60 and checked > 0
+        # The SV-stages that fail the inequality, split into denominator
+        # fallbacks and the rest, pinned with the 4.3 % that roundoff moves
+        # the clamp flags by: a change that widens either set shows here.
+        failing = np.zeros(2, dtype=int)
+        for g, r, f, rep in stages:
+            fails = ~entropy_inequality_holds(g, r, f, grid.cv_widths, rep)
+            failing += [np.count_nonzero(fails & ~rep._usable),
+                        np.count_nonzero(fails & rep._usable)]
+        want = np.array(FAILING_SV_STAGES[name])
+        assert np.all(np.abs(failing - want) <= 0.043 * want), failing

@@ -12,12 +12,15 @@ writes only into a fresh temporary directory:
 * ``sod --no-stabilization --t-end 0.5``: the pure Euler stage;
 * ``burgers-sine --nsv 1``, stabilized and pure: a one-SV field, whose
   per-SV products numpy runs as matrix-vector kernels;
+* ``burgers-sine --no-stabilization --nsv 25``, a run that fails with
+  ``error kind=step-failure`` and exit status 1: the outputs of a failed
+  run, the solution and L2 files of its last admissible state;
 * ``convergence density-bump --nsv-list 8,10,12 --t-end 2``.
 
-It then prints one line per run, comparing the exit statuses, and one per
-output file, saying whether every checkout wrote the same bytes, and exits
-with status 1 on any difference, 0 when all agree. The runs take about half
-a minute per checkout on a 2-core machine.
+That makes 12 runs. It then prints one line per run, comparing the exit
+statuses, and one per output file, saying whether every checkout wrote the
+same bytes, and exits with status 1 on any difference, 0 when all agree.
+The runs take about 25 s per checkout on a 2-core machine.
 """
 
 import argparse
@@ -37,6 +40,7 @@ RUNS = {
     "sod-pure": ["run", "sod", "--no-stabilization", "--t-end", "0.5"],
     "burgers-sine-one-sv": ["run", "burgers-sine", "--nsv", "1"],
     "burgers-sine-one-sv-pure": ["run", "burgers-sine", "--no-stabilization", "--nsv", "1"],
+    "burgers-sine-pure-fails": ["run", "burgers-sine", "--no-stabilization", "--nsv", "25"],
     "density-bump-convergence": ["convergence", "density-bump", "--nsv-list", "8,10,12",
                                  "--t-end", "2"],
 }
