@@ -399,7 +399,7 @@ def run_scenario(scenario: Scenario, out_dir: str, ref_cells: int = 0):
     reference = None
     if ref_cells:
         reference = _ReferenceProcess(
-            system, u0, scenario.a, scenario.b, ref_cells, 0.9, scenario.t_end, config.bc
+            system, u0, scenario.a, scenario.b, ref_cells, scenario.t_end, config.bc
         )
     error = ref = None
     try:
@@ -458,9 +458,16 @@ def run_scenario(scenario: Scenario, out_dir: str, ref_cells: int = 0):
 
 
 def _periodic_exact(scenario: Scenario, t: float):
-    """Exact state function (conserved) at time t for smooth periodic cases."""
+    """Exact state function (conserved) at time t for smooth periodic cases.
+
+    The density bump's is the builtin's: periodic on [0, 10], where the
+    wrapped bump equals the initial condition. Any other bump, and any
+    scenario without an exact solution, raises ``ScenarioError``.
+    """
     length = scenario.b - scenario.a
     if scenario.system == "euler" and scenario.initial == "density-bump":
+        if scenario.bc != "periodic" or (scenario.a, scenario.b) != (0.0, 10.0):
+            raise ScenarioError("the exact density bump needs bc = periodic on [0, 10]")
         gamma = scenario.gamma
 
         def exact(xs):

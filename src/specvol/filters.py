@@ -78,23 +78,16 @@ def build_generator(cv_widths) -> FilterGenerator:
 
 
 def apply_generator(gen: FilterGenerator, u: np.ndarray, out=None) -> np.ndarray:
-    """Dissipation direction v = H u, componentwise.
+    """Dissipation direction v = H u of every SV of a batch (N, k, m), componentwise.
 
-    Accepts one SV (k, m) or a batch (N, k, m). The width-weighted sum of v
-    vanishes per component, so adding v to the time derivative never changes
-    the conserved totals. ``out``, for a batch only, is a C-contiguous float
-    array of the batch's shape that receives v.
+    The width-weighted sum of v vanishes per component, so adding v to the
+    time derivative never changes the conserved totals. ``out`` is a
+    C-contiguous float array of the batch's shape that receives v.
     """
     u = np.asarray(u, dtype=float)
-    if u.ndim == 2:
-        if u.shape[0] != gen.num_cv:
-            raise ValueError(f"expected (k={gen.num_cv}, m) data, got {u.shape}")
-        return gen.matrix @ u
-    if u.ndim == 3:
-        if u.shape[1] != gen.num_cv:
-            raise ValueError(f"expected (N, k={gen.num_cv}, m) data, got {u.shape}")
-        return _per_sv_product(gen.matrix, gen._blocks, u, out)
-    raise ValueError(f"expected 2-D or 3-D data, got {u.ndim}-D")
+    if u.ndim != 3 or u.shape[1] != gen.num_cv:
+        raise ValueError(f"expected (N, k={gen.num_cv}, m) data, got {u.shape}")
+    return _per_sv_product(gen.matrix, gen._blocks, u, out)
 
 
 def filter_matrix(gen: FilterGenerator, tau: float) -> np.ndarray:

@@ -22,6 +22,7 @@ from .timeint import CellAverageField, _evaluate, _quadrature_batches
 
 __all__ = [
     "MIN_CELLS",
+    "REFERENCE_CFL",
     "ReferenceSolution",
     "lax_friedrichs_solver",
     "exact_advection",
@@ -34,6 +35,7 @@ __all__ = [
 
 
 MIN_CELLS = 10  # the fewest cells lax_friedrichs_solver accepts
+REFERENCE_CFL = 0.9  # the CFL number of lax_friedrichs_solver's steps
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,6 @@ def lax_friedrichs_solver(
     a: float,
     b: float,
     n_cells: int,
-    cfl: float,
     t_end: float,
     bc,
 ) -> ReferenceSolution:
@@ -65,17 +66,14 @@ def lax_friedrichs_solver(
 
     Interface flux 0.5(f_l + f_r) - (dx / (2 dt))(u_r - u_l) on a uniform
     grid of midpoint-sampled cells. The step size follows the CFL condition
-    against the current maximum signal speed (shock breakup can raise it
-    well above the initial value), with a shortened final step onto t_end.
-    A ``bc`` that is neither a ``PeriodicBC`` nor a ``FixedBC``, or a
-    ``cfl`` or ``t_end`` that ``SolverConfig`` would reject (``cfl`` outside
-    (0, 1], ``t_end`` not positive and finite), raises ``ValueError`` before
-    any work.
+    at ``REFERENCE_CFL`` against the current maximum signal speed (shock
+    breakup can raise it well above the initial value), with a shortened
+    final step onto t_end. A ``bc`` that is neither a ``PeriodicBC`` nor a
+    ``FixedBC``, or a ``t_end`` that ``SolverConfig`` would reject (not
+    positive and finite), raises ``ValueError`` before any work.
     """
     if n_cells < MIN_CELLS:
         raise ValueError(f"need at least {MIN_CELLS} cells, got {n_cells}")
-    if not 0.0 < cfl <= 1.0:
-        raise ValueError(f"cfl must be in (0, 1], got {cfl}")
     if not 0.0 < t_end < np.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     _check_bc(bc)
@@ -96,10 +94,10 @@ def lax_friedrichs_solver(
     check_every = 200
     steps = 0
     while t < t_end - 1e-14 * max(t_end, 1.0):
-        c_now = float(np.max(system.max_signal_speed_raw(u, u)))
+        c_now = float(np.max(system.max_signal_speed_raw(u)))
         if c_now <= 0.0:
             break  # nothing propagates; the field is already final
-        dt = min(cfl * dx / c_now, t_end - t)
+        dt = min(REFERENCE_CFL * dx / c_now, t_end - t)
         ext[0], ext[-1] = bc.ghosts(u[0], u[-1])
         f = system.flux_raw(ext)
         lam = dx / (2.0 * dt)
@@ -157,12 +155,12 @@ def exact_euler_density_bump(t: float, x, gamma: float = 1.4):
     return rho, np.ones_like(rho), np.ones_like(rho)
 
 
-def _exact_cv_averages(exact, grid, m: int, quad_order: int = 12) -> np.ndarray:
-    """Gauss-Legendre cell averages of an exact state function on the grid.
+def _exact_cv_averages(exact, grid, m: int) -> np.ndarray:
+    """12-point Gauss-Legendre cell averages of an exact state function on the grid.
 
     ``exact`` is called on batches of quadrature nodes, as in ``init_field``.
     """
-    nodes, weights = gauss_legendre_rule(quad_order)
+    nodes, weights = gauss_legendre_rule(12)
     lo = grid.cv_edges[:, :-1]
     hi = grid.cv_edges[:, 1:]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)

@@ -131,7 +131,7 @@ def interface_terms(
         # The LLF flux alone, built in the array of the sides' fluxes with
         # the operations, and so the bits, of the stabilized branch below.
         flux, work = system.flux_raw(sides)
-        c_max = system.max_signal_speed_raw(u_l, u_r)
+        c_max = np.maximum(system.max_signal_speed_raw(u_l), system.max_signal_speed_raw(u_r))
         np.multiply(np.add(flux, work, out=flux), 0.5, out=flux)
         np.multiply(np.subtract(u_r, u_l, out=work), (0.5 * c_max)[:, None], out=work)
         return InterfaceTerms(np.subtract(flux, work, out=flux), c_max)

@@ -2,7 +2,7 @@
 
 States are numpy arrays whose last axis holds the m conserved components, so
 every operation is vectorized over arbitrary leading axes (cells, interfaces,
-sample batches). Scalar systems use m = 1.
+sample batches). Scalar systems use m = 1 and the quadratic entropy U = u^2/2.
 
 Entropy pairs (U, F) satisfy the compatibility relation U'(u) f'(u) = F'(u);
 for Euler the physical pair U = -rho*S, F = -rho*v*S with S = ln(p rho^-gamma)
@@ -11,7 +11,8 @@ is used.
 Each quantity has one method (``flux_raw``, ``max_signal_speed_raw``,
 ``entropy_raw``, ``entropy_flux_raw``, ``entropy_gradient_raw``), and
 ``stage_terms`` gives all of them in one pass over the states of a stage,
-together with the admissibility mask and the flux of its boundary traces.
+together with the admissibility mask of its boundary traces, whose flux it
+writes with the others.
 ``flux_raw(u, out=buf)`` writes the flux into ``buf``, a float array shaped
 like u that does not overlap it (a view such as the solver's CV-face rows
 will do), and returns ``buf``; its bits are those of ``flux_raw(u)``. The
@@ -50,11 +51,10 @@ class StageTerms(NamedTuple):
     """
 
     flux: np.ndarray  # f of u[skip:n]
-    speed: np.ndarray  # max_signal_speed_raw(h, h) of h = u[skip:n]
+    speed: np.ndarray  # max_signal_speed_raw of u[skip:n]
     entropy: np.ndarray  # U of u[skip:]
     entropy_flux: np.ndarray  # F of u[skip:n]
     gradient: np.ndarray  # dU/du of u[skip:]
-    trace_flux: np.ndarray  # f of u[:skip]
     trace_ok: np.ndarray  # admissible(u[:skip])
 
 
@@ -68,8 +68,8 @@ class ConservationSystem:
     def flux_raw(self, u: np.ndarray, out=None) -> np.ndarray:
         raise NotImplementedError
 
-    def max_signal_speed_raw(self, u_l: np.ndarray, u_r: np.ndarray) -> np.ndarray:
-        """Bound on |signal speed| over the two states, shape = leading dims."""
+    def max_signal_speed_raw(self, u: np.ndarray) -> np.ndarray:
+        """Bound on |signal speed| of each state, shape = leading dims."""
         raise NotImplementedError
 
     def entropy_raw(self, u: np.ndarray) -> np.ndarray:
@@ -89,24 +89,22 @@ class ConservationSystem:
         term with floating-point warnings off, since inadmissible traces
         would raise them). The states u[skip:] must be admissible and are
         not checked: f, speed and F are those of u[skip:n], U and dU/du
-        those of all of u[skip:], and ``speed`` is
-        ``max_signal_speed_raw(h, h)`` of h = u[skip:n]. With ``skip = 0``
-        and ``n = len(u)`` every term covers every state. Each term equals
-        its method's value bitwise. ``out``, when given, is a float array
-        shaped like u[:n] that receives the flux of u[:n]; the ``flux`` and
-        ``trace_flux`` terms are then views of it. Systems whose terms share
-        work override this whole pass; no hook replaces a single term.
+        those of all of u[skip:]. With ``skip = 0`` and ``n = len(u)``
+        every term covers every state. Each term equals its method's value
+        bitwise. ``out``, when given, is a float array shaped like u[:n]
+        that receives the flux of u[:n], the traces' in its first ``skip``
+        rows; the ``flux`` term is then a view of it. Systems whose terms
+        share work override this whole pass; no hook replaces a single term.
         """
         u = np.asarray(u, dtype=float)
         flux = self.flux_raw(u[:n], out=out)
         head, rest = u[skip:n], u[skip:]
         return StageTerms(
             flux[skip:],
-            self.max_signal_speed_raw(head, head),
+            self.max_signal_speed_raw(head),
             self.entropy_raw(rest),
             self.entropy_flux_raw(head),
             self.entropy_gradient_raw(rest),
-            flux[:skip],
             self.admissible(u[:skip]),
         )
 
@@ -140,10 +138,22 @@ class ConservationSystem:
             )
 
 
-class LinearAdvection(ConservationSystem):
-    """u_t + v u_x = 0 with quadratic entropy U = u^2/2, F = v u^2/2."""
+class _QuadraticEntropy(ConservationSystem):
+    """A scalar system (m = 1) with the quadratic entropy U = u^2/2, dU/du = u."""
 
     m = 1
+
+    def entropy_raw(self, u):
+        u = np.asarray(u, dtype=float)
+        return 0.5 * u[..., 0] ** 2
+
+    def entropy_gradient_raw(self, u):
+        return np.asarray(u, dtype=float).copy()
+
+
+class LinearAdvection(_QuadraticEntropy):
+    """u_t + v u_x = 0 with quadratic entropy U = u^2/2, F = v u^2/2."""
+
     name = "advection"
 
     def __init__(self, velocity: float):
@@ -154,26 +164,17 @@ class LinearAdvection(ConservationSystem):
     def flux_raw(self, u, out=None):
         return np.multiply(self.velocity, np.asarray(u, dtype=float), out=out)
 
-    def max_signal_speed_raw(self, u_l, u_r):
-        u_l = np.asarray(u_l, dtype=float)
-        return np.full(u_l.shape[:-1], abs(self.velocity))
-
-    def entropy_raw(self, u):
-        u = np.asarray(u, dtype=float)
-        return 0.5 * u[..., 0] ** 2
+    def max_signal_speed_raw(self, u):
+        return np.full(np.shape(u)[:-1], abs(self.velocity))
 
     def entropy_flux_raw(self, u):
         u = np.asarray(u, dtype=float)
         return 0.5 * self.velocity * u[..., 0] ** 2
 
-    def entropy_gradient_raw(self, u):
-        return np.asarray(u, dtype=float).copy()
 
-
-class Burgers(ConservationSystem):
+class Burgers(_QuadraticEntropy):
     """u_t + (u^2/2)_x = 0 with U = u^2/2, F = u^3/3."""
 
-    m = 1
     name = "burgers"
 
     def flux_raw(self, u, out=None):
@@ -181,21 +182,12 @@ class Burgers(ConservationSystem):
         f = np.multiply(0.5, u, out=out)
         return np.multiply(f, u, out=f)  # (0.5 * u) * u, in that order
 
-    def max_signal_speed_raw(self, u_l, u_r):
-        u_l = np.asarray(u_l, dtype=float)
-        u_r = np.asarray(u_r, dtype=float)
-        return np.maximum(np.abs(u_l[..., 0]), np.abs(u_r[..., 0]))
-
-    def entropy_raw(self, u):
-        u = np.asarray(u, dtype=float)
-        return 0.5 * u[..., 0] ** 2
+    def max_signal_speed_raw(self, u):
+        return np.abs(np.asarray(u, dtype=float)[..., 0])
 
     def entropy_flux_raw(self, u):
         u = np.asarray(u, dtype=float)
         return u[..., 0] ** 3 / 3.0
-
-    def entropy_gradient_raw(self, u):
-        return np.asarray(u, dtype=float).copy()
 
 
 class Euler(ConservationSystem):
@@ -285,14 +277,9 @@ class Euler(ConservationSystem):
         mom = u[..., 1]
         return self._flux(mom, u[..., 2], mom / u[..., 0], out)
 
-    def max_signal_speed_raw(self, u_l, u_r):
-        # One pass when both sides are the same array: max(a, a) == a.
-        rho_l, mom_l, p_l = self._primitives(u_l)
-        speed_l = self._speed(rho_l, mom_l / rho_l, p_l)
-        if u_r is u_l:
-            return speed_l
-        rho_r, mom_r, p_r = self._primitives(u_r)
-        return np.maximum(speed_l, self._speed(rho_r, mom_r / rho_r, p_r))
+    def max_signal_speed_raw(self, u):
+        rho, mom, p = self._primitives(u)
+        return self._speed(rho, mom / rho, p)
 
     def entropy_raw(self, u):
         rho, _, p = self._primitives(u)
@@ -319,7 +306,7 @@ class Euler(ConservationSystem):
             n -= skip
             rho, mom, p, v, s = rho[:n], mom[:n], p[:n], v[:n], s[:n]
             speed = self._speed(rho, v, p)
-        return StageTerms(flux[skip:], speed, ent, -mom * s, grad, flux[:skip], ok)
+        return StageTerms(flux[skip:], speed, ent, -mom * s, grad, ok)
 
 
 def advection_system(velocity: float) -> LinearAdvection:

@@ -420,8 +420,7 @@ def select_dt(state: CellAverageField, cfl: float) -> float:
     """
     system = state.system
     system.check_admissible(state.data, "initial state")
-    cells = state.data.reshape(-1, system.m)
-    c_global = float(np.max(system.max_signal_speed_raw(cells, cells)))
+    c_global = float(np.max(system.max_signal_speed_raw(state.data)))
     min_width = float(np.min(state.grid.cv_widths))
     if c_global <= 0.0 and isinstance(system, LinearAdvection):
         return cfl * min_width

@@ -233,8 +233,8 @@ def _run_tube(name):
     bc = FixedBC(left=u0(0.0), right=u0(10.0))
     config = SolverConfig(t_end=2.0, cfl=0.1, bc=bc, stabilization_enabled=True)
     final, _ = integrate(state, config)
-    fine = lax_friedrichs_solver(system, u0, 0.0, 10.0, 30000, 0.9, 2.0, bc)
-    coarse = lax_friedrichs_solver(system, u0, 0.0, 10.0, 3000, 0.9, 2.0, bc)
+    fine = lax_friedrichs_solver(system, u0, 0.0, 10.0, 30000, 2.0, bc)
+    coarse = lax_friedrichs_solver(system, u0, 0.0, 10.0, 3000, 2.0, bc)
     dist = error_norms(final, fine, "L1", component=0)
     gap = float(
         np.sum(np.abs(coarse.values[:, 0] - fine.sample(coarse.positions)[:, 0]))

@@ -440,6 +440,26 @@ class TestBadConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "edit", [("bc = periodic", "bc = fixed"), ("b = 10\n", "b = 8\n")],
+        ids=["fixed", "b-8"],
+    )
+    def test_density_bump_off_its_exact_domain(self, tmp_path, capsys, calls, edit):
+        # The exact bump wraps with period 10 from a = 0: on another domain,
+        # or without periodic ends, it is not the run's solution.
+        text = BUILTIN_SCENARIOS["density-bump"].to_config_text()
+        assert edit[0] in text
+        path = tmp_path / "bump.cfg"
+        path.write_text(text.replace(*edit))
+        out = tmp_path / "out"
+        code = main(["convergence", str(path), "--nsv-list", "8,12,16", "--out-dir", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error kind=bad-config scenario=density-bump ")
+        assert "periodic on [0, 10]" in err[0]
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "edit, named",
         [
             (("n_sv = 60", "n_sv = x"), "'n_sv'"),
@@ -565,7 +585,7 @@ class TestOverlappedReference:
         assert_no_child_left()
         assert "error" not in outputs
         system, _, u0, _, config = cli._setup(scen, 300)
-        ref = lax_friedrichs_solver(system, u0, scen.a, scen.b, 300, 0.9, scen.t_end, config.bc)
+        ref = lax_friedrichs_solver(system, u0, scen.a, scen.b, 300, scen.t_end, config.bc)
         xs, widths, values = read_solution_csv(outputs["reference"])
         assert xs.tobytes() == ref.positions.tobytes()
         assert np.ascontiguousarray(values).tobytes() == ref.values.tobytes()

@@ -92,11 +92,11 @@ class TestGeneratorCache:
 class TestApplyGenerator:
     def test_constant_in_nullspace(self):
         gen = build_generator(gl_widths(4))
-        np.testing.assert_allclose(apply_generator(gen, np.full((4, 1), 3.3)), 0.0, atol=1e-13)
+        np.testing.assert_allclose(apply_generator(gen, np.full((1, 4, 1), 3.3)), 0.0, atol=1e-13)
 
     def test_k2_example(self):
         gen = build_generator(np.array([1.0, 1.0]))
-        out = apply_generator(gen, np.array([[0.0], [1.0]]))
+        out = apply_generator(gen, np.array([[[0.0], [1.0]]]))
         np.testing.assert_allclose(out.ravel(), [1.0, -1.0], atol=1e-15)
 
     def test_correction_conserves_weighted_sum(self):
@@ -108,9 +108,11 @@ class TestApplyGenerator:
         np.testing.assert_allclose(np.einsum("j,ijc->ic", widths, v), 0.0, atol=1e-13)
 
     def test_dimension_mismatch_rejected(self):
+        # A batch of SVs of another k, or one SV that is not a batch.
         gen = build_generator(gl_widths(4))
-        with pytest.raises(ValueError):
-            apply_generator(gen, np.zeros((3, 1)))
+        for data in (np.zeros((1, 3, 1)), np.zeros((4, 1))):
+            with pytest.raises(ValueError, match=r"expected \(N, k=4, m\) data"):
+                apply_generator(gen, data)
 
 
 class TestFilterMatrix:
@@ -173,7 +175,7 @@ class TestDirectionDissipates:
             u = rng.normal(size=(4, 1))
             if np.ptp(u) < 1e-9:
                 continue
-            v = apply_generator(gen, u)
+            (v,) = apply_generator(gen, u[None])
             ip = float(np.einsum("j,jc,jc->", widths, u, v))  # dU/du = u
             assert ip < 0.0
 
@@ -186,7 +188,7 @@ class TestDirectionDissipates:
             u = primitive_to_conserved(
                 rng.uniform(0.1, 3.0, 4), rng.uniform(-2.0, 2.0, 4), rng.uniform(0.05, 4.0, 4)
             )
-            v = apply_generator(gen, u)
+            (v,) = apply_generator(gen, u[None])
             grad = sys.entropy_gradient_raw(u)
             ip = float(np.einsum("j,jc,jc->", widths, grad, v))
             assert ip <= 1e-12

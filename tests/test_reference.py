@@ -5,6 +5,7 @@ from specvol import timeint
 from specvol.cli import BUILTIN_SCENARIOS
 from specvol.mesh import build_grid
 from specvol.reference import (
+    REFERENCE_CFL,
     ReferenceSolution,
     _exact_cv_averages,
     error_norms,
@@ -29,7 +30,7 @@ from specvol.timeint import _evaluate, init_field
 class TestLaxFriedrichsSolver:
     def test_constant_initial_data(self):
         sys = advection_system(1.0)
-        ref = lax_friedrichs_solver(sys, lambda x: 0.7, 0.0, 1.0, 50, 0.9, 0.3, PeriodicBC())
+        ref = lax_friedrichs_solver(sys, lambda x: 0.7, 0.0, 1.0, 50, 0.3, PeriodicBC())
         np.testing.assert_allclose(ref.values, 0.7, atol=1e-13)
 
     def test_advection_refines_toward_exact(self):
@@ -37,7 +38,7 @@ class TestLaxFriedrichsSolver:
         u0 = lambda x: 1.0 if 0.25 <= x <= 0.75 else 0.0
         errors = []
         for n in (200, 800):
-            ref = lax_friedrichs_solver(sys, u0, 0.0, 1.0, n, 0.9, 0.37, PeriodicBC())
+            ref = lax_friedrichs_solver(sys, u0, 0.0, 1.0, n, 0.37, PeriodicBC())
             exact = exact_advection(u0, 1.0, 0.37, ref.positions, 0.0, 1.0)
             errors.append(np.sum(np.abs(ref.values[:, 0] - exact)) / n)
         assert errors[1] < errors[0]
@@ -48,7 +49,7 @@ class TestLaxFriedrichsSolver:
         # sine on [0, 2]: shock forms at x = 1 and stays there by symmetry
         sys = burgers_system()
         ref = lax_friedrichs_solver(
-            sys, lambda x: np.sin(np.pi * x), 0.0, 2.0, 3000, 0.9, 0.5, PeriodicBC()
+            sys, lambda x: np.sin(np.pi * x), 0.0, 2.0, 3000, 0.5, PeriodicBC()
         )
         vals = ref.values[:, 0]
         drop = np.diff(vals).argmin()
@@ -67,7 +68,7 @@ class TestLaxFriedrichsSolver:
         scalar_only = lambda x: u0(float(x))  # float() rejects arrays: per-point path
         bc = FixedBC(left=u0(scen.a), right=u0(scen.b))
         runs = [
-            lax_friedrichs_solver(scen.build_system(), f, scen.a, scen.b, 2000, 0.9, 0.01, bc)
+            lax_friedrichs_solver(scen.build_system(), f, scen.a, scen.b, 2000, 0.01, bc)
             for f in (batched, scalar_only)
         ]
         assert calls == [(2000,)]
@@ -81,33 +82,31 @@ class TestLaxFriedrichsSolver:
             return np.zeros_like(x)
 
         with pytest.raises(ValueError, match="unknown boundary condition 'open'"):
-            lax_friedrichs_solver(burgers_system(), u0, 0.0, 1.0, 20, 0.9, 0.1, "open")
+            lax_friedrichs_solver(burgers_system(), u0, 0.0, 1.0, 20, 0.1, "open")
         assert calls == []
 
     def test_too_few_cells_rejected(self):
         with pytest.raises(ValueError):
             lax_friedrichs_solver(
-                advection_system(1.0), lambda x: 0.0, 0.0, 1.0, 5, 0.9, 0.1, PeriodicBC()
+                advection_system(1.0), lambda x: 0.0, 0.0, 1.0, 5, 0.1, PeriodicBC()
             )
 
-    # SolverConfig's rule. A negative cfl and t_end = inf are left out: a
-    # solver without the check would loop forever on them.
-    @pytest.mark.parametrize(
-        "cfl, t_end", [(0.0, 0.1), (1.5, 0.1), (np.nan, 0.1), (0.9, 0.0), (0.9, np.nan)]
-    )
-    def test_cfl_and_t_end_out_of_range_rejected_before_any_work(self, cfl, t_end):
+    # SolverConfig's rule. t_end = inf is left out: a solver without the
+    # check would loop forever on it.
+    @pytest.mark.parametrize("t_end", [0.0, np.nan])
+    def test_t_end_out_of_range_rejected_before_any_work(self, t_end):
         calls = []
 
         def u0(x):
             calls.append(x)
             return np.sin(np.pi * x)
 
-        with pytest.raises(ValueError, match="cfl must be|t_end must be"):
-            lax_friedrichs_solver(burgers_system(), u0, 0.0, 2.0, 20, cfl, t_end, PeriodicBC())
+        with pytest.raises(ValueError, match="t_end must be"):
+            lax_friedrichs_solver(burgers_system(), u0, 0.0, 2.0, 20, t_end, PeriodicBC())
         assert calls == []
 
 
-def lax_friedrichs_oracle(system, u0, a, b, n_cells, cfl, t_end, bc):
+def lax_friedrichs_oracle(system, u0, a, b, n_cells, t_end, bc):
     """The reference loop on fresh arrays every step, as it was before it used
     buffers; returns (values, steps). The solver must match it bit for bit."""
     dx = (b - a) / n_cells
@@ -125,10 +124,10 @@ def lax_friedrichs_oracle(system, u0, a, b, n_cells, cfl, t_end, bc):
     check_every = 200
     steps = 0
     while t < t_end - 1e-14 * max(t_end, 1.0):
-        c_now = float(np.max(system.max_signal_speed_raw(u, u)))
+        c_now = float(np.max(system.max_signal_speed_raw(u)))
         if c_now <= 0.0:
             break
-        dt = min(cfl * dx / c_now, t_end - t)
+        dt = min(REFERENCE_CFL * dx / c_now, t_end - t)
         ext[1:-1] = u
         if periodic:
             ext[0] = u[-1]
@@ -153,7 +152,7 @@ def _rect(x):
 
 
 def _oracle_case(name):
-    """(system, u0, a, b, n_cells, cfl, t_end, bc) of one oracle comparison."""
+    """(system, u0, a, b, n_cells, t_end, bc) of one oracle comparison."""
     if name in ("sod", "lax", "density-bump"):
         scen = BUILTIN_SCENARIOS[name]
         u0, _ = scen.initial_condition()
@@ -161,14 +160,14 @@ def _oracle_case(name):
             bc = PeriodicBC()
         else:
             bc = FixedBC(left=u0(scen.a), right=u0(scen.b))
-        return scen.build_system(), u0, scen.a, scen.b, 1000, 0.9, 2.0, bc
+        return scen.build_system(), u0, scen.a, scen.b, 1000, 2.0, bc
     if name == "advection-periodic":
-        return advection_system(1.0), _rect, 0.0, 1.0, 400, 0.9, 1.0, PeriodicBC()
+        return advection_system(1.0), _rect, 0.0, 1.0, 400, 1.0, PeriodicBC()
     if name == "burgers-periodic":
-        return burgers_system(), lambda x: np.sin(np.pi * x), 0.0, 2.0, 1000, 0.9, 0.5, PeriodicBC()
+        return burgers_system(), lambda x: np.sin(np.pi * x), 0.0, 2.0, 1000, 0.5, PeriodicBC()
     step = lambda x: np.where(x <= 1.0, -1.0, 1.0)  # burgers-fixed
     bc = FixedBC(left=np.array([-1.0]), right=np.array([1.0]))
-    return burgers_system(), step, 0.0, 2.0, 1000, 0.9, 0.5, bc
+    return burgers_system(), step, 0.0, 2.0, 1000, 0.5, bc
 
 
 class TestLaxFriedrichsOracle:
@@ -192,7 +191,7 @@ class TestLaxFriedrichsOracle:
         [
             # Overflow: the fluxes of a 1e308 plateau are inf, its updates
             # NaN, and the check at step 200 names it.
-            (advection_system(1.0), lambda x: 1e308 * _rect(x), 0.0, 1.0, 100, 0.9, 100.0,
+            (advection_system(1.0), lambda x: 1e308 * _rect(x), 0.0, 1.0, 100, 100.0,
              PeriodicBC()),
             # A right ghost state of negative energy drives the last cell's
             # pressure negative, which makes the speed NaN and ends the loop;
@@ -201,7 +200,7 @@ class TestLaxFriedrichsOracle:
              FixedBC(left=np.array([1.0, 0.0, 2.5]), right=np.array([0.125, 0.0, -1.0]))),
             # Inadmissible initial data.
             (euler_system(), lambda x: np.tile([1.0, 0.0, -1.0], (np.size(x), 1)),
-             0.0, 1.0, 50, 0.9, 0.1, PeriodicBC()),
+             0.0, 1.0, 50, 0.1, PeriodicBC()),
         ],
         ids=["advection-overflow", "sod-unstable", "euler-initial"],
     )
@@ -393,6 +392,6 @@ class TestFixedBcReference:
         sys = burgers_system()
         u0 = lambda x: -1.0 if x <= 1.0 else 1.0
         bc = FixedBC(left=np.array([-1.0]), right=np.array([1.0]))
-        ref = lax_friedrichs_solver(sys, u0, 0.0, 2.0, 400, 0.9, 0.25, bc)
+        ref = lax_friedrichs_solver(sys, u0, 0.0, 2.0, 400, 0.25, bc)
         assert ref.values[0, 0] == pytest.approx(-1.0, abs=1e-8)
         assert ref.values[-1, 0] == pytest.approx(1.0, abs=1e-8)

@@ -125,7 +125,7 @@ class TestSigmaOnePass:
         u_r[:50] = u_l[:50]
         if system.m == 1:
             u_r[:20] = u_l[:20] = 0.0  # c = 0 on these lanes for Burgers
-        c = system.max_signal_speed_raw(u_l, u_r)
+        c = np.maximum(system.max_signal_speed_raw(u_l), system.max_signal_speed_raw(u_r))
         if system.m == 3:
             # Below the true signal speed u_lr can lose its pressure: fallbacks.
             c[100:200] *= 0.05
@@ -200,9 +200,7 @@ class TestInterfaceSpeed:
         system = make()
         rng = np.random.default_rng(41)
         u_l, u_r = sample_states(system, rng, 300), sample_states(system, rng, 300)
-        want = np.maximum(
-            system.max_signal_speed_raw(u_l, u_l), system.max_signal_speed_raw(u_r, u_r)
-        )
+        want = np.maximum(system.max_signal_speed_raw(u_l), system.max_signal_speed_raw(u_r))
         for stabilized in (False, True):
             got = terms(u_l, u_r, system, stabilized).speed
             np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)

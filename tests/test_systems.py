@@ -79,7 +79,7 @@ class TestBurgers:
 
     def test_signal_speed(self):
         sys = burgers_system()
-        assert sys.max_signal_speed_raw(np.array([1.0]), np.array([-1.0])) == 1.0
+        np.testing.assert_array_equal(sys.max_signal_speed_raw(np.array([[1.0], [-2.0]])), [1, 2])
 
 
 @pytest.mark.parametrize("make", [lambda: advection_system(1.0), burgers_system],
@@ -239,7 +239,7 @@ class TestFusedTerms:
         system, u = case
         terms = system.stage_terms(u, len(u))
         assert_bitwise(terms.flux, system.flux_raw(u))
-        assert_bitwise(terms.speed, system.max_signal_speed_raw(u, u))
+        assert_bitwise(terms.speed, system.max_signal_speed_raw(u))
         assert_bitwise(terms.entropy, system.entropy_raw(u))
         assert_bitwise(terms.entropy_flux, system.entropy_flux_raw(u))
         assert_bitwise(terms.gradient, system.entropy_gradient_raw(u))
@@ -253,7 +253,7 @@ class TestFusedTerms:
         head = u[:n]
         terms = system.stage_terms(u, n)
         assert_bitwise(terms.flux, system.flux_raw(head))
-        assert_bitwise(terms.speed, system.max_signal_speed_raw(head, head))
+        assert_bitwise(terms.speed, system.max_signal_speed_raw(head))
         assert_bitwise(terms.entropy, system.entropy_raw(u))
         assert_bitwise(terms.entropy_flux, system.entropy_flux_raw(head))
         assert_bitwise(terms.gradient, system.entropy_gradient_raw(u))
@@ -262,7 +262,8 @@ class TestFusedTerms:
     @given(system_and_states(), st.data())
     def test_stage_terms_with_trace_rows(self, case, data):
         # The stage's one pass: trace rows of any floats first, which get
-        # only their mask and flux, then admissible rows with every term.
+        # only their mask and their flux in ``out``, then admissible rows
+        # with every term.
         system, u = case
         m = system.m
         traces = data.draw(hnp.arrays(float, (data.draw(st.integers(0, 6)), m), elements=ANY_FLOAT))
@@ -278,17 +279,17 @@ class TestFusedTerms:
         with np.errstate(all="ignore"):
             want_ok, want_flux = system.admissible(traces), system.flux_raw(rows[:n])
         assert_bitwise(terms.trace_ok, want_ok)
+        assert_bitwise(in_out.trace_ok, want_ok)
         ok = want_ok[:, None]
-        assert_bitwise(np.where(ok, terms.trace_flux, 0.0), np.where(ok, want_flux[:skip], 0.0))
+        assert_bitwise(np.where(ok, out[:skip], 0.0), np.where(ok, want_flux[:skip], 0.0))
         head, rest = rows[skip:n], rows[skip:]
         assert_bitwise(terms.flux, want_flux[skip:])
-        assert_bitwise(terms.speed, system.max_signal_speed_raw(head, head))
+        assert_bitwise(terms.speed, system.max_signal_speed_raw(head))
         assert_bitwise(terms.entropy, system.entropy_raw(rest))
         assert_bitwise(terms.entropy_flux, system.entropy_flux_raw(head))
         assert_bitwise(terms.gradient, system.entropy_gradient_raw(rest))
-        # With ``out`` the fluxes are views of it, with the same values.
+        # With ``out`` the flux term is a view of it, with the same values.
         assert in_out.flux.base is out or in_out.flux.size == 0
-        assert_bitwise(np.where(ok, in_out.trace_flux, 0.0), np.where(ok, terms.trace_flux, 0.0))
         assert_bitwise(in_out.flux, terms.flux)
 
     @settings(max_examples=150, deadline=None)
@@ -310,20 +311,24 @@ class TestFusedTerms:
 
     @settings(max_examples=100, deadline=None)
     @given(system_and_states())
-    def test_speed_of_one_array_against_itself_is_one_pass(self, case):
-        # max_signal_speed_raw(u, u) skips the second side; max(a, a) == a.
+    def test_speed_of_each_state(self, case):
+        # One bound per state: the speeds of an array are those of its rows.
         system, u = case
-        two_sided = system.max_signal_speed_raw(u, u.copy())
-        assert_bitwise(system.max_signal_speed_raw(u, u), two_sided)
+        speed = system.max_signal_speed_raw(u)
+        assert speed.shape == u.shape[:-1]
+        for i, row in enumerate(u):
+            assert_bitwise(speed[i], system.max_signal_speed_raw(row))
 
     @settings(max_examples=100, deadline=None)
     @given(system_and_states())
     def test_stacked_sides_give_the_two_sided_speed(self, case):
-        # The stage takes c_max as the larger of the two sides' speeds.
+        # The stage takes c_max as the larger of the two sides' speeds, from
+        # the stacked sides' terms or from one call per side.
         system, u = case
         other = u[::-1]
-        speed = system.stage_terms(np.stack([u, other]), 2)[1]
-        assert_bitwise(np.maximum(speed[0], speed[1]), system.max_signal_speed_raw(u, other))
+        speed = system.stage_terms(np.stack([u, other]), 2).speed
+        per_side = system.max_signal_speed_raw(u), system.max_signal_speed_raw(other)
+        assert_bitwise(np.maximum(speed[0], speed[1]), np.maximum(*per_side))
 
 
 SPECIAL_VALUES = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308,

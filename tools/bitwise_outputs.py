@@ -15,9 +15,12 @@ writes only into a fresh temporary directory:
 * ``burgers-sine --no-stabilization --nsv 25``, a run that fails with
   ``error kind=step-failure`` and exit status 1: the outputs of a failed
   run, the solution and L2 files of its last admissible state;
+* ``lax --no-stabilization``, a run that fails with ``error
+  kind=state-error`` (an inadmissible boundary trace) and exit status 1,
+  and writes the same two files;
 * ``convergence density-bump --nsv-list 8,10,12 --t-end 2``.
 
-That makes 12 runs. It then prints one line per run, comparing the exit
+That makes 13 runs. It then prints one line per run, comparing the exit
 statuses, and one per output file, saying whether every checkout wrote the
 same bytes, and exits with status 1 on any difference, 0 when all agree.
 The runs take about 25 s per checkout on a 2-core machine.
@@ -41,6 +44,7 @@ RUNS = {
     "burgers-sine-one-sv": ["run", "burgers-sine", "--nsv", "1"],
     "burgers-sine-one-sv-pure": ["run", "burgers-sine", "--no-stabilization", "--nsv", "1"],
     "burgers-sine-pure-fails": ["run", "burgers-sine", "--no-stabilization", "--nsv", "25"],
+    "lax-pure-fails": ["run", "lax", "--no-stabilization"],
     "density-bump-convergence": ["convergence", "density-bump", "--nsv-list", "8,10,12",
                                  "--t-end", "2"],
 }
