@@ -13,11 +13,13 @@ Every SV shares the reference subdivision, so applying C (or any other (p, k)
 per-SV operator, such as the filter generator) to all N SVs is one matrix
 product: the (N, k, m) field, read as an (N, k*m) matrix, times the
 Kronecker block kron(C^T, I_m) gives the (N, p, m) result, C-contiguous and
-without transposes. The blocks are built once per component count m and kept
-on the operator. Compared with the componentwise sum, the product reorders
-each length-k dot product (roundoff-level differences), and a non-finite
-entry of one component reaches the other components of its SV through
-0 * inf; every such state is inadmissible either way.
+without transposes. Every such block comes from one helper, ``_sv_block``,
+which builds it once per block and component count m and keeps it on the
+operator or generator it belongs to. Compared with the componentwise sum,
+the product reorders each length-k dot product (roundoff-level
+differences), and a non-finite entry of one component reaches the other
+components of its SV through 0 * inf; every such state is inadmissible
+either way.
 
 The cached blocks are C-contiguous. For m = 1, kron(C^T, I_1) comes out in
 C^T's own layout, F-ordered, and OpenBLAS runs a product with an F-ordered B
@@ -147,30 +149,32 @@ def build_reconstruction(grid: SpectralGrid) -> ReconstructionOperator:
     return op
 
 
-def _kron_block(matrix: np.ndarray, m: int, n: int) -> np.ndarray:
-    """kron(matrix^T, I_m) for an (n, k*m) @ block product.
+def _sv_block(blocks: dict, name: str, matrix: np.ndarray, n: int, m: int) -> np.ndarray:
+    """kron(matrix^T, I_m), the block of an (n, k*m) @ block product.
 
-    C-contiguous and read-only, for the caller to cache, when n >= 2; for
-    n = 1 in the layout kron gives (see the module docstring).
+    For n >= 2 it is C-contiguous and read-only, built on the first call and
+    kept in ``blocks`` under (``name``, m); for n = 1 it is built on every
+    call, in the layout kron gives (see the module docstring).
     """
-    block = np.kron(matrix.T, np.eye(m))
-    return block if n == 1 else _read_only(np.ascontiguousarray(block))
+    if n == 1:
+        return np.kron(matrix.T, np.eye(m))
+    block = blocks.get((name, m))
+    if block is None:
+        block = _read_only(np.ascontiguousarray(np.kron(matrix.T, np.eye(m))))
+        blocks[name, m] = block
+    return block
 
 
 def _per_sv_product(matrix: np.ndarray, blocks: dict, data: np.ndarray, out=None) -> np.ndarray:
     """``matrix`` (p, k) applied to every SV of the (N, k, m) ``data``.
 
     Equals ``einsum("jl,ilc->ijc", matrix, data)`` up to the order of each
-    sum, as one BLAS product with the block kron(matrix^T, I_m), which
-    ``blocks`` caches per m for N >= 2. The result is a C-contiguous
+    sum, as one BLAS product with the block kron(matrix^T, I_m) that
+    ``_sv_block`` keeps in ``blocks``. The result is a C-contiguous
     (N, p, m) array, written into ``out`` when one is given.
     """
     n, k, m = data.shape
-    block = blocks.get(m) if n > 1 else None
-    if block is None:
-        block = _kron_block(matrix, m, n)
-        if n > 1:
-            blocks[m] = block
+    block = _sv_block(blocks, "matrix", matrix, n, m)
     if out is None:
         return (data.reshape(n, k * m) @ block).reshape(n, matrix.shape[0], m)
     np.matmul(data.reshape(n, k * m), block, out=out.reshape(n, matrix.shape[0] * m))
@@ -191,13 +195,9 @@ def reconstruct_faces(op: ReconstructionOperator, data: np.ndarray, out=None) ->
             f"expected field shaped (N, {op.num_cv}, m), got {data.shape}"
         )
     n, k, m = data.shape
-    blocks = op._blocks.get(m) if n > 1 else None
-    if blocks is None:
-        # With m = 1 the right-end block also yields trace k-1; see below.
-        rows = (op.combined[:k], op.combined[k - (m == 1) :])
-        blocks = tuple(_kron_block(a, m, n) for a in rows)
-        if n > 1:
-            op._blocks[m] = blocks
+    left = _sv_block(op._blocks, "left", op.combined[:k], n, m)
+    # With m = 1 the right-end block also yields trace k-1; see below.
+    right = _sv_block(op._blocks, "right", op.combined[k - (m == 1) :], n, m)
     if out is None:
         out = np.empty((n * (k + 1), m))
     flat = data.reshape(n, k * m)
@@ -206,10 +206,10 @@ def reconstruct_faces(op: ReconstructionOperator, data: np.ndarray, out=None) ->
         # another order than the matrix product. Two columns, traces k-1 and
         # k, keep it a matrix product: written column-major, trace k lands in
         # the last N rows and trace k-1 in rows the left block overwrites.
-        np.matmul(flat, blocks[1], out=out[n * (k - 1) :, 0].reshape(2, n).T)
+        np.matmul(flat, right, out=out[n * (k - 1) :, 0].reshape(2, n).T)
     else:
-        np.matmul(flat, blocks[1], out=out[n * k :])
-    np.matmul(flat, blocks[0], out=out[: n * k].reshape(n, k * m))
+        np.matmul(flat, right, out=out[n * k :])
+    np.matmul(flat, left, out=out[: n * k].reshape(n, k * m))
     return out
 
 

@@ -70,7 +70,6 @@ class InterfaceTerms(NamedTuple):
     """
 
     flux: np.ndarray  # LLF flux, (S, m)
-    speed: np.ndarray  # c_max (S,), the larger signal speed of the two sides
     sigma: np.ndarray | None = None
     sigma_fallbacks: int = 0
     f_star: np.ndarray | None = None
@@ -109,7 +108,8 @@ def interface_terms(
 
     ``sides[0]`` holds the left states u_l and ``sides[1]`` the right states
     u_r, which must be admissible; nothing is checked here. Always computed:
-    the LLF flux 0.5 (f_l + f_r) - (c_max/2)(u_r - u_l) and c_max.
+    the LLF flux 0.5 (f_l + f_r) - (c_max/2)(u_r - u_l), where c_max is the
+    larger signal speed of the two sides.
 
     ``side_terms`` turns on the stabilization terms. It is the
     ``StageTerms`` of ``system.stage_terms`` of the stacked states
@@ -134,7 +134,7 @@ def interface_terms(
         c_max = np.maximum(system.max_signal_speed_raw(u_l), system.max_signal_speed_raw(u_r))
         np.multiply(np.add(flux, work, out=flux), 0.5, out=flux)
         np.multiply(np.subtract(u_r, u_l, out=work), (0.5 * c_max)[:, None], out=work)
-        return InterfaceTerms(np.subtract(flux, work, out=flux), c_max)
+        return InterfaceTerms(np.subtract(flux, work, out=flux))
     flux_lr, speed_lr = side_terms.flux, side_terms.speed
     f_l, f_r = flux_lr[:n], flux_lr[n : 2 * n]
     c_max = np.maximum(speed_lr[:n], speed_lr[n : 2 * n])
@@ -149,7 +149,7 @@ def interface_terms(
     )
     f_star = 0.5 * (eflux_l + eflux_r) - half_c * (ent_r - ent_l)
     d_llf = half_c * np.einsum("sc,sc->s", jump, grad_lr[n : 2 * n] - grad_lr[:n])
-    return InterfaceTerms(flux, c_max, sigma, fallbacks, f_star, d_llf)
+    return InterfaceTerms(flux, sigma, fallbacks, f_star, d_llf)
 
 
 def interface_states(first, last, bc, out=None):

@@ -21,6 +21,8 @@ masks of the usable denominators and the dropped demands. ``lambda_ed``,
 ``den_fallbacks`` and ``dropped_demands`` are derived from them when read.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .filters import FilterGenerator
@@ -34,60 +36,48 @@ __all__ = [
 DEN_FLOOR = 1e-12
 
 
-class CorrectionReport:
+class CorrectionReport(NamedTuple):
     """Per-SV correction sizes of one Euler stage plus fallback diagnostics.
 
-    Arrays over the N SVs: ``lambda_ed``, ``lambda_er_l``, ``lambda_er_r``,
-    ``lambda_sum``, ``lambda_final`` and ``clamped`` (bool: some demand hit
-    the filter limit or the dissipation cap). Counts: ``den_fallbacks`` (SVs
-    whose budget part had a degenerate denominator), ``sigma_fallbacks`` and
-    ``dropped_demands`` (parts whose demand exceeded lambda_max).
+    Arrays over the N SVs: ``lambda_sum``, ``lambda_final`` and ``clamped``
+    (bool: some demand hit the filter limit or the dissipation cap), and
+    the derived ``lambda_ed``, ``lambda_er_l`` and ``lambda_er_r``. Counts:
+    ``sigma_fallbacks`` and the derived ``den_fallbacks`` (SVs whose budget
+    part had a degenerate denominator) and ``dropped_demands`` (parts whose
+    demand exceeded lambda_max).
     """
 
-    __slots__ = ("_parts", "_usable", "_dropped", "lambda_sum", "lambda_final", "clamped",
-                 "sigma_fallbacks")
-
-    def __init__(self, parts, usable, dropped, lambda_sum, lambda_final, clamped,
-                 sigma_fallbacks):
-        # parts (3, N): the budget part (signed) and the two entropy-rate
-        # parts; usable: the budget part's denominator was usable; dropped
-        # (3, N): a part exceeded lambda_max.
-        self._parts = parts
-        self._usable = usable
-        self._dropped = dropped
-        self.lambda_sum = lambda_sum
-        self.lambda_final = lambda_final
-        self.clamped = clamped
-        self.sigma_fallbacks = sigma_fallbacks
+    parts: np.ndarray  # (3, N): the signed budget part, the two entropy-rate parts
+    usable: np.ndarray  # (N,): the budget part's denominator was usable
+    dropped: np.ndarray  # (3, N): the part exceeded lambda_max
+    lambda_sum: np.ndarray
+    lambda_final: np.ndarray
+    clamped: np.ndarray
+    sigma_fallbacks: int
 
     @property
     def lambda_ed(self) -> np.ndarray:
-        return np.maximum(0.0, self._parts[0])
+        return np.maximum(0.0, self.parts[0])
 
     @property
     def lambda_er_l(self) -> np.ndarray:
-        return self._parts[1]
+        return self.parts[1]
 
     @property
     def lambda_er_r(self) -> np.ndarray:
-        return self._parts[2]
+        return self.parts[2]
 
     @property
     def den_fallbacks(self) -> int:
-        return self.num_sv - int(np.count_nonzero(self._usable))
+        return self.num_sv - int(np.count_nonzero(self.usable))
 
     @property
     def dropped_demands(self) -> int:
-        return int(np.count_nonzero(self._dropped))
+        return int(np.count_nonzero(self.dropped))
 
     @property
     def num_sv(self) -> int:
         return self.lambda_final.size
-
-    def __repr__(self) -> str:
-        return (f"CorrectionReport(num_sv={self.num_sv}, den_fallbacks={self.den_fallbacks}, "
-                f"sigma_fallbacks={self.sigma_fallbacks}, "
-                f"dropped_demands={self.dropped_demands})")
 
 
 def corrected_rhs(base_rhs: np.ndarray, lam: np.ndarray, v: np.ndarray, work=None) -> np.ndarray:
@@ -197,5 +187,5 @@ def compute_correction(
     lam_sum += parts[2]
     np.maximum(0.0, lam_sum, out=lam_sum)
     lam = np.minimum(limit, lam_sum)
-    clamped = (lam_sum > lam) | dropped[0] | dropped[1] | dropped[2] | capped
+    clamped = (lam_sum > lam) | dropped.any(axis=0) | capped
     return CorrectionReport(parts, usable[0], dropped, lam_sum, lam, clamped, sigma_fallbacks)

@@ -191,8 +191,6 @@ def _segments(edges: np.ndarray, breakpoints):
     cuts = np.array(sorted(set(breakpoints)), dtype=float)
     first = np.searchsorted(cuts, lo, side="right")  # first cut above lo
     n_cuts = np.searchsorted(cuts, hi, side="left") - first  # cuts in (lo, hi)
-    if not n_cuts.any():
-        return [(slice(None), 0.5 * (lo + hi), 0.5 * (hi - lo))]
     ends = np.append(cuts, np.inf)
     segments = []
     for r in range(int(n_cuts.max()) + 1):
@@ -389,7 +387,9 @@ def ssp_rk3_step(state: CellAverageField, dt: float, config: SolverConfig, *, pl
     """Third-order SSP Runge-Kutta step built from adapted Euler stages.
 
     u1 = E(u0); u2 = 3/4 u0 + 1/4 E(u1); u_new = 1/3 u0 + 2/3 E(u2). The
-    correction sizes are recomputed inside every stage. Returns (new_field,
+    correction sizes are recomputed inside every stage. Each stage is given
+    its input at the step's start time, so a stage that fails, whichever it
+    is, names the time the step targets, t_n + dt. Returns (new_field,
     reports): the stages' correction reports in stage order, empty with
     stabilization disabled. With a ``plan`` the new field is the plan's RK
     state array, which may be ``state``'s own; without one it owns its data.
@@ -398,12 +398,11 @@ def ssp_rk3_step(state: CellAverageField, dt: float, config: SolverConfig, *, pl
         plan = _plan_for(state, config)
     u0 = state.data
     stage1, r1 = euler_adapted(state, dt, config, plan=plan)
-    stage2_full, r2 = euler_adapted(stage1, dt, config, plan=plan)
+    stage2_full, r2 = euler_adapted(state.with_data(stage1.data), dt, config, plan=plan)
     # The combinations reuse the stage arrays an earlier stage is done with.
     u2 = np.multiply(stage2_full.data, 0.25, out=stage2_full.data)
     np.add(np.multiply(u0, 0.75, out=stage1.data), u2, out=u2)
-    stage2 = state.with_data(u2, time=state.time + 0.5 * dt)
-    stage3_full, r3 = euler_adapted(stage2, dt, config, plan=plan)
+    stage3_full, r3 = euler_adapted(state.with_data(u2), dt, config, plan=plan)
     u3 = np.multiply(stage3_full.data, 2.0 / 3.0, out=stage3_full.data)
     new = np.add(np.divide(u0, 3.0, out=u2), u3, out=plan.state)
     reports = () if r1 is None else (r1, r2, r3)

@@ -152,6 +152,26 @@ class TestRunScenario:
         assert sorted(os.listdir(tmp_path)) == ["burgers-sine_l2.csv", "burgers-sine_solution.csv"]
         assert np.geterr() == errstate
 
+    @pytest.mark.parametrize("argv, where", [
+        # RK stage 2 of the step from t_n = 0.373167 with dt = 0.0041463.
+        (["burgers-sine", "--no-stabilization", "--nsv", "25", "--cfl", "0.3"],
+         "burgers-sine sv=7 cv=3 t=0.377313"),
+        # RK stage 3 of the step from t_n = 0.403484 with dt = 0.0161393.
+        (["burgers-sine", "--no-stabilization", "--nsv", "15", "--cfl", "0.7"],
+         "burgers-sine sv=0 cv=3 t=0.419623"),
+        # RK stage 2 of the first step, dt = 0.0262684, stabilized.
+        (["sod", "--nsv", "50", "--cfl", "0.9"], "sod sv=25 cv=0 t=0.0262684"),
+        # RK stage 1 of the step to t = 0.0116748.
+        (["sod", "--cfl", "0.8"], "sod sv=100 cv=0 t=0.0116748"),
+    ], ids=["burgers-stage-2", "burgers-stage-3", "sod-stage-2", "sod-stage-1"])
+    def test_step_failure_names_the_step_target(self, tmp_path, capsys, argv, where):
+        # Whichever RK stage fails, the line names the time its step targets,
+        # t_n + dt.
+        assert main(["run", *argv, "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error kind=step-failure scenario={where}"
+        ]
+
     def test_columns_of_every_kind(self, tmp_path):
         # Arrays, lists and ranges; floats with 17 digits, the rest as str.
         path = tmp_path / "kinds.csv"

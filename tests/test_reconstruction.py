@@ -93,7 +93,7 @@ class TestOperatorCache:
         op = build_reconstruction(build_grid(0.0, 1.0, 3, 4))
         for m in (1, 3):
             reconstruct_all(op, np.zeros((3, 4, m)))
-            assert not any(block.flags.writeable for block in op._blocks[m])
+            assert not any(op._blocks[name, m].flags.writeable for name in ("left", "right"))
 
     def test_other_subdivisions_get_their_own_operator(self):
         grid = build_grid(0.0, 1.0, 3, 4)

@@ -51,8 +51,8 @@ class TestLlfFlux:
         pure = terms(u_l, u_r, system, False)
         full = terms(u_l, u_r, system, True)
         assert pure.sigma is None and pure.f_star is None and pure.d_llf is None
+        # The flux carries c_max, so equal bytes mean equal c_max too.
         assert pure.flux.tobytes() == full.flux.tobytes()
-        assert pure.speed.tobytes() == full.speed.tobytes()
 
     def test_advection_upwind(self):
         flux = terms(np.array([1.0]), np.array([0.0]), advection_system(1.0)).flux
@@ -200,10 +200,14 @@ class TestInterfaceSpeed:
         system = make()
         rng = np.random.default_rng(41)
         u_l, u_r = sample_states(system, rng, 300), sample_states(system, rng, 300)
-        want = np.maximum(system.max_signal_speed_raw(u_l), system.max_signal_speed_raw(u_r))
+        # c_max is read through the LLF flux it enters, in the flux's own
+        # arithmetic: 0.5 (f_l + f_r) - (c_max/2)(u_r - u_l).
+        c_max = np.maximum(system.max_signal_speed_raw(u_l), system.max_signal_speed_raw(u_r))
+        mean = 0.5 * (system.flux_raw(u_l) + system.flux_raw(u_r))
+        want = mean - (0.5 * c_max)[:, None] * (u_r - u_l)
         for stabilized in (False, True):
-            got = terms(u_l, u_r, system, stabilized).speed
-            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+            got = terms(u_l, u_r, system, stabilized).flux
+            assert got.tobytes() == want.tobytes()
 
 
 class TestAssembleFluxes:
