@@ -33,7 +33,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from .exceptions import DegenerateSpeedError, InadmissibleStateError, StepFailureError
+from .exceptions import DegenerateSpeedError, StepFailureError
 from .mesh import build_grid
 from .reference import (
     MIN_CELLS,
@@ -405,9 +405,8 @@ def run_scenario(scenario: Scenario, out_dir: str, ref_cells: int = 0):
     try:
         try:
             final, diag = integrate(state, config)
-        except (StepFailureError, InadmissibleStateError) as exc:
-            final, diag = getattr(exc, "last_state", state), getattr(exc, "diagnostics", None)
-            error = exc
+        except StepFailureError as exc:
+            final, diag, error = exc.last_state, exc.diagnostics, exc
         except DegenerateSpeedError as exc:  # an initial field with no signal speed
             raise ScenarioError(str(exc)) from exc
         if reference is not None and error is None:
@@ -419,13 +418,13 @@ def run_scenario(scenario: Scenario, out_dir: str, ref_cells: int = 0):
     outputs = {}
     base = os.path.join(out_dir, scenario.name)
     outputs["solution"] = _write_solution_csv(f"{base}_solution.csv", scenario, final)
-    if diag is not None and diag.l2_times:
+    if diag.l2_times:
         outputs["l2"] = _write_csv(
             f"{base}_l2.csv",
             f"scenario={scenario.name} discrete L2 norm over time",
             {"t": diag.l2_times, "l2": diag.l2_values},
         )
-    if diag is not None and diag.last_report is not None:
+    if diag.last_report is not None:
         rep = diag.last_report
         outputs["diagnostics"] = _write_csv(
             f"{base}_lambda.csv",
@@ -447,13 +446,9 @@ def run_scenario(scenario: Scenario, out_dir: str, ref_cells: int = 0):
     elif isinstance(ref, str):
         outputs["error"] = f"error kind=reference-failure scenario={scenario.name} {ref}"
     if error is not None:
-        if isinstance(error, StepFailureError):
-            where = f"sv={error.sv} cv={error.cv} t={error.time:.6g}"
-            kind = "step-failure"
-        else:
-            where = f"index={getattr(error, 'where', None)} t={_FMT % final.time}"
-            kind = "state-error"
-        outputs["error"] = f"error kind={kind} scenario={scenario.name} {where}"
+        sv, j = error.where
+        outputs["error"] = (f"error kind=step-failure scenario={scenario.name} "
+                            f"sv={sv} {error.part}={j} t={error.time:.6g}")
     return outputs
 
 

@@ -2,7 +2,7 @@
 
 
 class InadmissibleStateError(ValueError):
-    """A state left the admissible set (e.g. nonpositive density or pressure).
+    """An input state is not admissible (e.g. nonpositive density or pressure).
 
     ``where`` identifies the offending location, typically an (sv, cv) index
     pair or an interface index.
@@ -14,12 +14,14 @@ class InadmissibleStateError(ValueError):
 
 
 class StepFailureError(RuntimeError):
-    """A time step produced an inadmissible field; carries the first bad cell."""
+    """A stage left the admissible set at ``where`` = (sv, j): the boundary
+    trace at node j (node k the right end) when ``part`` is ``"trace"``, the
+    new average of CV j when it is ``"cv"``; ``time`` is the step's t_n + dt."""
 
-    def __init__(self, message, sv=None, cv=None, time=None):
+    def __init__(self, message, where, part, time):
         super().__init__(message)
-        self.sv = sv
-        self.cv = cv
+        self.where = where
+        self.part = part
         self.time = time
 
 

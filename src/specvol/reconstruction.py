@@ -214,11 +214,11 @@ def reconstruct_faces(op: ReconstructionOperator, data: np.ndarray, out=None) ->
 
 
 def _sv_traces(faces: np.ndarray, n_sv: int) -> np.ndarray:
-    """The CV-face ordered traces ``faces`` as an (N, k+1, m) array."""
-    m = faces.shape[1]
+    """The CV-face ordered ``faces``, states (N*(k+1), m) or a mask
+    (N*(k+1),), laid out per SV, (N, k+1, m) or (N, k+1)."""
     k = faces.shape[0] // n_sv - 1
-    traces = np.empty((n_sv, k + 1, m))
-    traces[:, :k] = faces[: n_sv * k].reshape(n_sv, k, m)
+    traces = np.empty((n_sv, k + 1) + faces.shape[1:], dtype=faces.dtype)
+    traces[:, :k] = faces[: n_sv * k].reshape(traces[:, :k].shape)
     traces[:, k] = faces[n_sv * k :]
     return traces
 

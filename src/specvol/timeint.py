@@ -64,9 +64,9 @@ step is fixed from the CFL condition at t = 0; a trailing shortened stage
 lands exactly on t_end.
 
 The system methods check nothing. States are checked where they enter or
-leave a stage: ``init_field``'s averages (NaN and inf included), the state
-``select_dt`` (and so ``integrate``) is given, each stage's boundary traces
-and each stage's new averages.
+leave a stage. ``InadmissibleStateError`` rejects ``init_field``'s averages
+(NaN and inf included) and the state ``select_dt`` (and so ``integrate``)
+is given; ``StepFailureError`` names a stage's first bad trace or average.
 """
 
 import math
@@ -75,7 +75,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DegenerateSpeedError, InadmissibleStateError, StepFailureError
+from .exceptions import DegenerateSpeedError, StepFailureError
 from .filters import apply_generator, build_generator
 from .mesh import SpectralGrid, gauss_legendre_rule
 from .reconstruction import _sv_traces, build_reconstruction, reconstruct_all, reconstruct_faces
@@ -151,11 +151,14 @@ class RunDiagnostics:
         self.l2_times.append(t)
         self.l2_values.append(value)
 
-    def record_report(self, report: CorrectionReport) -> None:
-        self.last_report = report
-        if self.clamp_totals is None:
-            self.clamp_totals = np.zeros(report.num_sv, dtype=int)
-        self.clamp_totals += report.clamped
+    def record_step(self, reports) -> None:
+        """Count one step and record its stages' correction reports."""
+        self.steps += 1
+        for report in reports:
+            self.last_report = report
+            if self.clamp_totals is None:
+                self.clamp_totals = np.zeros(report.num_sv, dtype=int)
+            self.clamp_totals += report.clamped
 
 
 def _evaluate(u0, x: np.ndarray, m: int) -> np.ndarray:
@@ -301,6 +304,14 @@ def _plan_for(state, config):
     return _StagePlan(state.grid, state.system, config.stabilization_enabled)
 
 
+def _failure(state, dt, part, ok) -> StepFailureError:
+    """The failure of the (N, j) mask ``ok``'s first False, in (sv, j) order."""
+    i, j = map(int, np.argwhere(~ok)[0])
+    time = state.time + dt
+    message = f"step to t={time:.6g} left the admissible set at sv={i} {part}={j}"
+    return StepFailureError(message, (i, j), part, time)
+
+
 def euler_adapted(state: CellAverageField, dt: float, config: SolverConfig, *, plan=None):
     """One (possibly corrected) Euler stage; returns (new_field, report).
 
@@ -336,10 +347,9 @@ def euler_adapted(state: CellAverageField, dt: float, config: SolverConfig, *, p
         )
     else:
         row_terms = None
-    traces_ok = row_terms.trace_ok.all() if stabilized else system.admissible(traces).all()
-    if not traces_ok:
-        # Name the first bad trace in (sv, node) order, as for (N, k+1, m).
-        system.check_admissible(_sv_traces(traces, n_sv), "boundary trace")
+    trace_ok = row_terms.trace_ok if stabilized else system.admissible(traces)
+    if not trace_ok.all():
+        raise _failure(state, dt, "trace", _sv_traces(trace_ok, n_sv))
     if k > 1 and not stabilized:
         # Every trace j < k in one pass; the SV interfaces are overwritten below.
         system.flux_raw(traces[: n_sv * k], out=faces[:-1])
@@ -373,13 +383,7 @@ def euler_adapted(state: CellAverageField, dt: float, config: SolverConfig, *, p
     new = np.add(u, rhs, out=out)
     ok = system.admissible(new)
     if not ok.all():
-        i, j = map(int, np.argwhere(~ok)[0])
-        raise StepFailureError(
-            f"step to t={state.time + dt:.6g} left the admissible set at sv={i} cv={j}",
-            sv=i,
-            cv=j,
-            time=state.time + dt,
-        )
+        raise _failure(state, dt, "cv", ok)
     return state.with_data(new, time=state.time + dt), report
 
 
@@ -459,18 +463,14 @@ def integrate(state: CellAverageField, config: SolverConfig):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for n in range(n_full):
                 state, reports = ssp_rk3_step(state, dt, config, plan=plan)
-                diag.steps += 1
-                for report in reports:
-                    diag.record_report(report)
+                diag.record_step(reports)
                 if config.diagnostics_every and (n + 1) % config.diagnostics_every == 0:
                     diag.record_l2(state.time, discrete_l2(state))
             dt_last = config.t_end - state.time
             if dt_last > 1e-12 * dt:
                 state, reports = ssp_rk3_step(state, dt_last, config, plan=plan)
-                diag.steps += 1
-                for report in reports:
-                    diag.record_report(report)
-    except (StepFailureError, InadmissibleStateError) as exc:
+                diag.record_step(reports)
+    except StepFailureError as exc:
         # Let callers keep whatever was computed before the failure, in an
         # array of its own: the plan's arrays belong to this run.
         exc.last_state = state.with_data(state.data.copy())

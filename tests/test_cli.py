@@ -124,8 +124,10 @@ class TestRunScenario:
         # leave the outputs computed so far behind.
         scen = replace(BUILTIN_SCENARIOS["sod"], name="sod-hot", n_sv=40, cfl=0.95)
         outputs = run_scenario(scen, str(tmp_path))
-        assert "error" in outputs
-        assert outputs["error"].startswith("error kind=")
+        # RK stage 1 of the first step: trace 4 of SV 19 is inadmissible.
+        assert outputs["error"] == (
+            "error kind=step-failure scenario=sod-hot sv=19 trace=4 t=0.0346597"
+        )
         assert os.path.exists(outputs["solution"])
 
     def test_failed_run_exit_code(self, tmp_path, capsys):
@@ -163,7 +165,10 @@ class TestRunScenario:
         (["sod", "--nsv", "50", "--cfl", "0.9"], "sod sv=25 cv=0 t=0.0262684"),
         # RK stage 1 of the step to t = 0.0116748.
         (["sod", "--cfl", "0.8"], "sod sv=100 cv=0 t=0.0116748"),
-    ], ids=["burgers-stage-2", "burgers-stage-3", "sod-stage-2", "sod-stage-1"])
+        # An inadmissible boundary trace in RK stage 2 of step 51, dt = 2.1426e-4.
+        (["lax", "--no-stabilization"], "lax sv=100 trace=0 t=0.0109271"),
+    ], ids=["burgers-stage-2", "burgers-stage-3", "sod-stage-2", "sod-stage-1",
+            "lax-trace-stage-2"])
     def test_step_failure_names_the_step_target(self, tmp_path, capsys, argv, where):
         # Whichever RK stage fails, the line names the time its step targets,
         # t_n + dt.
@@ -622,7 +627,9 @@ class TestOverlappedReference:
         outputs = run_scenario(HOT_SOD, str(tmp_path), ref_cells=3000)
         assert time.perf_counter() - start < 30
         assert_no_child_left()
-        assert outputs["error"].startswith("error kind=state-error scenario=sod-hot ")
+        assert outputs["error"] == (
+            "error kind=step-failure scenario=sod-hot sv=19 trace=4 t=0.0346597"
+        )
         assert "reference" not in outputs
         assert os.path.exists(outputs["solution"])
         assert not (tmp_path / "sod-hot_reference.csv").exists()

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from specvol import timeint
 from specvol.cli import BUILTIN_SCENARIOS
-from specvol.exceptions import InadmissibleStateError
+from specvol.exceptions import InadmissibleStateError, StepFailureError
 from specvol.filters import apply_generator, build_generator
 from specvol.mesh import build_grid
 from specvol.reconstruction import build_reconstruction, reconstruct_all, reconstruct_faces
@@ -224,8 +224,9 @@ class TestNonFiniteInput:
         for swap in (False, True):
             if swap:
                 monkeypatch.setattr(timeint, "reconstruct_faces", counted(einsum_faces, calls))
-            with pytest.raises(InadmissibleStateError) as err:
+            with pytest.raises(StepFailureError) as err:
                 euler_adapted(*args)
+            assert err.value.part == "trace"
             wheres.append(err.value.where)
         assert calls == ["einsum_faces"]
         assert wheres[0] == wheres[1] == (6, 0)

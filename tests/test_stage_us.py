@@ -73,3 +73,17 @@ def test_retired_options_and_a_third_tree_rejected(tool, argv):
     with pytest.raises(SystemExit) as info:
         tool.main(["--src", SRC, *argv])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("case", [
+    "density-bump:20:yes", "nosuch:20:on", "density-bump:20", "density-bump:20:on:x",
+    "density-bump:0:on", "density-bump:-4:on", "density-bump:x:on", "density-bump:020:on",
+])
+def test_malformed_case_rejected(tool, capsys, case):
+    # Not <builtin>:<positive integer>:<on|off>: a usage error before any stage runs.
+    with pytest.raises(SystemExit) as info:
+        tool.main(["--src", SRC, "--case", case])
+    assert info.value.code == 2
+    assert f"--case must be <builtin>:<positive integer>:<on|off>, got {case!r}" in (
+        capsys.readouterr().err
+    )

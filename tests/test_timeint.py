@@ -931,7 +931,9 @@ def sv_with_bad_trace(system, node, k=4):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestTraceCheckLocation:
-    """The stage names the first bad trace in (sv, node) order, as for (N, k+1, m).
+    """The stage names the first bad trace in (sv, node) order, as for (N, k+1, m):
+    its ``StepFailureError`` has the ``where`` that ``check_admissible`` finds on
+    ``reconstruct_all``'s layout.
 
     In CV-face order the right-end traces come after every other trace, so
     a bad right end of an earlier SV must still be named before a bad first
@@ -960,10 +962,13 @@ class TestTraceCheckLocation:
         state = timeint.CellAverageField(data, 0.0, grid, system)
         for stab in (False, True):
             config = SolverConfig(t_end=1.0, bc=PeriodicBC(), stabilization_enabled=stab)
-            with pytest.raises(InadmissibleStateError) as got:
+            with pytest.raises(StepFailureError) as got:
                 euler_adapted(state, 1e-4, config)
             assert got.value.where == where
-            assert str(got.value) == str(want.value)
+            assert (got.value.part, got.value.time) == ("trace", 1e-4)
+            assert str(got.value) == (
+                f"step to t=0.0001 left the admissible set at sv={where[0]} trace={where[1]}"
+            )
 
 
 class TestScalarNonFinite:
@@ -978,9 +983,9 @@ class TestScalarNonFinite:
         data = state.data.copy()
         data[6, 2, 0] = np.nan
         config = SolverConfig(t_end=1.0, bc=PeriodicBC(), stabilization_enabled=stab)
-        with pytest.raises(InadmissibleStateError, match="boundary trace") as err:
+        with pytest.raises(StepFailureError, match="sv=6 trace=0") as err:
             euler_adapted(state.with_data(data), 1e-3, config)
-        assert err.value.where == (6, 0)
+        assert (err.value.where, err.value.part) == ((6, 0), "trace")
 
     @pytest.mark.parametrize("system", [advection_system(1.0), burgers_system()],
                              ids=["advection", "burgers"])
@@ -992,7 +997,7 @@ class TestScalarNonFinite:
         config = SolverConfig(t_end=1.0, bc=PeriodicBC(), stabilization_enabled=stab)
         with np.errstate(all="ignore"), pytest.raises(StepFailureError) as err:
             euler_adapted(state, np.inf, config)
-        assert (err.value.sv, err.value.cv) == (0, 0)
+        assert (err.value.where, err.value.part) == ((0, 0), "cv")
 
 
 def smooth_state(name, n_sv=6, k=4):
@@ -1176,7 +1181,7 @@ class TestStageInvariants:
                 mock.patch.object(timeint, "compute_correction", recording_rates):
             try:
                 new, report = euler_adapted(state, dt, config)
-            except (InadmissibleStateError, StepFailureError):
+            except StepFailureError:
                 return
         assert np.all(system.admissible(new.data))
         # Roundoff: 1e-13 of the largest component's width-weighted L1 total,

@@ -16,13 +16,15 @@ writes only into a fresh temporary directory:
   ``error kind=step-failure`` and exit status 1: the outputs of a failed
   run, the solution and L2 files of its last admissible state;
 * ``lax --no-stabilization``, a run that fails with ``error
-  kind=state-error`` (an inadmissible boundary trace) and exit status 1,
-  and writes the same two files;
+  kind=step-failure`` on an inadmissible boundary trace (``sv=100
+  trace=0``) and exit status 1, and writes the same two files;
 * ``convergence density-bump --nsv-list 8,10,12 --t-end 2``.
 
 That makes 13 runs. It then prints one line per run, comparing the exit
-statuses, and one per output file, saying whether every checkout wrote the
-same bytes, and exits with status 1 on any difference, 0 when all agree.
+statuses; for a run that exits with a non-zero status in any checkout, one
+comparing the last line of stderr, the ``error kind=...`` line; and one per
+output file, saying whether every checkout wrote the same bytes. It exits
+with status 1 on any difference, 0 when all agree.
 The runs take about 25 s per checkout on a 2-core machine.
 """
 
@@ -51,7 +53,8 @@ RUNS = {
 
 
 def run_all(src: str, out_root: str):
-    """{run: (exit status, {file name: bytes})} of every run against ``src``."""
+    """{run: (exit status, last line of stderr, {file name: bytes})} of every
+    run against ``src``."""
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("SPECVOL_OUT_DIR", None)
     results = {}
@@ -68,7 +71,8 @@ def run_all(src: str, out_root: str):
             for name in sorted(os.listdir(out_dir)):
                 with open(os.path.join(out_dir, name), "rb") as fh:
                     files[name] = fh.read()
-        results[label] = (proc.returncode, files)
+        error_line = (proc.stderr.splitlines() or [""])[-1]
+        results[label] = (proc.returncode, error_line, files)
     return results
 
 
@@ -99,9 +103,17 @@ def main(argv=None) -> int:
         differ += not same
         print(f"{'same' if same else 'DIFFERS'} {label}: exit status "
               f"{' vs '.join(map(str, codes))}")
-        names = sorted(set().union(*(r[label][1] for r in results)))
+        if any(codes):
+            lines = [r[label][1] for r in results]
+            same = len(set(lines)) == 1
+            differ += not same
+            print(f"{'same' if same else 'DIFFERS'} {label}: error line")
+            if not same:
+                for line in lines:
+                    print(f"  {line}")
+        names = sorted(set().union(*(r[label][2] for r in results)))
         for name in names:
-            contents = [r[label][1].get(name) for r in results]
+            contents = [r[label][2].get(name) for r in results]
             if None in contents:
                 state = "MISSING"
             elif all(c == contents[0] for c in contents):

@@ -7,8 +7,8 @@
 Cases, all at k = 4: the builtin density bump at N = 20, 200, 2000 and 20000,
 the builtin Sod tube at N = 200 and the builtin Burgers sine wave at
 N = 20000, each with stabilization on and off. The Burgers cases are the only
-scalar (m = 1) ones. ``--case`` names one case, which may be any builtin at
-any N.
+scalar (m = 1) ones. ``--case`` names one case, which may be any builtin of
+every tree at any N >= 1; anything else is a usage error (status 2).
 
 Without ``--case`` every case runs in a Python process of its own, this
 script with that ``--case``, so no case inherits another's allocator state.
@@ -47,6 +47,7 @@ import importlib.util
 import json
 import os
 import platform
+import re
 import resource
 import statistics
 import subprocess
@@ -104,9 +105,17 @@ def chunk_runner(cli, timeint, name: str, n_sv: int, stab: bool):
     return run
 
 
-def measure_case(srcs, name: str, n_sv: int, stab: bool) -> dict:
-    """Interleaved chunks of every tree on one case, in this process."""
-    trees = [load_tree(src, f"specvol_{i}") for i, src in enumerate(srcs)]
+def parse_case(parser, text: str, trees):
+    """(scenario, N, "on" or "off") of a ``--case`` that names a builtin of
+    every tree; anything but <builtin>:<positive integer>:<on|off> is a usage error."""
+    match = re.fullmatch(r"(.+):([1-9][0-9]*):(on|off)", text)
+    if match is None or any(match[1] not in cli.BUILTIN_SCENARIOS for cli, _ in trees):
+        parser.error(f"--case must be <builtin>:<positive integer>:<on|off>, got {text!r}")
+    return match[1], int(match[2]), match[3]
+
+
+def measure_case(trees, name: str, n_sv: int, stab: bool) -> dict:
+    """Interleaved chunks of every tree's (cli, timeint) on one case, in this process."""
     runs = [chunk_runner(cli, timeint, name, n_sv, stab) for cli, timeint in trees]
     end = time.perf_counter() + WARMUP_S
     while time.perf_counter() < end:
@@ -151,8 +160,9 @@ def main(argv=None) -> int:
             return 2
 
     if args.case:
-        name, n_sv, stab = args.case.split(":")
-        figures = {f"{name} N={n_sv} {stab}": measure_case(srcs, name, int(n_sv), stab == "on")}
+        trees = [load_tree(src, f"specvol_{i}") for i, src in enumerate(srcs)]
+        name, n_sv, stab = parse_case(parser, args.case, trees)
+        figures = {f"{name} N={n_sv} {stab}": measure_case(trees, name, n_sv, stab == "on")}
         print(json.dumps({
             "python": platform.python_version(),
             "numpy": numpy.__version__,
