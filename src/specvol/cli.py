@@ -446,10 +446,15 @@ def run_scenario(scenario: Scenario, out_dir: str, ref_cells: int = 0):
     elif isinstance(ref, str):
         outputs["error"] = f"error kind=reference-failure scenario={scenario.name} {ref}"
     if error is not None:
-        sv, j = error.where
         outputs["error"] = (f"error kind=step-failure scenario={scenario.name} "
-                            f"sv={sv} {error.part}={j} t={error.time:.6g}")
+                            f"{_failure_tail(error)}")
     return outputs
+
+
+def _failure_tail(error: StepFailureError) -> str:
+    """The ``sv=<i> <part>=<j> t=<time>`` tail of a step-failure line."""
+    sv, j = error.where
+    return f"sv={sv} {error.part}={j} t={error.time:.6g}"
 
 
 def _periodic_exact(scenario: Scenario, t: float):
@@ -492,7 +497,9 @@ def run_convergence(base: Scenario, n_sv_list, out_dir: str):
     per-pair experimental orders for both norms (empty for the first
     resolution). Every resolution is set up, and the output directory made,
     before the first solve, so a bad one raises ``ScenarioError`` before
-    anything is solved or written.
+    anything is solved or written. A solve that fails raises its
+    ``StepFailureError`` with the resolution attached as ``n_sv``, and no
+    CSV is written: a partial table would read as a complete study.
     """
     exact = _periodic_exact(base, base.t_end)
     setups = [
@@ -503,7 +510,11 @@ def run_convergence(base: Scenario, n_sv_list, out_dir: str):
     results = []
     for n_sv, (system, grid, u0, breakpoints, config) in setups:
         state = init_field(u0, grid, system, breakpoints=breakpoints)
-        final, _ = integrate(state, config)
+        try:
+            final, _ = integrate(state, config)
+        except StepFailureError as exc:
+            exc.n_sv = n_sv
+            raise
         results.append((n_sv, error_norms(final, exact, "L1"), error_norms(final, exact, "L2")))
     ns, l1, l2 = zip(*results)
     # One order per consecutive pair, so none for the first resolution.
@@ -607,6 +618,10 @@ def main(argv=None) -> int:
         subject = "" if exc.kind == "unknown-scenario" else f"scenario={name} "
         print(f"error kind={exc.kind} {subject}{exc}", file=sys.stderr)
         return 2
+    except StepFailureError as exc:  # a convergence solve; ``run`` records its own
+        print(f"error kind=step-failure scenario={name} n_sv={exc.n_sv} {_failure_tail(exc)}",
+              file=sys.stderr)
+        return 1
     if args.command == "run":
         for kind, path in outputs.items():
             if kind != "error":

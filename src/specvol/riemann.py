@@ -5,11 +5,12 @@ analytical flux applies at interior CV boundaries. At SV boundaries two
 one-sided traces meet; there the local Lax-Friedrichs flux resolves the
 Riemann problem. The same interfaces supply the entropy dissipation estimate
 sigma, the numerical entropy flux F* and the LLF entropy dissipation that
-size the stabilization. ``interface_terms`` computes all of them, for the
-solver's stage and for the tests alike. For the stabilization terms it takes
-the sides' flux, speeds, entropies, entropy fluxes and gradients from the
-caller: one ``stage_terms`` pass that the stage shares with its boundary
-traces and its cell averages.
+size the stabilization. ``llf_flux`` computes the LLF flux alone, for the
+stage without stabilization. ``interface_terms`` computes all of the terms,
+for the stabilized stage and for the tests alike. It takes the sides' flux,
+speeds, entropies, entropy fluxes and gradients from the caller: one
+``stage_terms`` pass that the stage shares with its boundary traces and its
+cell averages.
 
 Interface arrays are indexed s = 0..N where interface s is the left boundary
 of SV s and interface N is the right end of the domain. ``interface_states``
@@ -32,6 +33,7 @@ __all__ = [
     "InterfaceTerms",
     "interface_states",
     "interface_terms",
+    "llf_flux",
 ]
 
 
@@ -64,16 +66,13 @@ def _check_bc(bc) -> None:
 
 
 class InterfaceTerms(NamedTuple):
-    """Per-interface results of ``interface_terms``.
-
-    ``sigma``, ``f_star`` and ``d_llf`` are None without stabilization.
-    """
+    """Per-interface results of ``interface_terms``, arrays over the S interfaces."""
 
     flux: np.ndarray  # LLF flux, (S, m)
-    sigma: np.ndarray | None = None
-    sigma_fallbacks: int = 0
-    f_star: np.ndarray | None = None
-    d_llf: np.ndarray | None = None
+    sigma: np.ndarray  # dissipation estimate, <= 0
+    sigma_fallbacks: int  # interfaces whose sigma fell back to 0
+    f_star: np.ndarray  # numerical entropy flux F*
+    d_llf: np.ndarray  # entropy the LLF flux dissipates, >= 0
 
 
 def _sigma_from_parts(u_l, u_r, f_l, f_r, c, ent_l, ent_r, eflux_l, eflux_r, system):
@@ -101,40 +100,42 @@ def _sigma_from_parts(u_l, u_r, f_l, f_r, c, ent_l, ent_r, eflux_l, eflux_r, sys
     return sigma, int(n_live - np.count_nonzero(ok))
 
 
-def interface_terms(
-    sides: np.ndarray, system: ConservationSystem, side_terms=None
-) -> InterfaceTerms:
-    """Every interface term of the one-sided states ``sides``, shape (2, S, m).
+def llf_flux(sides: np.ndarray, system: ConservationSystem) -> np.ndarray:
+    """The LLF flux of the one-sided states ``sides``, shape (2, S, m).
 
     ``sides[0]`` holds the left states u_l and ``sides[1]`` the right states
-    u_r, which must be admissible; nothing is checked here. Always computed:
-    the LLF flux 0.5 (f_l + f_r) - (c_max/2)(u_r - u_l), where c_max is the
-    larger signal speed of the two sides.
+    u_r, which must be admissible; nothing is checked here. The flux is
+    0.5 (f_l + f_r) - (c_max/2)(u_r - u_l), where c_max is the larger signal
+    speed of the two sides. It is built in the array of the sides' fluxes
+    with the operations, and so the bits, of ``interface_terms``' flux.
+    """
+    u_l, u_r = sides
+    flux, work = system.flux_raw(sides)
+    c_max = np.maximum(system.max_signal_speed_raw(u_l), system.max_signal_speed_raw(u_r))
+    np.multiply(np.add(flux, work, out=flux), 0.5, out=flux)
+    np.multiply(np.subtract(u_r, u_l, out=work), (0.5 * c_max)[:, None], out=work)
+    return np.subtract(flux, work, out=flux)
 
-    ``side_terms`` turns on the stabilization terms. It is the
+
+def interface_terms(sides: np.ndarray, system: ConservationSystem, side_terms) -> InterfaceTerms:
+    """Every interface term of the one-sided states ``sides``, shape (2, S, m).
+
+    ``sides`` is laid out as for ``llf_flux``. ``side_terms`` is the
     ``StageTerms`` of ``system.stage_terms`` of the stacked states
     ``sides.reshape(2 * S, m)``, of which only the first 2S rows of each
     term are read, so a caller may pass the terms of a longer array whose
     rows from ``skip`` on begin with those states, such as
-    ``stage_terms(rows, skip + 2 * S, skip)``. From it come the
-    dissipation estimate sigma with its fallback count, the numerical entropy
-    flux F* = 0.5 (F_l + F_r) - (c_max/2)(U_r - U_l) and the entropy the LLF
-    flux dissipates, d_llf = (c_max/2)(u_r - u_l).(dU/du_r - dU/du_l) >= 0.
-    F* uses the same one-sided traces as the state flux: on smooth data the
-    two traces agree to reconstruction order, so the entropy budget
+    ``stage_terms(rows, skip + 2 * S, skip)``. From it come the LLF flux,
+    the dissipation estimate sigma with its fallback count, the numerical
+    entropy flux F* = 0.5 (F_l + F_r) - (c_max/2)(U_r - U_l) and the entropy
+    the LLF flux dissipates, d_llf = (c_max/2)(u_r - u_l).(dU/du_r - dU/du_l)
+    >= 0. F* uses the same one-sided traces as the state flux: on smooth
+    data the two traces agree to reconstruction order, so the entropy budget
     F*_l - F*_r tracks the actual production instead of drowning it in O(h)
     dissipation from adjacent-average jumps.
     """
     u_l, u_r = sides
     n = u_l.shape[0]
-    if side_terms is None:
-        # The LLF flux alone, built in the array of the sides' fluxes with
-        # the operations, and so the bits, of the stabilized branch below.
-        flux, work = system.flux_raw(sides)
-        c_max = np.maximum(system.max_signal_speed_raw(u_l), system.max_signal_speed_raw(u_r))
-        np.multiply(np.add(flux, work, out=flux), 0.5, out=flux)
-        np.multiply(np.subtract(u_r, u_l, out=work), (0.5 * c_max)[:, None], out=work)
-        return InterfaceTerms(np.subtract(flux, work, out=flux))
     flux_lr, speed_lr = side_terms.flux, side_terms.speed
     f_l, f_r = flux_lr[:n], flux_lr[n : 2 * n]
     c_max = np.maximum(speed_lr[:n], speed_lr[n : 2 * n])

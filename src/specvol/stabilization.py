@@ -26,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .filters import FilterGenerator
+from .riemann import InterfaceTerms
 
 __all__ = [
     "CorrectionReport",
@@ -100,13 +101,10 @@ def compute_correction(
     entropy: np.ndarray,
     gradient: np.ndarray,
     rates: np.ndarray,
-    sigma: np.ndarray,
-    f_star: np.ndarray,
+    terms: InterfaceTerms,
     dt: float,
     gen: FilterGenerator,
     periodic: bool,
-    dissipation_scale: np.ndarray,
-    sigma_fallbacks: int = 0,
 ) -> CorrectionReport:
     """Assemble all per-SV correction sizes for one Euler stage.
 
@@ -116,14 +114,15 @@ def compute_correction(
     holds the time derivative D and the dissipation direction v, so that one
     product gives the entropy production <dU/du, D> and <dU/du, v> of every
     SV, weighted by the CV widths ``gen`` was built from, the grid's own.
-    ``sigma``, ``f_star`` and ``dissipation_scale`` are interface arrays
-    (N+1,), indexed like :func:`specvol.riemann.interface_states`, as
-    :func:`specvol.riemann.interface_terms` returns them. For non-periodic
-    runs the missing-neighbour inner products at the domain ends count as
-    zero. Nothing here converts its inputs: all of them are float arrays.
+    ``terms`` is the :class:`specvol.riemann.InterfaceTerms` of the N+1
+    interfaces, indexed like :func:`specvol.riemann.interface_states`, as
+    :func:`specvol.riemann.interface_terms` returns it; its sigma, F*, LLF
+    dissipation and sigma fallback count are read. For non-periodic runs the
+    missing-neighbour inner products at the domain ends count as zero.
+    Nothing here converts its inputs: all of them are float arrays.
 
-    ``dissipation_scale`` is the LLF entropy dissipation of each interface
-    jump, (c/2)(u_r - u_l).(dU_r - dU_l) >= 0. It bounds the entropy demands
+    The LLF entropy dissipation of each interface jump, ``terms.d_llf`` =
+    (c/2)(u_r - u_l).(dU_r - dU_l) >= 0, bounds the entropy demands
     the correction is asked to realize: the estimate sigma is linear in the
     trace jump while a genuine Riemann fan only dissipates quadratically, so
     on smooth data the raw demands are discretization noise orders of
@@ -139,13 +138,14 @@ def compute_correction(
     eps_den = DEN_FLOOR * np.maximum(1.0, np.abs(np.einsum("j,ij->i", gen.cv_widths, entropy)))
     n_sv = direction_ip.size
 
+    sigma, f_star = terms.sigma, terms.f_star
     if not periodic:
         # No neighbouring SV outside a fixed boundary: its sigma is absent.
         sigma = sigma.copy()
         sigma[0] = 0.0
         sigma[-1] = 0.0
     excess = production - (f_star[:-1] - f_star[1:])
-    cap = np.maximum(dissipation_scale, 0.0)
+    cap = np.maximum(terms.d_llf, 0.0)
     sigma_used = np.maximum(sigma, -cap)
     excess_used = np.minimum(excess, cap[:-1] + cap[1:])
     raised = sigma_used > sigma
@@ -188,4 +188,4 @@ def compute_correction(
     np.maximum(0.0, lam_sum, out=lam_sum)
     lam = np.minimum(limit, lam_sum)
     clamped = (lam_sum > lam) | dropped.any(axis=0) | capped
-    return CorrectionReport(parts, usable[0], dropped, lam_sum, lam, clamped, sigma_fallbacks)
+    return CorrectionReport(parts, usable[0], dropped, lam_sum, lam, clamped, terms.sigma_fallbacks)

@@ -8,17 +8,19 @@ makes three passes of the system over its states:
    and the cell averages. It gives the traces' admissibility mask and flux,
    the sides' flux, signal speed, entropy, entropy flux and gradient, and
    the averages' entropy and gradient. ``riemann.interface_terms`` takes the
-   sides' terms and gives the LLF flux, the dissipation estimate sigma, the
-   numerical entropy flux F* and the LLF dissipation; ``compute_correction``
-   takes the averages' entropies and gradients;
+   sides' terms and gives their ``InterfaceTerms``: the LLF flux, the
+   dissipation estimate sigma, the numerical entropy flux F* and the LLF
+   dissipation. ``compute_correction`` takes that record whole, with the
+   averages' entropies and gradients;
 2. the Riemann-fan mean states of sigma, in ``interface_terms``;
 3. the admissibility check of the new averages
 
     u_new = u + dt * (D + lambda_i * v_i),   v_i = H u_i.
 
 Without stabilization the stage passes over the traces, each interface side
-and the new averages, and ``interface_terms`` computes only the signal speeds
-and the LLF flux.
+and the new averages, and ``riemann.llf_flux`` computes only the signal
+speeds and the LLF flux; neither ``interface_terms`` nor
+``compute_correction`` runs.
 
 The traces come in CV-face order from ``reconstruct_faces`` and v = H u from
 one matrix product over all SVs (see ``reconstruction``), and
@@ -81,7 +83,9 @@ from .mesh import SpectralGrid, gauss_legendre_rule
 from .reconstruction import _sv_traces, build_reconstruction, reconstruct_all, reconstruct_faces
 # reconstruct_all and _sigma_from_parts are not called here; the benchmark's
 # tracer wraps them as attributes of this module, so they stay importable from it.
-from .riemann import PeriodicBC, _check_bc, _sigma_from_parts, interface_states, interface_terms
+from .riemann import (
+    PeriodicBC, _check_bc, _sigma_from_parts, interface_states, interface_terms, llf_flux
+)
 from .stabilization import CorrectionReport, compute_correction, corrected_rhs
 from .systems import ConservationSystem, LinearAdvection
 
@@ -353,8 +357,8 @@ def euler_adapted(state: CellAverageField, dt: float, config: SolverConfig, *, p
     if k > 1 and not stabilized:
         # Every trace j < k in one pass; the SV interfaces are overwritten below.
         system.flux_raw(traces[: n_sv * k], out=faces[:-1])
-    terms = interface_terms(plan.sides, system, row_terms)
-    faces[::k] = terms.flux
+    terms = interface_terms(plan.sides, system, row_terms) if stabilized else None
+    faces[::k] = terms.flux if stabilized else llf_flux(plan.sides, system)
     rhs = plan.rates[0] if stabilized else out
     d = rhs.reshape(n_sv * k, m)
     np.subtract(faces[:-1], faces[1:], out=d)
@@ -363,17 +367,10 @@ def euler_adapted(state: CellAverageField, dt: float, config: SolverConfig, *, p
     report = None
     if stabilized:
         direction = apply_generator(plan.gen, u, out=plan.rates[1])
+        entropy = row_terms.entropy[plan.n_sides :].reshape(n_sv, k)
+        gradient = row_terms.gradient[plan.n_sides :].reshape(n_sv, k, m)
         report = compute_correction(
-            row_terms.entropy[plan.n_sides :].reshape(n_sv, k),
-            row_terms.gradient[plan.n_sides :].reshape(n_sv, k, m),
-            plan.rates,
-            terms.sigma,
-            terms.f_star,
-            dt,
-            plan.gen,
-            config.bc.periodic,
-            dissipation_scale=terms.d_llf,
-            sigma_fallbacks=terms.sigma_fallbacks,
+            entropy, gradient, plan.rates, terms, dt, plan.gen, config.bc.periodic
         )
         # The product lambda_i v_i goes into ``out``, which is free until
         # the new averages are written.

@@ -20,7 +20,7 @@ from specvol.cli import (
     run_scenario,
     _write_csv,
 )
-from specvol.exceptions import InadmissibleStateError
+from specvol.exceptions import InadmissibleStateError, StepFailureError
 from specvol.reference import lax_friedrichs_solver
 
 
@@ -279,6 +279,29 @@ class TestMain:
         assert os.path.exists(tmp_path / "density-bump_convergence.csv")
         out = capsys.readouterr().out
         assert "n_sv=6" in out and "n_sv=8" in out
+
+    def test_failed_convergence_solve_prints_one_line(self, tmp_path, capsys, monkeypatch):
+        # The second resolution's solve fails: one line names it and its
+        # resolution, and no table is written, since a partial one would
+        # read as a complete study.
+        real, solves = cli.integrate, []
+
+        def failing_second(state, config):
+            solves.append(state.grid.num_sv)
+            if len(solves) == 2:
+                raise StepFailureError("stub", (3, 1), "cv", 0.123456789)
+            return real(state, config)
+
+        monkeypatch.setattr(cli, "integrate", failing_second)
+        code = main(["convergence", "density-bump", "--nsv-list", "6,8", "--t-end", "0.5",
+                     "--out-dir", str(tmp_path)])
+        assert code == 1 and solves == [6, 8]
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error kind=step-failure scenario=density-bump n_sv=8 sv=3 cv=1 t=0.123457"
+        ]
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == []
 
 
 def tree_bytes(root):

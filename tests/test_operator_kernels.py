@@ -16,13 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specvol import timeint
+from specvol import cli, timeint
 from specvol.cli import BUILTIN_SCENARIOS
 from specvol.exceptions import InadmissibleStateError, StepFailureError
 from specvol.filters import apply_generator, build_generator
 from specvol.mesh import build_grid
 from specvol.reconstruction import build_reconstruction, reconstruct_all, reconstruct_faces
-from specvol.riemann import FixedBC, PeriodicBC
+from specvol.riemann import PeriodicBC
 from specvol.systems import euler_system, primitive_to_conserved
 from specvol.timeint import SolverConfig, euler_adapted, init_field, select_dt
 
@@ -233,13 +233,9 @@ class TestNonFiniteInput:
 
 
 def initial_state(name):
-    sc = BUILTIN_SCENARIOS[name]
-    system = sc.build_system()
-    u0, breakpoints = sc.initial_condition()
-    grid = build_grid(sc.a, sc.b, sc.n_sv, sc.n_cv)
-    state = init_field(u0, grid, system, breakpoints=breakpoints)
-    bc = PeriodicBC() if sc.bc == "periodic" else FixedBC(left=u0(sc.a), right=u0(sc.b))
-    return state, SolverConfig(t_end=sc.t_end, cfl=sc.cfl, bc=bc)
+    scen = dataclasses.replace(BUILTIN_SCENARIOS[name], diagnostics_every=0)
+    system, grid, u0, breakpoints, config = cli._setup(scen)
+    return init_field(u0, grid, system, breakpoints=breakpoints), config
 
 
 class TestStageAgainstEinsumKernels:

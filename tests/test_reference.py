@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specvol import timeint
+from specvol import cli, timeint
 from specvol.cli import BUILTIN_SCENARIOS
 from specvol.mesh import build_grid
 from specvol.reference import (
@@ -66,7 +66,7 @@ class TestLaxFriedrichsSolver:
             return u0(x)
 
         scalar_only = lambda x: u0(float(x))  # float() rejects arrays: per-point path
-        bc = FixedBC(left=u0(scen.a), right=u0(scen.b))
+        bc = cli._setup(scen)[4].bc
         runs = [
             lax_friedrichs_solver(scen.build_system(), f, scen.a, scen.b, 2000, 0.01, bc)
             for f in (batched, scalar_only)
@@ -155,12 +155,8 @@ def _oracle_case(name):
     """(system, u0, a, b, n_cells, t_end, bc) of one oracle comparison."""
     if name in ("sod", "lax", "density-bump"):
         scen = BUILTIN_SCENARIOS[name]
-        u0, _ = scen.initial_condition()
-        if scen.bc == "periodic":
-            bc = PeriodicBC()
-        else:
-            bc = FixedBC(left=u0(scen.a), right=u0(scen.b))
-        return scen.build_system(), u0, scen.a, scen.b, 1000, 2.0, bc
+        system, _, u0, _, config = cli._setup(scen)
+        return system, u0, scen.a, scen.b, 1000, 2.0, config.bc
     if name == "advection-periodic":
         return advection_system(1.0), _rect, 0.0, 1.0, 400, 1.0, PeriodicBC()
     if name == "burgers-periodic":

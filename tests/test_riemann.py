@@ -11,6 +11,7 @@ from specvol.riemann import (
     _sigma_from_parts,
     interface_states,
     interface_terms,
+    llf_flux,
 )
 from specvol.systems import advection_system, burgers_system, euler_system, primitive_to_conserved
 from specvol.timeint import CellAverageField, SolverConfig, _StagePlan, euler_adapted
@@ -24,10 +25,15 @@ def sample_states(system, rng, n):
     )
 
 
-def terms(u_l, u_r, system, stabilized=True):
+def sides_of(u_l, u_r):
+    """The (2, S, m) sides of the left states u_l and right states u_r."""
+    return np.stack([np.atleast_2d(u_l), np.atleast_2d(u_r)])
+
+
+def terms(u_l, u_r, system):
     """interface_terms of the left states u_l and right states u_r, each (S, m)."""
-    sides = np.stack([np.atleast_2d(u_l), np.atleast_2d(u_r)])
-    side_terms = system.stage_terms(sides.reshape(-1, system.m), 2 * sides.shape[1]) if stabilized else None
+    sides = sides_of(u_l, u_r)
+    side_terms = system.stage_terms(sides.reshape(-1, system.m), 2 * sides.shape[1])
     return interface_terms(sides, system, side_terms)
 
 
@@ -40,19 +46,18 @@ class TestLlfFlux:
         system = make()
         rng = np.random.default_rng(1)
         u = sample_states(system, rng, 1000)
-        got = terms(u, u, system, stabilized=False).flux
-        np.testing.assert_allclose(got, system.flux_raw(u), atol=1e-13)
+        for got in (llf_flux(sides_of(u, u), system), terms(u, u, system).flux):
+            np.testing.assert_allclose(got, system.flux_raw(u), atol=1e-13)
 
     @pytest.mark.parametrize("make", SYSTEMS)
     def test_pure_and_stabilized_flux_agree(self, make):
         system = make()
         rng = np.random.default_rng(3)
         u_l, u_r = sample_states(system, rng, 300), sample_states(system, rng, 300)
-        pure = terms(u_l, u_r, system, False)
-        full = terms(u_l, u_r, system, True)
-        assert pure.sigma is None and pure.f_star is None and pure.d_llf is None
+        pure = llf_flux(sides_of(u_l, u_r), system)
+        full = terms(u_l, u_r, system)
         # The flux carries c_max, so equal bytes mean equal c_max too.
-        assert pure.flux.tobytes() == full.flux.tobytes()
+        assert pure.tobytes() == full.flux.tobytes()
 
     def test_advection_upwind(self):
         flux = terms(np.array([1.0]), np.array([0.0]), advection_system(1.0)).flux
@@ -205,8 +210,7 @@ class TestInterfaceSpeed:
         c_max = np.maximum(system.max_signal_speed_raw(u_l), system.max_signal_speed_raw(u_r))
         mean = 0.5 * (system.flux_raw(u_l) + system.flux_raw(u_r))
         want = mean - (0.5 * c_max)[:, None] * (u_r - u_l)
-        for stabilized in (False, True):
-            got = terms(u_l, u_r, system, stabilized).flux
+        for got in (llf_flux(sides_of(u_l, u_r), system), terms(u_l, u_r, system).flux):
             assert got.tobytes() == want.tobytes()
 
 

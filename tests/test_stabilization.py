@@ -5,6 +5,7 @@ import pytest
 
 from specvol.filters import apply_generator, build_generator
 from specvol.mesh import build_grid
+from specvol.riemann import InterfaceTerms
 from specvol.stabilization import DEN_FLOOR, compute_correction, corrected_rhs
 from specvol.systems import burgers_system, euler_system, primitive_to_conserved
 
@@ -13,12 +14,19 @@ REPORT_ATTRIBUTES = ("lambda_ed", "lambda_er_l", "lambda_er_r", "lambda_sum", "l
                      "clamped", "den_fallbacks", "sigma_fallbacks", "dropped_demands")
 
 
-def correction(averages, rhs, direction, sigma, f_star, system, *args, **kwargs):
-    """compute_correction with U and dU/du of the cell averages of ``system``."""
-    terms = system.stage_terms(averages, len(averages))
+def correction(averages, rhs, direction, sigma, f_star, system, dt, gen, periodic, d_llf,
+               sigma_fallbacks=0):
+    """compute_correction with U and dU/du of the cell averages of ``system``.
+
+    The interface record carries the given sigma, F*, LLF dissipation and
+    fallback count, and a zero flux, which the correction does not read.
+    """
+    averages_terms = system.stage_terms(averages, len(averages))
     rates = np.stack([rhs, direction])
+    flux = np.zeros((len(sigma), system.m))
+    terms = InterfaceTerms(flux, sigma, sigma_fallbacks, f_star, d_llf)
     return compute_correction(
-        terms.entropy, terms.gradient, rates, sigma, f_star, *args, **kwargs
+        averages_terms.entropy, averages_terms.gradient, rates, terms, dt, gen, periodic
     )
 
 

@@ -15,7 +15,7 @@ from specvol.exceptions import DegenerateSpeedError, InadmissibleStateError, Ste
 from specvol.filters import apply_generator, build_generator
 from specvol.mesh import build_grid
 from specvol.reconstruction import build_reconstruction, reconstruct_all
-from specvol.riemann import FixedBC, PeriodicBC, interface_states
+from specvol.riemann import FixedBC, InterfaceTerms, PeriodicBC, interface_states
 from specvol.stabilization import compute_correction
 from specvol.systems import (
     Euler,
@@ -413,9 +413,10 @@ def reference_stage(state, dt, config):
         system.entropy_gradient_raw(u_r) - system.entropy_gradient_raw(u_l),
     )
     direction = apply_generator(gen, state.data)
+    terms = InterfaceTerms(interface_flux, sigma, fallbacks, f_star, d_llf)
     report = compute_correction(
         system.entropy_raw(state.data), system.entropy_gradient_raw(state.data),
-        np.stack([rhs, direction]), sigma, f_star, dt, gen, config.bc.periodic, d_llf, fallbacks,
+        np.stack([rhs, direction]), terms, dt, gen, config.bc.periodic,
     )
     return state.data + dt * (rhs + report.lambda_final[:, None, None] * direction), report
 
@@ -423,12 +424,9 @@ def reference_stage(state, dt, config):
 def scenario_state(name, t_end, n_sv=None):
     """(state at t_end, config) of a builtin scenario."""
     sc = BUILTIN_SCENARIOS[name]
-    system = sc.build_system()
-    u0, breakpoints = sc.initial_condition()
-    grid = build_grid(sc.a, sc.b, n_sv or sc.n_sv, sc.n_cv)
+    scen = dataclasses.replace(sc, n_sv=n_sv or sc.n_sv, t_end=t_end, diagnostics_every=0)
+    system, grid, u0, breakpoints, config = cli._setup(scen)
     state = init_field(u0, grid, system, breakpoints=breakpoints)
-    bc = PeriodicBC() if sc.bc == "periodic" else FixedBC(left=u0(sc.a), right=u0(sc.b))
-    config = SolverConfig(t_end=t_end, cfl=sc.cfl, bc=bc)
     state, _ = integrate(state, config)
     return state, config
 
@@ -617,12 +615,7 @@ class TestIntegrate:
             return new, report
 
         monkeypatch.setattr(timeint, "euler_adapted", recording_stage)
-        scen = BUILTIN_SCENARIOS["sod"]
-        grid = build_grid(scen.a, scen.b, 40, 4)
-        u0, breaks = scen.initial_condition()
-        state = init_field(u0, grid, scen.build_system(), 8, breaks)
-        bc = FixedBC(left=u0(scen.a), right=u0(scen.b))
-        final, diag = integrate(state, SolverConfig(t_end=0.1, cfl=0.1, bc=bc))
+        final, diag = integrate(*sod_setup())
         assert len(reports) == 3 * diag.steps
         expected = np.sum([r.clamped for r in reports], axis=0)
         assert expected.sum() > 0
@@ -670,13 +663,10 @@ def burgers_setup(n_sv, k=4, bc=PeriodicBC(), stab=True, u0=lambda x: np.sin(np.
 
 
 def sod_setup(n_sv=40, cfl=0.1, t_end=0.1, stab=True):
-    scen = BUILTIN_SCENARIOS["sod"]
-    grid = build_grid(scen.a, scen.b, n_sv, 4)
-    u0, breaks = scen.initial_condition()
-    state = init_field(u0, grid, scen.build_system(), 8, breaks)
-    bc = FixedBC(left=u0(scen.a), right=u0(scen.b))
-    config = SolverConfig(t_end=t_end, cfl=cfl, bc=bc, stabilization_enabled=stab)
-    return state, config
+    scen = dataclasses.replace(BUILTIN_SCENARIOS["sod"], n_sv=n_sv, cfl=cfl, t_end=t_end,
+                               stabilization=stab, diagnostics_every=0)
+    system, grid, u0, breaks, config = cli._setup(scen)
+    return init_field(u0, grid, system, breakpoints=breaks), config
 
 
 class TestStagePlan:
@@ -769,7 +759,7 @@ def bump_on(grid):
 def record_operators(monkeypatch):
     """Record (call, operator) for every operator a stage applies from now on."""
     seen = []
-    for name, index in (("reconstruct_faces", 0), ("apply_generator", 0), ("compute_correction", 6)):
+    for name, index in (("reconstruct_faces", 0), ("apply_generator", 0), ("compute_correction", 5)):
         real = getattr(timeint, name)
 
         def spy(*args, _name=name, _index=index, _real=real, **kwargs):
@@ -1192,10 +1182,12 @@ class TestStageInvariants:
         scale = np.max(np.einsum("j,ijc->c", grid.cv_widths, np.abs(data)))
         floor = 8 * data.size * (1.0 + dt) * np.finfo(float).smallest_subnormal
         assert np.all(np.abs(new.total_mass() - state.total_mass()) <= 1e-13 * scale + floor)
-        (terms,) = seen
         if not stab:
-            assert terms.sigma is None
+            # The pure stage builds its LLF flux alone: no interface record,
+            # no correction.
+            assert seen == [] and rates == [] and report is None
             return
+        (terms,) = seen
         assert np.all(terms.sigma <= 0.0)
         (rates_seen,) = rates
         assert_entropy_inequality(system.entropy_gradient_raw(data), rates_seen, terms.f_star,
@@ -1216,10 +1208,10 @@ class TestStageInvariants:
         stages, outputs = [], []
         real, real_stage = timeint.compute_correction, timeint.euler_adapted
 
-        def recording(entropy, gradient, rates, sigma, f_star, *args, **kwargs):
-            report = real(entropy, gradient, rates, sigma, f_star, *args, **kwargs)
-            scale = kwargs["dissipation_scale"].copy()
-            stages.append((gradient.copy(), rates.copy(), f_star.copy(), scale, report))
+        def recording(entropy, gradient, rates, terms, *args, **kwargs):
+            report = real(entropy, gradient, rates, terms, *args, **kwargs)
+            stages.append((gradient.copy(), rates.copy(), terms.f_star.copy(), terms.d_llf.copy(),
+                           report))
             return report
 
         def recording_stage(stage_state, stage_dt, *args, **kwargs):

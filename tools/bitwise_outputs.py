@@ -18,14 +18,17 @@ writes only into a fresh temporary directory:
 * ``lax --no-stabilization``, a run that fails with ``error
   kind=step-failure`` on an inadmissible boundary trace (``sv=100
   trace=0``) and exit status 1, and writes the same two files;
-* ``convergence density-bump --nsv-list 8,10,12 --t-end 2``.
+* ``convergence density-bump --nsv-list 8,10,12 --t-end 2``;
+* ``convergence advect-rect --ncv 8 --no-stabilization --nsv-list 8 --cfl 1
+  --t-end 340``, a study whose solve fails (``n_sv=8 sv=3 cv=1``): one
+  ``error kind=step-failure`` line, exit status 1 and no table.
 
-That makes 13 runs. It then prints one line per run, comparing the exit
+That makes 14 runs. It then prints one line per run, comparing the exit
 statuses; for a run that exits with a non-zero status in any checkout, one
 comparing the last line of stderr, the ``error kind=...`` line; and one per
 output file, saying whether every checkout wrote the same bytes. It exits
 with status 1 on any difference, 0 when all agree.
-The runs take about 25 s per checkout on a 2-core machine.
+The runs take about 30 s per checkout on a 2-core machine.
 """
 
 import argparse
@@ -49,6 +52,9 @@ RUNS = {
     "lax-pure-fails": ["run", "lax", "--no-stabilization"],
     "density-bump-convergence": ["convergence", "density-bump", "--nsv-list", "8,10,12",
                                  "--t-end", "2"],
+    "advect-rect-pure-convergence-fails": ["convergence", "advect-rect", "--ncv", "8",
+                                           "--no-stabilization", "--nsv-list", "8",
+                                           "--cfl", "1", "--t-end", "340"],
 }
 
 

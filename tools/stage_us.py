@@ -39,6 +39,14 @@ second / first ("median_ratio") and the number of chunks the second tree won
 mmap threshold when it frees a large block, after which arrays of that size
 come from the heap without faulting, and the two trees of a case share one
 process.
+
+How a two-tree ratio gates a change: two trees that run the same operations
+read a ``median_ratio`` anywhere from 0.9475 to 1.0535 on a shared 2-vCPU
+host, so no fixed same-tree figure measured once is a bound. Run each case
+in both tree orders (``--src A --src B`` and ``--src B --src A``) and,
+right beside those runs, with one tree twice (``--src A --src A``). The
+change is slower on a case only where both orders read it slower by more
+than the largest deviation from 1 of those same-tree runs.
 """
 
 import argparse
