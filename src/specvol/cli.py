@@ -57,11 +57,12 @@ OUT_DIR_ENV = "SPECVOL_OUT_DIR"
 _FMT = "%.17g"
 
 
-def _shock_tube(left, right, gamma: float, diaphragm: float = 5.0):
-    """u0 of a shock tube: primitive ``left`` for x < diaphragm, ``right`` beyond.
+def _shock_tube(left, right, gamma: float):
+    """(u0, breakpoints) of a shock tube: primitive ``left`` for x < 5, ``right`` beyond.
 
     A scalar position gives a 3-vector, an (n,) array of positions (n, 3).
     """
+    diaphragm = 5.0
 
     def u0(x):
         below = np.asarray(x) < diaphragm
@@ -71,7 +72,7 @@ def _shock_tube(left, right, gamma: float, diaphragm: float = 5.0):
             primitive_to_conserved(*right, gamma),
         )
 
-    return u0
+    return u0, (diaphragm,)
 
 
 class ScenarioError(ValueError):
@@ -125,10 +126,10 @@ class Scenario:
             ),
             "sine": (lambda x: np.sin(np.pi * x), ()),
             "step": (lambda x: np.where(x <= 1.0, -1.0, 1.0), (1.0,)),
-            "sod": (_shock_tube((1.0, 0.0, 1.0), (0.125, 0.0, 0.1), gamma), (5.0,)),
-            "lax": (_shock_tube((0.445, 0.698, 3.528), (0.5, 0.0, 0.571), gamma), (5.0,)),
+            "sod": _shock_tube((1.0, 0.0, 1.0), (0.125, 0.0, 0.1), gamma),
+            "lax": _shock_tube((0.445, 0.698, 3.528), (0.5, 0.0, 0.571), gamma),
             "density-bump": (
-                lambda x: primitive_to_conserved(*exact_euler_density_bump(0.0, x, gamma), gamma),
+                lambda x: primitive_to_conserved(*exact_euler_density_bump(0.0, x), gamma),
                 (),
             ),
         }
@@ -371,7 +372,7 @@ def run_scenario(scenario: Scenario, out_dir: str, ref_cells: int = 0):
 
     A scenario that cannot run, or an output directory that cannot be made,
     raises ``ScenarioError`` before anything is solved or written; one whose
-    initial field has no signal speed, and so no CFL step, raises it when
+    initial field and CFL number give no usable time step raises it when
     the solve starts, after the output directory is made and before any
     file is written. A step failure keeps whatever was computed: the last
     admissible field and the diagnostics collected so far are written, and
@@ -407,7 +408,7 @@ def run_scenario(scenario: Scenario, out_dir: str, ref_cells: int = 0):
             final, diag = integrate(state, config)
         except StepFailureError as exc:
             final, diag, error = exc.last_state, exc.diagnostics, exc
-        except DegenerateSpeedError as exc:  # an initial field with no signal speed
+        except DegenerateSpeedError as exc:  # an initial field with no usable time step
             raise ScenarioError(str(exc)) from exc
         if reference is not None and error is None:
             ref = reference.result()
@@ -497,9 +498,11 @@ def run_convergence(base: Scenario, n_sv_list, out_dir: str):
     per-pair experimental orders for both norms (empty for the first
     resolution). Every resolution is set up, and the output directory made,
     before the first solve, so a bad one raises ``ScenarioError`` before
-    anything is solved or written. A solve that fails raises its
-    ``StepFailureError`` with the resolution attached as ``n_sv``, and no
-    CSV is written: a partial table would read as a complete study.
+    anything is solved or written. A resolution whose initial field gives no
+    usable time step raises ``ScenarioError`` when its solve starts. A solve
+    that fails raises its ``StepFailureError`` with the resolution attached
+    as ``n_sv``. Either way no CSV is written: a partial table would read as
+    a complete study.
     """
     exact = _periodic_exact(base, base.t_end)
     setups = [
@@ -515,6 +518,8 @@ def run_convergence(base: Scenario, n_sv_list, out_dir: str):
         except StepFailureError as exc:
             exc.n_sv = n_sv
             raise
+        except DegenerateSpeedError as exc:  # an initial field with no usable time step
+            raise ScenarioError(str(exc)) from exc
         results.append((n_sv, error_norms(final, exact, "L1"), error_norms(final, exact, "L2")))
     ns, l1, l2 = zip(*results)
     # One order per consecutive pair, so none for the first resolution.

@@ -26,4 +26,5 @@ class StepFailureError(RuntimeError):
 
 
 class DegenerateSpeedError(ValueError):
-    """Global signal speed too small (zero or subnormal) for a finite CFL time step."""
+    """No usable CFL time step: a global signal speed of zero or subnormal, or a
+    CFL number so small that the step or the step count under- or overflows."""

@@ -144,7 +144,7 @@ def exact_burgers_rarefaction(t: float, x):
     return np.clip((x - 1.0) / t, -1.0, 1.0)
 
 
-def exact_euler_density_bump(t: float, x, gamma: float = 1.4):
+def exact_euler_density_bump(t: float, x):
     """Advected Gaussian density bump: rho = 1 + exp(-(x-5-t)^2/2), v = p = 1.
 
     The velocity and pressure stay constant, so the density rides along the

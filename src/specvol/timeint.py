@@ -36,29 +36,31 @@ faces[::k], and D = (faces[:-1] - faces[1:]) / h is one contiguous pass
 with the CV widths tiled once per run.
 
 A run keeps its operators and arrays in a stage plan that ``integrate``
-builds once for the state's grid and system. It owns the two per-SV
-operators that the grid's CV partition fixes, the trace reconstruction C
-(``plan.op``) and the filter generator H (``plan.gen``), which the cached
-builders hand out; a stage applies its plan's, and a stage given a plan
-built for another grid raises ``ValueError``. The plan's arrays are the
-rows array, the flux array, the tiled widths and three (N, k, m) arrays,
-one for the RK state and two that the stages write their new averages
-into, each stage into the one that is not its input. The traces and the
-interface sides, which every stage writes, are views of the rows array; a
-stabilized stage copies its averages into the rest. Only a stabilized plan
-has the averages' rows and ``rates``, a (2, N, k, m) array that holds a
-stage's D and its filter direction v side by side, so that
-``compute_correction`` takes both inner products of every SV from one
-product. The RK combinations run in place with ``out=``, and the correction
-lambda_i v_i is computed into the stage's output array before it is added
-into D, so a step allocates no array of the field's size beyond what the
-system methods, the interface terms and the correction's per-SV arrays
-return. ``euler_adapted(state, dt, config, plan=...)`` and
-``ssp_rk3_step(state, dt, config, plan=...)`` take the plan as the keyword
-``plan``. Without one they build a fresh plan, so the fields they return
-own their data; with one, those fields live in the plan's arrays until its
-next stage or step. ``integrate`` returns, and attaches to a failure,
-copies.
+builds once from the state's grid and system alone, with one layout for both
+stage kinds. It owns the two per-SV operators that the grid's CV partition
+fixes, the trace reconstruction C (``plan.op``) and the filter generator H
+(``plan.gen``), which the cached builders hand out; a stage applies its
+plan's, and a stage given a plan built for another grid raises
+``ValueError``. The plan's arrays are the rows array, the flux array, the
+tiled widths and three (N, k, m) arrays, one for the RK state and two that
+the stages write their new averages into, each stage into the one that is
+not its input. The traces and the interface sides, which every stage writes,
+are views of the rows array; a stabilized stage copies its averages into the
+rest. ``rates``, a (2, N, k, m) array, holds a stabilized stage's D and its
+filter direction v side by side, so that ``compute_correction`` takes both
+inner products of every SV from one product. A pure stage leaves the
+correction's arrays untouched: the averages' rows, the flux rows past the CV
+faces and ``rates``. Their ``np.empty`` pages are then never written; at
+large N, where numpy maps them afresh, they never become resident. The RK
+combinations run in place with ``out=``, and the correction lambda_i v_i is
+computed into the stage's output array before it is added into D, so a step
+allocates no array of the field's size beyond what the system methods, the
+interface terms and the correction's per-SV arrays return.
+``euler_adapted(state, dt, config, plan=...)`` and ``ssp_rk3_step(state, dt,
+config, plan=...)`` take the plan as the keyword ``plan``. Without one they
+build a fresh plan, so the fields they return own their data; with one,
+those fields live in the plan's arrays until its next stage or step.
+``integrate`` returns, and attaches to a failure, copies.
 
 The SSP-RK3 method chains three such stages through convex combinations, so
 conservation and the filter positivity bound survive the full step. The time
@@ -68,11 +70,14 @@ lands exactly on t_end.
 The system methods check nothing. States are checked where they enter or
 leave a stage. ``InadmissibleStateError`` rejects ``init_field``'s averages
 (NaN and inf included) and the state ``select_dt`` (and so ``integrate``)
-is given; ``StepFailureError`` names a stage's first bad trace or average.
+is given; ``DegenerateSpeedError`` a state and CFL number that give no
+usable time step; ``StepFailureError`` names a stage's first bad trace or
+average.
 """
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -269,43 +274,33 @@ class _StagePlan:
 
     ``op`` and ``gen`` are the grid's trace reconstruction and filter
     generator, built through this module's ``build_reconstruction`` and
-    ``build_generator``. The correction's arrays, the averages' rows and
-    ``rates``, exist only when ``stabilized`` is True.
+    ``build_generator``. A pure stage never writes the correction's arrays:
+    the averages' rows, the flux rows past ``faces`` and ``rates``.
     """
 
-    def __init__(self, grid: SpectralGrid, system: ConservationSystem, stabilized=True):
+    def __init__(self, grid: SpectralGrid, system: ConservationSystem):
         n_sv, k, m = grid.num_sv, grid.num_cv, system.m
         self.grid = grid
         self.op = build_reconstruction(grid)
         self.gen = build_generator(grid.cv_widths)
         # The states of one system pass: the traces in CV-face order, the
-        # interface sides, side first (0 left, 1 right), and, stabilized,
-        # the averages.
+        # interface sides, side first (0 left, 1 right), and the averages.
         self.n_traces = n_sv * (k + 1)
         self.n_sides = 2 * (n_sv + 1)
-        n_rows = self.n_traces + self.n_sides + (n_sv * k if stabilized else 0)
-        self.rows = np.empty((n_rows, m))
+        self.rows = np.empty((self.n_traces + self.n_sides + n_sv * k, m))
         self.traces = self.rows[: self.n_traces]
         self.sides = self.rows[self.n_traces : self.n_traces + self.n_sides].reshape(2, n_sv + 1, m)
-        # The CV-face fluxes, and in a stabilized run after them the fluxes
-        # of the remaining traces and of the interface sides, as the system
-        # pass writes them.
-        n_flux = self.n_traces + self.n_sides if stabilized else n_sv * k + 1
-        self.flux = np.empty((n_flux, m))
+        self.averages = self.rows[self.n_traces + self.n_sides :].reshape(n_sv, k, m)
+        # The CV-face fluxes, then the fluxes of the remaining traces and of
+        # the interface sides, as the stabilized stage's system pass writes them.
+        self.flux = np.empty((self.n_traces + self.n_sides, m))
         self.faces = self.flux[: n_sv * k + 1]
         self.widths = np.tile(grid.cv_widths, n_sv)[:, None]
         self.state = np.empty((n_sv, k, m))
         self.stages = (np.empty((n_sv, k, m)), np.empty((n_sv, k, m)))
-        self.averages = self.rates = None
-        if stabilized:
-            self.averages = self.rows[self.n_traces + self.n_sides :].reshape(n_sv, k, m)
-            # D and the filter direction v of a stage, side by side for the
-            # one product of the correction.
-            self.rates = np.empty((2, n_sv, k, m))
-
-
-def _plan_for(state, config):
-    return _StagePlan(state.grid, state.system, config.stabilization_enabled)
+        # D and the filter direction v of a stage, side by side for the one
+        # product of the correction.
+        self.rates = np.empty((2, n_sv, k, m))
 
 
 def _failure(state, dt, part, ok) -> StepFailureError:
@@ -329,11 +324,9 @@ def euler_adapted(state: CellAverageField, dt: float, config: SolverConfig, *, p
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if plan is None:
-        plan = _plan_for(state, config)
+        plan = _StagePlan(state.grid, state.system)
     elif plan.grid is not state.grid:
         raise ValueError("the stage plan was built for another grid than the state's")
-    elif config.stabilization_enabled and plan.rates is None:
-        raise ValueError("a stabilized stage needs a plan built with stabilization")
     u, system = state.data, state.system
     n_sv, k, m = u.shape
     out = plan.stages[1] if u is plan.stages[0] else plan.stages[0]
@@ -396,7 +389,7 @@ def ssp_rk3_step(state: CellAverageField, dt: float, config: SolverConfig, *, pl
     state array, which may be ``state``'s own; without one it owns its data.
     """
     if plan is None:
-        plan = _plan_for(state, config)
+        plan = _StagePlan(state.grid, state.system)
     u0 = state.data
     stage1, r1 = euler_adapted(state, dt, config, plan=plan)
     stage2_full, r2 = euler_adapted(state.with_data(stage1.data), dt, config, plan=plan)
@@ -414,19 +407,22 @@ def select_dt(state: CellAverageField, cfl: float) -> float:
     """CFL time step from the smallest CV width and the t = 0 signal speeds.
 
     dt = cfl * min_j h_j / c_global with c_global the largest per-cell signal
-    speed. Advection at velocity zero carries no CFL constraint; for any
-    other system a c_global that gives no finite dt (zero, or subnormal) is
-    degenerate. An inadmissible state raises ``InadmissibleStateError``.
+    speed; advection at velocity zero carries no CFL constraint and takes
+    dt = cfl * min_j h_j. A dt that is zero, subnormal or infinite (from a
+    zero or subnormal speed, or a subnormal cfl) raises
+    ``DegenerateSpeedError``, an inadmissible state ``InadmissibleStateError``.
     """
     system = state.system
     system.check_admissible(state.data, "initial state")
     c_global = float(np.max(system.max_signal_speed_raw(state.data)))
     min_width = float(np.min(state.grid.cv_widths))
     if c_global <= 0.0 and isinstance(system, LinearAdvection):
-        return cfl * min_width
-    dt = cfl * min_width / c_global if c_global > 0.0 else math.inf
-    if not math.isfinite(dt):
-        raise DegenerateSpeedError(f"global signal speed {c_global!r} gives no finite time step")
+        dt = cfl * min_width
+    else:
+        dt = cfl * min_width / c_global if c_global > 0.0 else math.inf
+    if not sys.float_info.min <= dt < math.inf:
+        raise DegenerateSpeedError(f"cfl {cfl!r} at global signal speed {c_global!r} "
+                                   f"gives no usable time step (dt={dt!r})")
     return dt
 
 
@@ -448,9 +444,12 @@ def integrate(state: CellAverageField, config: SolverConfig):
     remaining = config.t_end - state.time
     if remaining <= 0.0:
         raise ValueError(f"t_end={config.t_end} is not ahead of t={state.time}")
-    n_full = int(np.floor(remaining / dt))
+    steps = remaining / dt
+    if not math.isfinite(steps):
+        raise DegenerateSpeedError(f"dt={dt!r} to t_end={config.t_end!r} is no usable step count")
+    n_full = int(np.floor(steps))
 
-    plan = _plan_for(state, config)
+    plan = _StagePlan(state.grid, state.system)
     diag = RunDiagnostics()
     if config.diagnostics_every:
         diag.record_l2(state.time, discrete_l2(state))

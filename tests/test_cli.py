@@ -567,6 +567,22 @@ class TestBadConfig:
         assert list(out.glob("*")) == []
         assert_no_child_left()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "burgers-sine", "--cfl", "1e-320"], ["run", "burgers-sine", "--cfl", "5e-324"],
+         ["convergence", "density-bump", "--cfl", "1e-320", "--nsv-list", "4"]],
+        ids=["run-subnormal-dt", "run-zero-dt", "convergence-subnormal-dt"],
+    )
+    def test_cfl_whose_step_underflows(self, tmp_path, capsys, argv):
+        # A CFL number in (0, 1] so small that dt is subnormal or zero.
+        out = tmp_path / "out"
+        code = main([*argv, "--out-dir", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith(f"error kind=bad-config scenario={argv[1]} ")
+        assert "no usable time step" in err[0]
+        assert list(out.glob("*")) == []
+
     @pytest.mark.parametrize("below_a_file", [False, True], ids=["a-file", "below-a-file"])
     @pytest.mark.parametrize(
         "argv",

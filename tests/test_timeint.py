@@ -540,6 +540,15 @@ class TestSelectDt:
         with pytest.raises(DegenerateSpeedError):
             select_dt(state, 0.1)
 
+    @pytest.mark.parametrize("cfl", [1e-320, 5e-324])
+    @pytest.mark.parametrize("system", [burgers_system(), advection_system(0.0)],
+                             ids=["burgers", "advection-at-rest"])
+    def test_step_that_underflows_rejected(self, cfl, system):
+        # A subnormal or zero dt, with or without a signal speed.
+        state = init_field(lambda x: np.sin(np.pi * x), build_grid(0.0, 2.0, 5, 4), system)
+        with pytest.raises(DegenerateSpeedError, match="no usable time step"):
+            select_dt(state, cfl)
+
     def test_subnormal_speed_rejected(self):
         # h / c overflows to inf: a degenerate speed, not a step.
         grid, system, state = setup_burgers(n_sv=5)
@@ -554,6 +563,12 @@ class TestIntegrate:
         state = state.with_data(np.full_like(state.data, 2.2e-313))
         with pytest.raises(DegenerateSpeedError):
             integrate(state, SolverConfig(t_end=1.0, bc=PeriodicBC()))
+
+    def test_step_count_that_overflows_raises(self):
+        # A normal dt, but t_end / dt is past the largest float.
+        grid, system, state = setup_burgers(n_sv=5)
+        with pytest.raises(DegenerateSpeedError, match="step count"):
+            integrate(state, SolverConfig(t_end=1e307, cfl=1e-3, bc=PeriodicBC()))
 
     def test_lands_exactly_on_t_end(self):
         grid, system, state = setup_burgers(n_sv=10)
@@ -633,8 +648,7 @@ class TestIntegrate:
 
 
 def plan_arrays(plan):
-    arrays = (plan.traces, plan.flux, plan.rows, plan.widths, plan.state, *plan.stages)
-    return arrays if plan.rates is None else arrays + (plan.rates,)
+    return (plan.traces, plan.flux, plan.rows, plan.widths, plan.state, *plan.stages, plan.rates)
 
 
 def capture_plans(monkeypatch):
@@ -707,22 +721,26 @@ class TestStagePlan:
         assert got_report.lambda_final.tobytes() == want_report.lambda_final.tobytes()
         assert_owns_data(want.data, plan)
 
-    def test_pure_plan_holds_no_correction_buffers(self, monkeypatch):
-        plans = capture_plans(monkeypatch)
+    def test_pure_steps_leave_the_correction_arrays_untouched(self):
+        # What makes one layout free for a pure run: its stages never write
+        # the stabilized stage's arrays, so their pages never become resident.
         state, config = burgers_setup(20, stab=False)
-        integrate(state, dataclasses.replace(config, t_end=0.01))
-        (plan,) = plans
-        assert plan.rates is None and plan.averages is None
-        assert plan.rows.shape[0] == plan.n_traces + plan.n_sides
-        stabilized = dataclasses.replace(config, stabilization_enabled=True)
-        with pytest.raises(ValueError, match="built with stabilization"):
-            euler_adapted(state, 1e-3, stabilized, plan=plan)
+        plan = timeint._StagePlan(state.grid, state.system)
+        untouched = (plan.rates, plan.averages, plan.flux[plan.faces.shape[0] :])
+        for array in untouched:
+            array.fill(np.nan)
+        dt = select_dt(state, config.cfl)
+        for _ in range(3):
+            state, reports = ssp_rk3_step(state, dt, config, plan=plan)
+        assert reports == () and np.isfinite(state.data).all()
+        for array in untouched:
+            assert np.isnan(array).all()
 
     @pytest.mark.parametrize("stab", [True, False])
     def test_one_interface_states_call_into_the_plan(self, stab):
         # Called as an attribute of timeint, where the benchmark's tracer wraps it.
         state, config = burgers_setup(6, stab=stab)
-        plan = timeint._plan_for(state, config)
+        plan = timeint._StagePlan(state.grid, state.system)
         with mock.patch.object(timeint, "interface_states",
                                side_effect=timeint.interface_states) as spy:
             euler_adapted(state, 1e-3, config, plan=plan)

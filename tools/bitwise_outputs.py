@@ -21,9 +21,11 @@ writes only into a fresh temporary directory:
 * ``convergence density-bump --nsv-list 8,10,12 --t-end 2``;
 * ``convergence advect-rect --ncv 8 --no-stabilization --nsv-list 8 --cfl 1
   --t-end 340``, a study whose solve fails (``n_sv=8 sv=3 cv=1``): one
-  ``error kind=step-failure`` line, exit status 1 and no table.
+  ``error kind=step-failure`` line, exit status 1 and no table;
+* ``burgers-sine --cfl 1e-320``, whose time step underflows: one ``error
+  kind=bad-config`` line, exit status 2 and no output file.
 
-That makes 14 runs. It then prints one line per run, comparing the exit
+That makes 15 runs. It then prints one line per run, comparing the exit
 statuses; for a run that exits with a non-zero status in any checkout, one
 comparing the last line of stderr, the ``error kind=...`` line; and one per
 output file, saying whether every checkout wrote the same bytes. It exits
@@ -55,6 +57,7 @@ RUNS = {
     "advect-rect-pure-convergence-fails": ["convergence", "advect-rect", "--ncv", "8",
                                            "--no-stabilization", "--nsv-list", "8",
                                            "--cfl", "1", "--t-end", "340"],
+    "burgers-sine-dt-underflows": ["run", "burgers-sine", "--cfl", "1e-320"],
 }
 
 
