@@ -26,5 +26,6 @@ class StepFailureError(RuntimeError):
 
 
 class DegenerateSpeedError(ValueError):
-    """No usable CFL time step: a global signal speed of zero or subnormal, or a
-    CFL number so small that the step or the step count under- or overflows."""
+    """No usable CFL time step: a global signal speed of zero or subnormal, a
+    CFL number so small that the step underflows, or a step count to t_end of
+    2**53 or more, past which a float no longer counts steps exactly."""

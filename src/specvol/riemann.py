@@ -9,8 +9,7 @@ size the stabilization. ``llf_flux`` computes the LLF flux alone, for the
 stage without stabilization. ``interface_terms`` computes all of the terms,
 for the stabilized stage and for the tests alike. It takes the sides' flux,
 speeds, entropies, entropy fluxes and gradients from the caller: one
-``stage_terms`` pass that the stage shares with its boundary traces and its
-cell averages.
+``stage_terms`` pass that the stage shares with its cell averages.
 
 Interface arrays are indexed s = 0..N where interface s is the left boundary
 of SV s and interface N is the right end of the domain. ``interface_states``
@@ -82,22 +81,19 @@ def _sigma_from_parts(u_l, u_r, f_l, f_r, c, ent_l, ent_r, eflux_l, eflux_r, sys
     state u_lr = (u_l + u_r)/2 + (f_l - f_r) / (2c) of the Riemann fan. The
     raw value can come out positive for some trace pairs; it is clamped to
     min(sigma, 0) so the correction never injects entropy. Interfaces with
-    c = 0 get 0; so do those whose u_lr leaves the admissible set (possible
-    for Euler), which the fallback count reports.
+    c = 0 get 0; so do those whose raw sigma is not finite, which the
+    fallback count reports. Those include every u_lr that leaves the
+    admissible set (possible for Euler), since U is not finite there.
     """
     live = c > 0.0
-    n_live = np.count_nonzero(live)
-    # Usually every c > 0; otherwise the dead lanes divide by 1 and are dropped.
-    c_safe = c if n_live == c.size else np.where(live, c, 1.0)
-    u_lr = 0.5 * (u_l + u_r) + (f_l - f_r) / (2.0 * c_safe[..., None])
-    # U(u_lr) is garbage (nan, inf) where u_lr is not admissible; the final
-    # where discards those lanes.
+    # The dead lanes and the inadmissible u_lr give nan or inf, which the
+    # final where discards.
     with np.errstate(all="ignore"):
-        admissible, ent_lr = system._admissible_entropy(u_lr)
-        raw = c * (2.0 * ent_lr - ent_l - ent_r) + eflux_l - eflux_r
-    ok = admissible if n_live == c.size else live & admissible
+        u_lr = 0.5 * (u_l + u_r) + (f_l - f_r) / (2.0 * c[..., None])
+        raw = c * (2.0 * system.entropy_raw(u_lr) - ent_l - ent_r) + eflux_l - eflux_r
+    ok = live & np.isfinite(raw)
     sigma = np.where(ok, np.minimum(raw, 0.0), 0.0)
-    return sigma, int(n_live - np.count_nonzero(ok))
+    return sigma, int(np.count_nonzero(live) - np.count_nonzero(ok))
 
 
 def llf_flux(sides: np.ndarray, system: ConservationSystem) -> np.ndarray:
@@ -121,11 +117,9 @@ def interface_terms(sides: np.ndarray, system: ConservationSystem, side_terms) -
     """Every interface term of the one-sided states ``sides``, shape (2, S, m).
 
     ``sides`` is laid out as for ``llf_flux``. ``side_terms`` is the
-    ``StageTerms`` of ``system.stage_terms`` of the stacked states
-    ``sides.reshape(2 * S, m)``, of which only the first 2S rows of each
-    term are read, so a caller may pass the terms of a longer array whose
-    rows from ``skip`` on begin with those states, such as
-    ``stage_terms(rows, skip + 2 * S, skip)``. From it come the LLF flux,
+    ``StageTerms`` of ``system.stage_terms(rows, 2 * S)``, where ``rows``
+    begins with the stacked states ``sides.reshape(2 * S, m)``; only the
+    first 2S rows of each term are read. From it come the LLF flux,
     the dissipation estimate sigma with its fallback count, the numerical
     entropy flux F* = 0.5 (F_l + F_r) - (c_max/2)(U_r - U_l) and the entropy
     the LLF flux dissipates, d_llf = (c_max/2)(u_r - u_l).(dU/du_r - dU/du_l)

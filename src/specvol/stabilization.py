@@ -110,7 +110,7 @@ def compute_correction(
 
     ``entropy`` (N, k) and ``gradient`` (N, k, m) are U and dU/du of the cell
     averages, as ``system.stage_terms`` gives them; the stage computes them
-    in one pass with its traces and interface sides. ``rates`` (2, N, k, m)
+    in one pass with its interface sides. ``rates`` (2, N, k, m)
     holds the time derivative D and the dissipation direction v, so that one
     product gives the entropy production <dU/du, D> and <dU/du, v> of every
     SV, weighted by the CV widths ``gen`` was built from, the grid's own.

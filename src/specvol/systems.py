@@ -10,17 +10,16 @@ is used.
 
 Each quantity has one method (``flux_raw``, ``max_signal_speed_raw``,
 ``entropy_raw``, ``entropy_flux_raw``, ``entropy_gradient_raw``), and
-``stage_terms`` gives all of them in one pass over the states of a stage,
-together with the admissibility mask of its boundary traces, whose flux it
-writes with the others.
+``stage_terms`` gives all of them in one pass over the admissible states of
+a stage: its interface sides, then its cell averages.
 ``flux_raw(u, out=buf)`` writes the flux into ``buf``, a float array shaped
 like u that does not overlap it (a view such as the solver's CV-face rows
 will do), and returns ``buf``; its bits are those of ``flux_raw(u)``. The
 stage's large arrays of traces and faces thereby take their flux without a
 temporary of their size.
 None of them checks its input: states are checked once where they enter the
-solver, with ``admissible`` / ``check_admissible`` (or the mask of
-``stage_terms``), and the methods assume admissible states.
+solver, with ``admissible`` / ``check_admissible``, and the methods assume
+admissible states.
 """
 
 from typing import NamedTuple
@@ -43,19 +42,16 @@ __all__ = [
 
 
 class StageTerms(NamedTuple):
-    """The terms ``stage_terms(u, n, skip)`` gives, each as the array of its rows.
+    """The terms ``stage_terms(u, n)`` gives, each as the array of its rows.
 
-    The first ``skip`` rows are boundary traces, which may be inadmissible:
-    only their mask and flux are computed. Rows skip..n-1 are interface
-    sides and the rest cell averages.
+    Rows 0..n-1 are interface sides and the rest cell averages.
     """
 
-    flux: np.ndarray  # f of u[skip:n]
-    speed: np.ndarray  # max_signal_speed_raw of u[skip:n]
-    entropy: np.ndarray  # U of u[skip:]
-    entropy_flux: np.ndarray  # F of u[skip:n]
-    gradient: np.ndarray  # dU/du of u[skip:]
-    trace_ok: np.ndarray  # admissible(u[:skip])
+    flux: np.ndarray  # f of u[:n]
+    speed: np.ndarray  # max_signal_speed_raw of u[:n]
+    entropy: np.ndarray  # U of u
+    entropy_flux: np.ndarray  # F of u[:n]
+    gradient: np.ndarray  # dU/du of u
 
 
 class ConservationSystem:
@@ -81,31 +77,22 @@ class ConservationSystem:
     def entropy_gradient_raw(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def stage_terms(self, u, n, skip=0, out=None):
+    def stage_terms(self, u, n):
         """The ``StageTerms`` of the states u (rows along the first axis) in one pass.
 
-        The first ``skip`` rows are traces that may be inadmissible: they get
-        only their admissibility mask and their flux (Euler computes every
-        term with floating-point warnings off, since inadmissible traces
-        would raise them). The states u[skip:] must be admissible and are
-        not checked: f, speed and F are those of u[skip:n], U and dU/du
-        those of all of u[skip:]. With ``skip = 0`` and ``n = len(u)``
-        every term covers every state. Each term equals its method's value
-        bitwise. ``out``, when given, is a float array shaped like u[:n]
-        that receives the flux of u[:n], the traces' in its first ``skip``
-        rows; the ``flux`` term is then a view of it. Systems whose terms
-        share work override this whole pass; no hook replaces a single term.
+        The states must be admissible and are not checked: f, speed and F
+        are those of u[:n], U and dU/du those of all of u. Each term equals
+        its method's value bitwise. Systems whose terms share work override
+        this whole pass; no hook replaces a single term.
         """
         u = np.asarray(u, dtype=float)
-        flux = self.flux_raw(u[:n], out=out)
-        head, rest = u[skip:n], u[skip:]
+        head = u[:n]
         return StageTerms(
-            flux[skip:],
+            self.flux_raw(head),
             self.max_signal_speed_raw(head),
-            self.entropy_raw(rest),
+            self.entropy_raw(u),
             self.entropy_flux_raw(head),
-            self.entropy_gradient_raw(rest),
-            self.admissible(u[:skip]),
+            self.entropy_gradient_raw(u),
         )
 
     def admissible(self, u: np.ndarray) -> np.ndarray:
@@ -117,16 +104,6 @@ class ConservationSystem:
         """
         u = np.asarray(u, dtype=float)
         return np.isfinite(u[..., 0]) if self.m == 1 else np.isfinite(u).all(axis=-1)
-
-    def _admissible_entropy(self, u):
-        """(admissible mask, U) of states u, unchecked.
-
-        U equals ``entropy_raw`` bitwise where the mask is True and is
-        meaningless elsewhere; the caller silences the warnings of the states
-        that are not admissible. Systems whose two terms share work override
-        this.
-        """
-        return self.admissible(u), self.entropy_raw(u)
 
     def check_admissible(self, u: np.ndarray, context: str = "state") -> None:
         ok = self.admissible(u)
@@ -258,19 +235,11 @@ class Euler(ConservationSystem):
         np.divide(d2, p, out=d2)
         return grad
 
-    def _mask(self, u, rho, p):
-        return (np.minimum(rho, p) > 0.0) & np.isfinite(rho - u[..., 2])
-
     def admissible(self, u):
         u = np.asarray(u, dtype=float)
         with np.errstate(all="ignore"):  # inf - inf in the mask too
             rho, _, p = self._primitives(u)
-            return self._mask(u, rho, p)
-
-    def _admissible_entropy(self, u):
-        u = np.asarray(u, dtype=float)
-        rho, _, p = self._primitives(u)
-        return self._mask(u, rho, p), -rho * self._log_entropy(rho, p)
+            return (np.minimum(rho, p) > 0.0) & np.isfinite(rho - u[..., 2])
 
     def flux_raw(self, u, out=None):
         u = np.asarray(u, dtype=float)
@@ -293,20 +262,15 @@ class Euler(ConservationSystem):
         rho, mom, p = self._primitives(u)
         return self._gradient(rho, mom / rho, p, self._log_entropy(rho, p))
 
-    def stage_terms(self, u, n, skip=0, out=None):
+    def stage_terms(self, u, n):
         u = np.asarray(u, dtype=float)
-        with np.errstate(all="ignore"):  # the traces may be inadmissible
-            rho, mom, p = self._primitives(u)
-            v = mom / rho
-            flux = self._flux(mom[:n], u[:n, ..., 2], v[:n], out)
-            ok = self._mask(u[:skip], rho[:skip], p[:skip])
-            rho, mom, p, v = rho[skip:], mom[skip:], p[skip:], v[skip:]
-            s = self._log_entropy(rho, p)
-            ent, grad = -rho * s, self._gradient(rho, v, p, s)
-            n -= skip
-            rho, mom, p, v, s = rho[:n], mom[:n], p[:n], v[:n], s[:n]
-            speed = self._speed(rho, v, p)
-        return StageTerms(flux[skip:], speed, ent, -mom * s, grad, ok)
+        rho, mom, p = self._primitives(u)
+        v = mom / rho
+        s = self._log_entropy(rho, p)
+        ent, grad = -rho * s, self._gradient(rho, v, p, s)
+        rho, mom, p, v, s = rho[:n], mom[:n], p[:n], v[:n], s[:n]
+        flux = self._flux(mom, u[:n, ..., 2], v)
+        return StageTerms(flux, self._speed(rho, v, p), ent, -mom * s, grad)
 
 
 def advection_system(velocity: float) -> LinearAdvection:

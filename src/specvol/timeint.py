@@ -1,19 +1,19 @@
 """Semidiscrete right-hand side, adapted Euler step and SSP-RK3 driver.
 
 One Euler stage of the stabilized scheme, all of it in ``euler_adapted``,
-makes three passes of the system over its states:
+makes four passes of the system over its states:
 
-1. ``system.stage_terms`` over one rows array that holds the boundary
-   traces, the stacked left and right interface states, shape (2, N+1, m),
-   and the cell averages. It gives the traces' admissibility mask and flux,
-   the sides' flux, signal speed, entropy, entropy flux and gradient, and
-   the averages' entropy and gradient. ``riemann.interface_terms`` takes the
-   sides' terms and gives their ``InterfaceTerms``: the LLF flux, the
+1. the admissibility check of the boundary traces;
+2. ``system.stage_terms`` over one rows array that holds the stacked left
+   and right interface states, shape (2, N+1, m), and the cell averages. It
+   gives the sides' flux, signal speed, entropy, entropy flux and gradient,
+   and the averages' entropy and gradient. ``riemann.interface_terms`` takes
+   the sides' terms and gives their ``InterfaceTerms``: the LLF flux, the
    dissipation estimate sigma, the numerical entropy flux F* and the LLF
    dissipation. ``compute_correction`` takes that record whole, with the
    averages' entropies and gradients;
-2. the Riemann-fan mean states of sigma, in ``interface_terms``;
-3. the admissibility check of the new averages
+3. the Riemann-fan mean states of sigma, in ``interface_terms``;
+4. the admissibility check of the new averages
 
     u_new = u + dt * (D + lambda_i * v_i),   v_i = H u_i.
 
@@ -25,15 +25,13 @@ speeds and the LLF flux; neither ``interface_terms`` nor
 The traces come in CV-face order from ``reconstruct_faces`` and v = H u from
 one matrix product over all SVs (see ``reconstruction``), and
 ``interface_states`` writes the interface sides, ghost states included, from
-each SV's first and last trace. The fluxes go into a flux array whose first
-N*k + 1 rows are the CV faces, left to right: face i*k + j is boundary j of
-SV i, so every SV interface has one slot shared by its two SVs. The
-analytical flux of the first N*k traces is written straight into
-faces[:-1] in one contiguous pass (``flux_raw``'s ``out``; the stabilized
-stage's system pass follows it with the fluxes of the right-end traces and
-of the sides), the interface fluxes then overwrite the SV interfaces
-faces[::k], and D = (faces[:-1] - faces[1:]) / h is one contiguous pass
-with the CV widths tiled once per run.
+each SV's first and last trace. The fluxes go into the N*k + 1 CV faces,
+left to right: face i*k + j is boundary j of SV i, so every SV interface has
+one slot shared by its two SVs. Both stage kinds write the analytical flux
+of the first N*k traces straight into faces[:-1] in one contiguous pass
+(``flux_raw``'s ``out``), the interface fluxes then overwrite the SV
+interfaces faces[::k], and D = (faces[:-1] - faces[1:]) / h is one
+contiguous pass with the CV widths tiled once per run.
 
 A run keeps its operators and arrays in a stage plan that ``integrate``
 builds once from the state's grid and system alone, with one layout for both
@@ -41,16 +39,16 @@ stage kinds. It owns the two per-SV operators that the grid's CV partition
 fixes, the trace reconstruction C (``plan.op``) and the filter generator H
 (``plan.gen``), which the cached builders hand out; a stage applies its
 plan's, and a stage given a plan built for another grid raises
-``ValueError``. The plan's arrays are the rows array, the flux array, the
-tiled widths and three (N, k, m) arrays, one for the RK state and two that
-the stages write their new averages into, each stage into the one that is
-not its input. The traces and the interface sides, which every stage writes,
-are views of the rows array; a stabilized stage copies its averages into the
+``ValueError``. The plan's arrays are the traces, the rows array, the CV
+faces, the tiled widths and three (N, k, m) arrays, one for the RK state and
+two that the stages write their new averages into, each stage into the one
+that is not its input. The interface sides, which every stage writes, are a
+view of the rows array; a stabilized stage copies its averages into the
 rest. ``rates``, a (2, N, k, m) array, holds a stabilized stage's D and its
 filter direction v side by side, so that ``compute_correction`` takes both
 inner products of every SV from one product. A pure stage leaves the
-correction's arrays untouched: the averages' rows, the flux rows past the CV
-faces and ``rates``. Their ``np.empty`` pages are then never written; at
+correction's arrays untouched: the averages' rows and ``rates``. Their
+``np.empty`` pages are then never written; at
 large N, where numpy maps them afresh, they never become resident. The RK
 combinations run in place with ``out=``, and the correction lambda_i v_i is
 computed into the stage's output array before it is added into D, so a step
@@ -70,8 +68,8 @@ lands exactly on t_end.
 The system methods check nothing. States are checked where they enter or
 leave a stage. ``InadmissibleStateError`` rejects ``init_field``'s averages
 (NaN and inf included) and the state ``select_dt`` (and so ``integrate``)
-is given; ``DegenerateSpeedError`` a state and CFL number that give no
-usable time step; ``StepFailureError`` names a stage's first bad trace or
+is given; ``DegenerateSpeedError`` a state, CFL number and t_end that give
+no usable time step or step count; ``StepFailureError`` names a stage's first bad trace or
 average.
 """
 
@@ -275,7 +273,7 @@ class _StagePlan:
     ``op`` and ``gen`` are the grid's trace reconstruction and filter
     generator, built through this module's ``build_reconstruction`` and
     ``build_generator``. A pure stage never writes the correction's arrays:
-    the averages' rows, the flux rows past ``faces`` and ``rates``.
+    the averages' rows and ``rates``.
     """
 
     def __init__(self, grid: SpectralGrid, system: ConservationSystem):
@@ -283,18 +281,14 @@ class _StagePlan:
         self.grid = grid
         self.op = build_reconstruction(grid)
         self.gen = build_generator(grid.cv_widths)
-        # The states of one system pass: the traces in CV-face order, the
-        # interface sides, side first (0 left, 1 right), and the averages.
-        self.n_traces = n_sv * (k + 1)
+        self.traces = np.empty((n_sv * (k + 1), m))  # in CV-face order
+        # The states of the stabilized stage's system pass: the interface
+        # sides, side first (0 left, 1 right), then the averages.
         self.n_sides = 2 * (n_sv + 1)
-        self.rows = np.empty((self.n_traces + self.n_sides + n_sv * k, m))
-        self.traces = self.rows[: self.n_traces]
-        self.sides = self.rows[self.n_traces : self.n_traces + self.n_sides].reshape(2, n_sv + 1, m)
-        self.averages = self.rows[self.n_traces + self.n_sides :].reshape(n_sv, k, m)
-        # The CV-face fluxes, then the fluxes of the remaining traces and of
-        # the interface sides, as the stabilized stage's system pass writes them.
-        self.flux = np.empty((self.n_traces + self.n_sides, m))
-        self.faces = self.flux[: n_sv * k + 1]
+        self.rows = np.empty((self.n_sides + n_sv * k, m))
+        self.sides = self.rows[: self.n_sides].reshape(2, n_sv + 1, m)
+        self.averages = self.rows[self.n_sides :].reshape(n_sv, k, m)
+        self.faces = np.empty((n_sv * k + 1, m))
         self.widths = np.tile(grid.cv_widths, n_sv)[:, None]
         self.state = np.empty((n_sv, k, m))
         self.stages = (np.empty((n_sv, k, m)), np.empty((n_sv, k, m)))
@@ -333,26 +327,24 @@ def euler_adapted(state: CellAverageField, dt: float, config: SolverConfig, *, p
     traces = reconstruct_faces(plan.op, u, out=plan.traces)
     interface_states(traces[: n_sv * k : k], traces[n_sv * k :], config.bc, out=plan.sides)
 
+    ok = system.admissible(traces)
+    if not ok.all():
+        raise _failure(state, dt, "trace", _sv_traces(ok, n_sv))
     faces = plan.faces
-    stabilized = config.stabilization_enabled
-    if stabilized:
-        # One pass over the traces, the interface sides and the averages.
-        # Its fluxes land in plan.flux, so faces[:-1] holds every trace j < k.
-        plan.averages[...] = u
-        row_terms = system.stage_terms(
-            plan.rows, plan.n_traces + plan.n_sides, plan.n_traces, out=plan.flux
-        )
-    else:
-        row_terms = None
-    trace_ok = row_terms.trace_ok if stabilized else system.admissible(traces)
-    if not trace_ok.all():
-        raise _failure(state, dt, "trace", _sv_traces(trace_ok, n_sv))
-    if k > 1 and not stabilized:
+    if k > 1:
         # Every trace j < k in one pass; the SV interfaces are overwritten below.
         system.flux_raw(traces[: n_sv * k], out=faces[:-1])
-    terms = interface_terms(plan.sides, system, row_terms) if stabilized else None
-    faces[::k] = terms.flux if stabilized else llf_flux(plan.sides, system)
-    rhs = plan.rates[0] if stabilized else out
+    stabilized = config.stabilization_enabled
+    if stabilized:
+        # One pass over the interface sides and the averages.
+        plan.averages[...] = u
+        row_terms = system.stage_terms(plan.rows, plan.n_sides)
+        terms = interface_terms(plan.sides, system, row_terms)
+        faces[::k] = terms.flux
+        rhs = plan.rates[0]
+    else:
+        faces[::k] = llf_flux(plan.sides, system)
+        rhs = out
     d = rhs.reshape(n_sv * k, m)
     np.subtract(faces[:-1], faces[1:], out=d)
     np.divide(d, plan.widths, out=d)
@@ -435,7 +427,8 @@ def integrate(state: CellAverageField, config: SolverConfig):
     """Run SSP-RK3 from the field's time to t_end; returns (field, diagnostics).
 
     The step size is frozen at the start (T = floor(t_end / dt) full steps);
-    a final shortened step hits t_end exactly. Identical inputs produce
+    a final shortened step hits t_end exactly. A step count t_end / dt of
+    2**53 or more raises ``DegenerateSpeedError``. Identical inputs produce
     bitwise-identical results. Every step runs on one stage plan, built for
     the state's grid, with that grid's operators; the returned field, and
     ``last_state`` of a failure, own their data.
@@ -445,7 +438,7 @@ def integrate(state: CellAverageField, config: SolverConfig):
     if remaining <= 0.0:
         raise ValueError(f"t_end={config.t_end} is not ahead of t={state.time}")
     steps = remaining / dt
-    if not math.isfinite(steps):
+    if not steps < 2**53:  # past 2**53 a float no longer counts steps exactly
         raise DegenerateSpeedError(f"dt={dt!r} to t_end={config.t_end!r} is no usable step count")
     n_full = int(np.floor(steps))
 

@@ -583,6 +583,22 @@ class TestBadConfig:
         assert "no usable time step" in err[0]
         assert list(out.glob("*")) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "burgers-sine", "--t-end", "1e300"], ["run", "burgers-sine", "--cfl", "1e-300"],
+         ["convergence", "density-bump", "--cfl", "1e-300", "--nsv-list", "4"]],
+        ids=["run-long-t-end", "run-tiny-cfl", "convergence-tiny-cfl"],
+    )
+    def test_step_count_past_exact_floats(self, tmp_path, capsys, argv):
+        # A normal dt, but 2**53 steps or more to t_end: refused before the first.
+        out = tmp_path / "out"
+        code = main([*argv, "--out-dir", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith(f"error kind=bad-config scenario={argv[1]} ")
+        assert "no usable step count" in err[0]
+        assert list(out.glob("*")) == []
+
     @pytest.mark.parametrize("below_a_file", [False, True], ids=["a-file", "below-a-file"])
     @pytest.mark.parametrize(
         "argv",

@@ -179,9 +179,8 @@ class TestIntermediateState:
     """The mean state u_lr of the Riemann fan that sigma evaluates U at."""
 
     def u_lr(self, u_l, u_r, system):
-        with mock.patch.object(
-            system, "_admissible_entropy", wraps=system._admissible_entropy
-        ) as spy:
+        # The last U that ``interface_terms`` evaluates is sigma's, at u_lr.
+        with mock.patch.object(system, "entropy_raw", wraps=system.entropy_raw) as spy:
             terms(u_l, u_r, system)
         (u_lr,), _ = spy.call_args
         return u_lr[0]

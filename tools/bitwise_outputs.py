@@ -23,9 +23,12 @@ writes only into a fresh temporary directory:
   --t-end 340``, a study whose solve fails (``n_sv=8 sv=3 cv=1``): one
   ``error kind=step-failure`` line, exit status 1 and no table;
 * ``burgers-sine --cfl 1e-320``, whose time step underflows: one ``error
-  kind=bad-config`` line, exit status 2 and no output file.
+  kind=bad-config`` line, exit status 2 and no output file;
+* ``sod --nsv 40 --cfl 0.95``, a stabilized run that fails with ``error
+  kind=step-failure`` on an inadmissible boundary trace (``sv=19
+  trace=4``) and exit status 1.
 
-That makes 15 runs. It then prints one line per run, comparing the exit
+That makes 16 runs. It then prints one line per run, comparing the exit
 statuses; for a run that exits with a non-zero status in any checkout, one
 comparing the last line of stderr, the ``error kind=...`` line; and one per
 output file, saying whether every checkout wrote the same bytes. It exits
@@ -58,6 +61,7 @@ RUNS = {
                                            "--no-stabilization", "--nsv-list", "8",
                                            "--cfl", "1", "--t-end", "340"],
     "burgers-sine-dt-underflows": ["run", "burgers-sine", "--cfl", "1e-320"],
+    "sod-trace-fails": ["run", "sod", "--nsv", "40", "--cfl", "0.95"],
 }
 
 

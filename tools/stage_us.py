@@ -25,9 +25,7 @@ to 14 % between processes, and by 2-3 % in chunks. With two trees the states
 must agree bit for bit after every pair of chunks, or the tool stops with
 status 1. Both trees need the stage API in which the plan holds the grid's
 operators (``ssp_rk3_step(state, dt, config, plan=...)``, ``select_dt(state,
-cfl)``) and is built as ``timeint._StagePlan(grid, system)``. A tree whose
-plan still takes a ``stabilized`` flag (default True) then runs its pure
-cases on the stabilized layout, which that tree's own runs did not use.
+cfl)``) and is built as ``timeint._StagePlan(grid, system)``.
 
 The JSON holds the Python and numpy versions, the core count, the trees, the
 chunk count and, under "cases" keyed "<scenario> N=<n> on" (or "off"), the
