@@ -215,13 +215,17 @@ def _boundary_condition(scenario: Scenario, u0):
 def _setup(scenario: Scenario, ref_cells: int = 0):
     """(system, grid, u0, breakpoints, config) of a run, checked before any solve.
 
-    Raises ``ScenarioError`` when the scenario names an unknown system,
-    initial condition or boundary condition, an initial condition with
-    another number of components than the system's, when the grid or the
-    ``SolverConfig`` rejects its values, or when ``ref_cells`` is neither 0
-    nor at least ``MIN_CELLS``.
+    Raises ``ScenarioError`` when the scenario's name is not a plain file
+    name (the output files are named after it), when it names an unknown
+    system, initial condition or boundary condition, an initial condition
+    with another number of components than the system's, when the grid or
+    the ``SolverConfig`` rejects its values, or when ``ref_cells`` is
+    neither 0 nor at least ``MIN_CELLS``.
     """
     try:
+        name = scenario.name
+        if name in ("", ".", "..") or name != os.path.basename(name):
+            raise ValueError(f"scenario name {name!r} is not a plain file name")
         if ref_cells and ref_cells < MIN_CELLS:
             raise ValueError(f"ref_cells must be 0 or at least {MIN_CELLS}, got {ref_cells}")
         system = scenario.build_system()

@@ -195,8 +195,8 @@ class Euler(ConservationSystem):
     name = "euler"
 
     def __init__(self, gamma: float = 1.4):
-        if not gamma > 1.0:
-            raise ValueError(f"adiabatic index must exceed 1, got {gamma}")
+        if not 1.0 < gamma < np.inf:
+            raise ValueError(f"adiabatic index must be finite and exceed 1, got {gamma}")
         self.gamma = float(gamma)
 
     def _primitives(self, u):

@@ -31,6 +31,7 @@ from specvol.timeint import (
     select_dt,
     ssp_rk3_step,
 )
+from support import admissible_states
 
 
 def report(number, description, ok, detail=""):
@@ -103,9 +104,7 @@ def test_criterion_3_jensen_dissipation():
         tau = rng.uniform(0.0, 1.0 / gen.max_diag)
         u = rng.normal(size=(4, 1))
         quad_ok &= jensen_dissipation_check(gen, tau, u, lambda w: 0.5 * w[..., 0] ** 2)
-        ue = primitive_to_conserved(
-            rng.uniform(0.1, 3.0, 4), rng.uniform(-2.0, 2.0, 4), rng.uniform(0.05, 4.0, 4)
-        )
+        ue = admissible_states(euler, rng, 4)
         euler_ok &= jensen_dissipation_check(gen, tau, ue, euler.entropy_raw)
     report(
         3,

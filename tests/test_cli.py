@@ -1,4 +1,5 @@
 import builtins
+import math
 import os
 import signal
 import time
@@ -450,6 +451,10 @@ BAD_OVERRIDES = {
 }
 
 
+# Scenario names that are not plain file names, so cannot name the output files.
+BAD_NAMES = {"parent": "../escaped", "subdir": "sub/x", "empty": "", "dot": ".", "dotdot": ".."}
+
+
 class TestBadConfig:
     """A scenario that cannot run fails with one error line before any solve or write."""
 
@@ -530,6 +535,36 @@ class TestBadConfig:
         assert str(path) in err[0] and named in err[0]
         assert calls == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "convergence"])
+    @pytest.mark.parametrize("name", BAD_NAMES.values(), ids=BAD_NAMES.keys())
+    def test_name_that_is_not_a_plain_file_name(self, tmp_path, capsys, calls, command, name):
+        # The output files are named after the scenario: "../escaped" would
+        # write beside --out-dir, and "sub/x" below a directory never made.
+        path = tmp_path / "named.cfg"
+        path.write_text(replace(BUILTIN_SCENARIOS["density-bump"], name=name).to_config_text())
+        assert load_scenario(str(path)).name == name
+        out = tmp_path / "out"
+        code = main([command, str(path), "--out-dir", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith(f"error kind=bad-config scenario={name} ")
+        assert "plain file name" in err[0]
+        assert calls == []
+        assert [p.name for p in tmp_path.iterdir()] == ["named.cfg"]
+
+    @pytest.mark.parametrize("command", ["run", "convergence"])
+    def test_adiabatic_index_that_is_not_finite(self, tmp_path, capsys, calls, command):
+        path = tmp_path / "hot.cfg"
+        path.write_text(replace(BUILTIN_SCENARIOS["density-bump"], gamma=math.inf).to_config_text())
+        out = tmp_path / "out"
+        code = main([command, str(path), "--out-dir", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error kind=bad-config scenario=density-bump ")
+        assert "adiabatic index" in err[0]
+        assert calls == []
+        assert [p.name for p in tmp_path.iterdir()] == ["hot.cfg"]
 
     @pytest.mark.parametrize(
         "command, system, initial",

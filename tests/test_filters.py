@@ -8,7 +8,8 @@ from specvol.filters import (
     jensen_dissipation_check,
 )
 from specvol.mesh import build_grid
-from specvol.systems import euler_system, primitive_to_conserved
+from specvol.systems import euler_system
+from support import admissible_states
 
 
 def gl_widths(k):
@@ -159,9 +160,7 @@ class TestJensenDissipation:
         gen = build_generator(gl_widths(4))
         rng = np.random.default_rng(7)
         for _ in range(1000):
-            u = primitive_to_conserved(
-                rng.uniform(0.1, 3.0, 4), rng.uniform(-2.0, 2.0, 4), rng.uniform(0.05, 4.0, 4)
-            )
+            u = admissible_states(sys, rng, 4)
             tau = rng.uniform(0.0, 1.0 / gen.max_diag)
             assert jensen_dissipation_check(gen, tau, u, sys.entropy_raw)
 
@@ -185,9 +184,7 @@ class TestDirectionDissipates:
         gen = build_generator(widths)
         rng = np.random.default_rng(37)
         for _ in range(300):
-            u = primitive_to_conserved(
-                rng.uniform(0.1, 3.0, 4), rng.uniform(-2.0, 2.0, 4), rng.uniform(0.05, 4.0, 4)
-            )
+            u = admissible_states(sys, rng, 4)
             (v,) = apply_generator(gen, u[None])
             grad = sys.entropy_gradient_raw(u)
             ip = float(np.einsum("j,jc,jc->", widths, grad, v))

@@ -16,15 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specvol import cli, timeint
-from specvol.cli import BUILTIN_SCENARIOS
+from specvol import timeint
 from specvol.exceptions import InadmissibleStateError, StepFailureError
 from specvol.filters import apply_generator, build_generator
 from specvol.mesh import build_grid
 from specvol.reconstruction import build_reconstruction, reconstruct_all, reconstruct_faces
 from specvol.riemann import PeriodicBC
 from specvol.systems import euler_system, primitive_to_conserved
-from specvol.timeint import SolverConfig, euler_adapted, init_field, select_dt
+from specvol.timeint import SolverConfig, euler_adapted, select_dt
+from support import builtin_setup
 
 
 def einsum_reconstruct(op, data):
@@ -232,12 +232,6 @@ class TestNonFiniteInput:
         assert wheres[0] == wheres[1] == (6, 0)
 
 
-def initial_state(name):
-    scen = dataclasses.replace(BUILTIN_SCENARIOS[name], diagnostics_every=0)
-    system, grid, u0, breakpoints, config = cli._setup(scen)
-    return init_field(u0, grid, system, breakpoints=breakpoints), config
-
-
 class TestStageAgainstEinsumKernels:
     """A whole stabilized stage moves by roundoff only when the kernels are swapped.
 
@@ -249,7 +243,7 @@ class TestStageAgainstEinsumKernels:
 
     @pytest.mark.parametrize("name", ["sod", "density-bump", "burgers-sine", "advect-rect"])
     def test_stage_within_roundoff(self, name, monkeypatch):
-        state, config = initial_state(name)
+        state, config = builtin_setup(name)
         gen = build_generator(state.grid.cv_widths)
         dt = select_dt(state, config.cfl)
         new, report = euler_adapted(state, dt, config)

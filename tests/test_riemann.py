@@ -3,6 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from specvol import riemann
 from specvol.mesh import build_grid
 from specvol.reconstruction import build_reconstruction, reconstruct_all
 from specvol.riemann import (
@@ -14,15 +15,8 @@ from specvol.riemann import (
     llf_flux,
 )
 from specvol.systems import advection_system, burgers_system, euler_system, primitive_to_conserved
-from specvol.timeint import CellAverageField, SolverConfig, _StagePlan, euler_adapted
-
-
-def sample_states(system, rng, n):
-    if system.m == 1:
-        return rng.uniform(-3.0, 3.0, (n, 1))
-    return primitive_to_conserved(
-        rng.uniform(0.1, 3.0, n), rng.uniform(-2.0, 2.0, n), rng.uniform(0.05, 4.0, n)
-    )
+from specvol.timeint import CellAverageField, SolverConfig, _StagePlan, euler_adapted, select_dt
+from support import admissible_states, scenario_state, two_pass_sigma
 
 
 def sides_of(u_l, u_r):
@@ -45,7 +39,7 @@ class TestLlfFlux:
     def test_consistency(self, make):
         system = make()
         rng = np.random.default_rng(1)
-        u = sample_states(system, rng, 1000)
+        u = admissible_states(system, rng, 1000)
         for got in (llf_flux(sides_of(u, u), system), terms(u, u, system).flux):
             np.testing.assert_allclose(got, system.flux_raw(u), atol=1e-13)
 
@@ -53,7 +47,7 @@ class TestLlfFlux:
     def test_pure_and_stabilized_flux_agree(self, make):
         system = make()
         rng = np.random.default_rng(3)
-        u_l, u_r = sample_states(system, rng, 300), sample_states(system, rng, 300)
+        u_l, u_r = admissible_states(system, rng, 300), admissible_states(system, rng, 300)
         pure = llf_flux(sides_of(u_l, u_r), system)
         full = terms(u_l, u_r, system)
         # The flux carries c_max, so equal bytes mean equal c_max too.
@@ -87,8 +81,8 @@ class TestDissipationEstimate:
     def test_never_positive(self, make):
         system = make()
         rng = np.random.default_rng(13)
-        u_l = sample_states(system, rng, 500)
-        u_r = sample_states(system, rng, 500)
+        u_l = admissible_states(system, rng, 500)
+        u_r = admissible_states(system, rng, 500)
         assert np.all(terms(u_l, u_r, system).sigma <= 0.0)
 
     def test_inadmissible_intermediate_counts_fallback(self):
@@ -101,23 +95,6 @@ class TestDissipationEstimate:
             assert got.sigma[0] == 0.0
 
 
-def two_pass_sigma(u_l, u_r, f_l, f_r, c, ent_l, ent_r, eflux_l, eflux_r, system):
-    """sigma with the admissibility of u_lr and its entropy from separate passes."""
-    live = c > 0.0
-    sigma = np.zeros(np.shape(c))
-    fallbacks = 0
-    if np.any(live):
-        c_safe = np.where(live, c, 1.0)
-        u_lr = 0.5 * (u_l + u_r) + (f_l - f_r) / (2.0 * c_safe[..., None])
-        ok = live & system.admissible(u_lr)
-        fallbacks = int(np.count_nonzero(live & ~ok))
-        if np.any(ok):
-            u_mid = np.where(ok[..., None], u_lr, u_l)
-            raw = c * (2.0 * system.entropy_raw(u_mid) - ent_l - ent_r) + eflux_l - eflux_r
-            sigma = np.where(ok, np.minimum(raw, 0.0), 0.0)
-    return sigma, fallbacks
-
-
 class TestSigmaOnePass:
     """sigma and its fallback count equal the two-pass formula bitwise."""
 
@@ -126,7 +103,7 @@ class TestSigmaOnePass:
     def test_matches_two_pass_formula(self, make, seed):
         system = make()
         rng = np.random.default_rng(seed)
-        u_l, u_r = sample_states(system, rng, 400), sample_states(system, rng, 400)
+        u_l, u_r = admissible_states(system, rng, 400), admissible_states(system, rng, 400)
         u_r[:50] = u_l[:50]
         if system.m == 1:
             u_r[:20] = u_l[:20] = 0.0  # c = 0 on these lanes for Burgers
@@ -146,6 +123,27 @@ class TestSigmaOnePass:
         if system.m == 3:
             assert want_fallbacks > 0
 
+    @pytest.mark.parametrize("name, t_end, n_sv", [("sod", 0.3, None), ("burgers-sine", 0.35, 50)])
+    def test_matches_two_pass_formula_on_stage_states(self, name, t_end, n_sv):
+        # The parts a stage of the solver hands to sigma: its interface sides,
+        # their fluxes, entropies and entropy fluxes, and their c_max.
+        state, config = scenario_state(name, t_end, n_sv)
+        real, seen = riemann._sigma_from_parts, []
+
+        def recording(*parts):
+            result = real(*parts)
+            seen.append(([np.copy(p) if isinstance(p, np.ndarray) else p for p in parts], result))
+            return result
+
+        with mock.patch.object(riemann, "_sigma_from_parts", recording):
+            euler_adapted(state, select_dt(state, config.cfl), config)
+        ((parts, (got, got_fallbacks)),) = seen
+        assert parts[0].shape == (state.grid.num_sv + 1, state.system.m)
+        want, want_fallbacks = two_pass_sigma(*parts)
+        assert np.count_nonzero(want) > 0
+        assert got.tobytes() == want.tobytes()
+        assert type(got_fallbacks) is int and got_fallbacks == want_fallbacks
+
 
 class TestLlfEntropyFlux:
     @pytest.mark.parametrize(
@@ -154,7 +152,7 @@ class TestLlfEntropyFlux:
     def test_consistency(self, make):
         system = make()
         rng = np.random.default_rng(21)
-        u = sample_states(system, rng, 1000)
+        u = admissible_states(system, rng, 1000)
         got = terms(u, u, system)
         np.testing.assert_allclose(got.f_star, system.entropy_flux_raw(u), atol=1e-13)
         assert np.all(got.d_llf == 0.0)
@@ -171,7 +169,7 @@ class TestLlfEntropyFlux:
     def test_llf_dissipation_nonnegative(self, make):
         system = make()
         rng = np.random.default_rng(31)
-        u_l, u_r = sample_states(system, rng, 500), sample_states(system, rng, 500)
+        u_l, u_r = admissible_states(system, rng, 500), admissible_states(system, rng, 500)
         assert np.all(terms(u_l, u_r, system).d_llf >= 0.0)
 
 
@@ -203,7 +201,7 @@ class TestInterfaceSpeed:
     def test_speed_is_the_larger_side_speed(self, make):
         system = make()
         rng = np.random.default_rng(41)
-        u_l, u_r = sample_states(system, rng, 300), sample_states(system, rng, 300)
+        u_l, u_r = admissible_states(system, rng, 300), admissible_states(system, rng, 300)
         # c_max is read through the LLF flux it enters, in the flux's own
         # arithmetic: 0.5 (f_l + f_r) - (c_max/2)(u_r - u_l).
         c_max = np.maximum(system.max_signal_speed_raw(u_l), system.max_signal_speed_raw(u_r))

@@ -8,10 +8,7 @@ from specvol.mesh import build_grid
 from specvol.riemann import InterfaceTerms
 from specvol.stabilization import DEN_FLOOR, compute_correction, corrected_rhs
 from specvol.systems import burgers_system, euler_system, primitive_to_conserved
-
-
-REPORT_ATTRIBUTES = ("lambda_ed", "lambda_er_l", "lambda_er_r", "lambda_sum", "lambda_final",
-                     "clamped", "den_fallbacks", "sigma_fallbacks", "dropped_demands")
+from support import REPORT_ATTRIBUTES
 
 
 def correction(averages, rhs, direction, sigma, f_star, system, dt, gen, periodic, d_llf,

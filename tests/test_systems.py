@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,16 +13,7 @@ from specvol.systems import (
     euler_system,
     primitive_to_conserved,
 )
-
-
-def random_states(system, rng, n):
-    """Admissible random states, shape (n, m)."""
-    if system.m == 1:
-        return rng.uniform(-3.0, 3.0, (n, 1))
-    rho = rng.uniform(0.1, 3.0, n)
-    v = rng.uniform(-2.0, 2.0, n)
-    p = rng.uniform(0.05, 4.0, n)
-    return primitive_to_conserved(rho, v, p, system.gamma)
+from support import admissible_states
 
 
 def fd_gradient(fn, u, h=1e-6):
@@ -115,6 +108,11 @@ class TestEuler:
         with pytest.raises(ValueError):
             euler_system(1.0)
 
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="finite"):
+            euler_system(gamma)
+
     def test_inadmissible_state_raises_with_location(self):
         sys = euler_system()
         states = np.stack(
@@ -128,7 +126,7 @@ class TestEuler:
     def test_entropy_gradient_matches_finite_differences(self):
         sys = euler_system(1.4)
         rng = np.random.default_rng(11)
-        states = random_states(sys, rng, 200)
+        states = admissible_states(sys, rng, 200)
         grads = sys.entropy_gradient_raw(states)
         for u, g in zip(states, grads):
             fd = fd_gradient(lambda w: float(sys.entropy_raw(w)), u)
@@ -142,7 +140,7 @@ class TestEntropyPairCompatibility:
     def test_gradient_chain_rule(self, make):
         system = make()
         rng = np.random.default_rng(5)
-        states = random_states(system, rng, 1000)
+        states = admissible_states(system, rng, 1000)
         for u in states:
             du = system.entropy_gradient_raw(u)
             jac = fd_jacobian(lambda w: system.flux_raw(w), u)
@@ -156,8 +154,8 @@ class TestEntropyPairCompatibility:
     def test_entropy_convexity(self, make):
         system = make()
         rng = np.random.default_rng(17)
-        u1 = random_states(system, rng, 400)
-        u2 = random_states(system, rng, 400)
+        u1 = admissible_states(system, rng, 400)
+        u2 = admissible_states(system, rng, 400)
         theta = rng.uniform(0.0, 1.0, 400)
         mix = theta[:, None] * u1 + (1 - theta[:, None]) * u2
         ok = system.admissible(mix)
@@ -171,7 +169,7 @@ class TestEntropyPairCompatibility:
     def test_flux_finite_on_admissible_states(self, make):
         system = make()
         rng = np.random.default_rng(23)
-        states = random_states(system, rng, 500)
+        states = admissible_states(system, rng, 500)
         assert np.all(np.isfinite(system.flux_raw(states)))
 
 

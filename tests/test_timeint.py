@@ -9,13 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from specvol import cli, timeint
+from specvol import timeint
 from specvol.cli import BUILTIN_SCENARIOS
 from specvol.exceptions import DegenerateSpeedError, InadmissibleStateError, StepFailureError
 from specvol.filters import apply_generator, build_generator
 from specvol.mesh import build_grid
 from specvol.reconstruction import build_reconstruction, reconstruct_all
-from specvol.riemann import FixedBC, InterfaceTerms, PeriodicBC, interface_states
+from specvol.riemann import FixedBC, InterfaceTerms, PeriodicBC, _sigma_from_parts, interface_states
 from specvol.stabilization import compute_correction
 from specvol.systems import (
     Euler,
@@ -33,10 +33,7 @@ from specvol.timeint import (
     select_dt,
     ssp_rk3_step,
 )
-
-
-REPORT_ATTRIBUTES = ("lambda_ed", "lambda_er_l", "lambda_er_r", "lambda_sum", "lambda_final",
-                     "clamped", "den_fallbacks", "sigma_fallbacks", "dropped_demands")
+from support import REPORT_ATTRIBUTES, builtin_setup, scenario_state
 
 
 def setup_burgers(n_sv=20, k=4, domain=(0.0, 2.0)):
@@ -301,11 +298,7 @@ class TestSystemPassesPerStage:
 
     @pytest.mark.parametrize("stab", [True, False])
     def test_primitives_calls_per_stage(self, stab):
-        sc = BUILTIN_SCENARIOS["density-bump"]
-        u0, breakpoints = sc.initial_condition()
-        grid = build_grid(sc.a, sc.b, 16, sc.n_cv)
-        state = init_field(u0, grid, sc.build_system(), breakpoints=breakpoints)
-        config = SolverConfig(t_end=1.0, cfl=sc.cfl, stabilization_enabled=stab)
+        state, config = builtin_setup("density-bump", n_sv=16, stabilization=stab)
         dt = select_dt(state, config.cfl)
         real = Euler._primitives
         with mock.patch.object(Euler, "_primitives", autospec=True, side_effect=real) as spy:
@@ -358,53 +351,32 @@ class TestEulerAdapted:
         np.testing.assert_allclose(rest, 1.0, atol=1e-13)
 
 
-def llf_flux(u_l, u_r, system):
-    """Local Lax-Friedrichs flux 0.5(f_l + f_r) - (c_max/2)(u_r - u_l)."""
-    c = np.maximum(system.max_signal_speed_raw(u_l), system.max_signal_speed_raw(u_r))
-    return 0.5 * (system.flux_raw(u_l) + system.flux_raw(u_r)) - 0.5 * c[:, None] * (u_r - u_l)
-
-
-def dissipation_estimate(u_l, u_r, system):
-    """(sigma, fallbacks) via the mean state u_lr of the Riemann fan, clamped <= 0.
-
-    sigma = c_max (2 U(u_lr) - U(u_l) - U(u_r)) + F(u_l) - F(u_r), 0 where
-    c_max = 0 or u_lr is inadmissible.
-    """
-    f_l, f_r = system.flux_raw(u_l), system.flux_raw(u_r)
-    c = np.maximum(system.max_signal_speed_raw(u_l), system.max_signal_speed_raw(u_r))
-    live = c > 0.0
-    u_lr = 0.5 * (u_l + u_r) + (f_l - f_r) / (2.0 * np.where(live, c, 1.0)[:, None])
-    ok = live & system.admissible(u_lr)
-    u_mid = np.where(ok[:, None], u_lr, u_l)
-    raw = (
-        c * (2.0 * system.entropy_raw(u_mid) - system.entropy_raw(u_l) - system.entropy_raw(u_r))
-        + system.entropy_flux_raw(u_l) - system.entropy_flux_raw(u_r)
-    )
-    return np.where(ok, np.minimum(raw, 0.0), 0.0), int(np.count_nonzero(live & ~ok))
-
-
-def llf_entropy_flux(u_l, u_r, system):
-    """F* = 0.5 (F(u_l) + F(u_r)) - (c_max/2)(U(u_r) - U(u_l))."""
-    c = np.maximum(system.max_signal_speed_raw(u_l), system.max_signal_speed_raw(u_r))
-    return 0.5 * (system.entropy_flux_raw(u_l) + system.entropy_flux_raw(u_r)) - 0.5 * c * (
-        system.entropy_raw(u_r) - system.entropy_raw(u_l)
-    )
-
-
 def reference_stage(state, dt, config):
-    """One stabilized stage from the formulas above, on (N, k+1, m) traces."""
+    """One stabilized stage from the textbook formulas, on (N, k+1, m) traces.
+
+    At each interface, with c the larger signal speed of its two sides:
+    the LLF flux 0.5 (f_l + f_r) - (c/2)(u_r - u_l), the entropy flux
+    F* = 0.5 (F_l + F_r) - (c/2)(U_r - U_l) and the LLF dissipation
+    d_llf = (c/2)(u_r - u_l).(dU/du_r - dU/du_l). sigma is the solver's own
+    ``_sigma_from_parts`` of these sides, so this stage checks the stage's
+    plumbing; ``two_pass_sigma`` checks sigma itself.
+    """
     system, widths = state.system, state.grid.cv_widths
     op, gen = build_reconstruction(state.grid), build_generator(widths)
     traces = reconstruct_all(op, state.data)
     u_l, u_r = interface_states(traces[:, 0], traces[:, -1], config.bc)
-    interface_flux = llf_flux(u_l, u_r, system)
+    f_l, f_r = system.flux_raw(u_l), system.flux_raw(u_r)
+    ent_l, ent_r = system.entropy_raw(u_l), system.entropy_raw(u_r)
+    eflux_l, eflux_r = system.entropy_flux_raw(u_l), system.entropy_flux_raw(u_r)
+    c = np.maximum(system.max_signal_speed_raw(u_l), system.max_signal_speed_raw(u_r))
+    interface_flux = 0.5 * (f_l + f_r) - 0.5 * c[:, None] * (u_r - u_l)
     fluxes = system.flux_raw(traces)
     fluxes[:, 0] = interface_flux[:-1]
     fluxes[:, -1] = interface_flux[1:]
     rhs = (fluxes[:, :-1] - fluxes[:, 1:]) / widths[None, :, None]
-    c = np.maximum(system.max_signal_speed_raw(u_l), system.max_signal_speed_raw(u_r))
-    sigma, fallbacks = dissipation_estimate(u_l, u_r, system)
-    f_star = llf_entropy_flux(u_l, u_r, system)
+    sigma, fallbacks = _sigma_from_parts(u_l, u_r, f_l, f_r, c, ent_l, ent_r, eflux_l, eflux_r,
+                                         system)
+    f_star = 0.5 * (eflux_l + eflux_r) - 0.5 * c * (ent_r - ent_l)
     d_llf = 0.5 * c * np.einsum(
         "sc,sc->s", u_r - u_l,
         system.entropy_gradient_raw(u_r) - system.entropy_gradient_raw(u_l),
@@ -416,16 +388,6 @@ def reference_stage(state, dt, config):
         np.stack([rhs, direction]), terms, dt, gen, config.bc.periodic,
     )
     return state.data + dt * (rhs + report.lambda_final[:, None, None] * direction), report
-
-
-def scenario_state(name, t_end, n_sv=None):
-    """(state at t_end, config) of a builtin scenario."""
-    sc = BUILTIN_SCENARIOS[name]
-    scen = dataclasses.replace(sc, n_sv=n_sv or sc.n_sv, t_end=t_end, diagnostics_every=0)
-    system, grid, u0, breakpoints, config = cli._setup(scen)
-    state = init_field(u0, grid, system, breakpoints=breakpoints)
-    state, _ = integrate(state, config)
-    return state, config
 
 
 class TestStageMatchesCheckedApi:
@@ -681,10 +643,7 @@ def burgers_setup(n_sv, k=4, bc=PeriodicBC(), stab=True, u0=lambda x: np.sin(np.
 
 
 def sod_setup(n_sv=40, cfl=0.1, t_end=0.1, stab=True):
-    scen = dataclasses.replace(BUILTIN_SCENARIOS["sod"], n_sv=n_sv, cfl=cfl, t_end=t_end,
-                               stabilization=stab, diagnostics_every=0)
-    system, grid, u0, breaks, config = cli._setup(scen)
-    return init_field(u0, grid, system, breakpoints=breaks), config
+    return builtin_setup("sod", n_sv=n_sv, cfl=cfl, t_end=t_end, stabilization=stab)
 
 
 class TestStagePlan:
@@ -1222,10 +1181,9 @@ class TestStageInvariants:
     def test_entropy_inequality_along_builtin_runs(self, name, n_sv):
         # Every stage of the first steps of a builtin run, on the solver's
         # plan: the terms come from the arguments of the real correction.
-        scen = dataclasses.replace(BUILTIN_SCENARIOS[name], n_sv=n_sv)
-        system, grid, u0, breaks, config = cli._setup(scen)
-        state = init_field(u0, grid, system, breakpoints=breaks)
-        dt = select_dt(state, scen.cfl)
+        state, config = builtin_setup(name, n_sv=n_sv)
+        system, grid = state.system, state.grid
+        dt = select_dt(state, config.cfl)
         plan = timeint._StagePlan(grid, system)
         stages, outputs = [], []
         real, real_stage = timeint.compute_correction, timeint.euler_adapted
