@@ -7,27 +7,26 @@ config file. Outputs are plot-ready CSV files written with 17 significant
 digits so they parse back to the exact in-memory values.
 
 ``run_scenario(..., ref_cells=R)`` computes the fine Lax-Friedrichs
-reference in a child forked with ``os.fork`` (so it needs a POSIX system)
-once the field is set up, while the parent solves: the reference depends on
-nothing the solve makes, so on a machine with a second core it runs beside
-the solve. It is not free there: on a shared 2-vCPU host, over 9
-interleaved pairs, ``specvol run sod`` solved in 3.04-4.02 s alone and in
-3.04-5.06 s beside the 10000-cell child (the reference alone takes
-1.56-1.74 s), the pairs differing by -0.73 to +1.43 s. The trace operator
-and the filter generator are built into their per-process caches before the
-fork, so ``integrate``'s stage plan only looks them up. The child sends the
-``ReferenceSolution`` back through a pipe, or the type, message and
-``where`` of the exception it raised, which the run records as an
-``error kind=reference-failure`` line. A failed solve, or anything that
-raises in the parent, kills and reaps the child.
+reference in a ``multiprocessing`` child started with "fork" once the field
+is set up, while the parent solves. It needs a POSIX system: the initial
+condition is a closure, which the other start methods would have to pickle.
+The reference depends on nothing the solve makes, so on a machine with a
+second core it runs beside the solve. It is not free there: on a shared
+2-vCPU host, over 9 interleaved pairs, ``specvol run sod`` solved in
+3.04-4.02 s alone and in 3.04-5.06 s beside the 10000-cell child (the
+reference alone takes 1.56-1.74 s), the pairs differing by -0.73 to
++1.43 s. The trace operator and the filter generator are built into their
+per-process caches before the fork, so ``integrate``'s stage plan only looks
+them up. The child sends the ``ReferenceSolution`` back through a one-way
+``Pipe``, or the type, message and ``where`` of the exception it raised,
+which the run records as an ``error kind=reference-failure`` line. A failed
+solve, or anything that raises in the parent, kills and reaps the child.
 """
 
 import argparse
 import configparser
 import io
 import os
-import pickle
-import signal
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
 
@@ -319,56 +318,34 @@ def read_solution_csv(path):
     return data[:, 0], data[:, 1], data[:, 2:]
 
 
-class _ReferenceProcess:
-    """``lax_friedrichs_solver(*args)`` in a forked child, beside the parent's work.
+def _send_reference(pipe, args):
+    """The reference child's work: send ``lax_friedrichs_solver(*args)`` through ``pipe``.
 
-    The child sends back through a pipe the pickled ``ReferenceSolution``,
-    or the type name, message and ``where`` of the exception it raised, and
-    always leaves through ``os._exit``, never into the caller's stack.
-    ``result`` reads what it sent and reaps it; ``stop`` kills and reaps a
-    child that ``result`` has not reaped.
+    An exception is sent as its type name, message and ``where`` instead.
     """
+    try:
+        sent = lax_friedrichs_solver(*args)
+    except Exception as exc:
+        sent = (type(exc).__name__, str(exc), getattr(exc, "where", None))
+    pipe.send(sent)
 
-    def __init__(self, *args):
-        read_fd, write_fd = os.pipe()
-        self.pid = os.fork()
-        if self.pid == 0:
-            status = 1
-            try:
-                os.close(read_fd)
-                try:
-                    sent = lax_friedrichs_solver(*args)
-                except Exception as exc:
-                    sent = (type(exc).__name__, str(exc), getattr(exc, "where", None))
-                with open(write_fd, "wb") as pipe:
-                    pickle.dump(sent, pipe, pickle.HIGHEST_PROTOCOL)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(write_fd)
-        self.pipe = open(read_fd, "rb")
 
-    def result(self):
-        """The child's ``ReferenceSolution``, or a message naming its failure."""
-        with self.pipe:
-            data = self.pipe.read()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        code = os.waitstatus_to_exitcode(status)
-        if code != 0:
-            return f"the reference process ended with exit code {code}"
-        sent = pickle.loads(data)
-        if isinstance(sent, ReferenceSolution):
-            return sent
-        name, message, where = sent
-        return f"{name}{'' if where is None else f' where={where}'}: {message}"
+def _reference_result(child, pipe):
+    """The reference ``child``'s ``ReferenceSolution``, or a message naming its failure.
 
-    def stop(self):
-        self.pipe.close()
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
+    Reads what the child sent through ``pipe`` and joins it.
+    """
+    try:
+        sent = pipe.recv()
+    except (EOFError, OSError):  # the child died before it sent all: its exit code says how
+        sent = None
+    child.join()
+    if child.exitcode != 0:
+        return f"the reference process ended with exit code {child.exitcode}"
+    if isinstance(sent, ReferenceSolution):
+        return sent
+    name, message, where = sent
+    return f"{name}{'' if where is None else f' where={where}'}: {message}"
 
 
 def run_scenario(scenario: Scenario, out_dir: str, ref_cells: int = 0):
@@ -382,12 +359,13 @@ def run_scenario(scenario: Scenario, out_dir: str, ref_cells: int = 0):
     admissible field and the diagnostics collected so far are written, and
     the error is recorded in the returned mapping under ``"error"``.
 
-    With ``ref_cells`` the Lax-Friedrichs reference runs in a forked child
-    while this process solves (see the module docstring). It is written
-    only after a successful solve; a reference that raises writes no
-    reference file and is recorded under ``"error"`` as a
-    ``reference-failure``. The child has been reaped whenever this returns
-    or raises.
+    With ``ref_cells`` the Lax-Friedrichs reference runs in a
+    ``multiprocessing`` child started with "fork" (POSIX only, as ``u0`` is
+    a closure) while this process solves (see the module docstring). It is
+    written only after a successful solve; a reference that raises or a
+    child that dies writes no reference file and is recorded under
+    ``"error"`` as a ``reference-failure``. The child has ended and been
+    joined whenever this returns or raises.
     """
     system, grid, u0, breakpoints, config = _setup(scenario, ref_cells)
     _make_out_dir(out_dir)
@@ -401,11 +379,18 @@ def run_scenario(scenario: Scenario, out_dir: str, ref_cells: int = 0):
     # names still sees them.
     timeint.build_reconstruction(grid)
     timeint.build_generator(grid.cv_widths)
-    reference = None
+    child = None
     if ref_cells:
-        reference = _ReferenceProcess(
-            system, u0, scenario.a, scenario.b, ref_cells, scenario.t_end, config.bc
-        )
+        # Imported only here, so a run without a reference loads none of it:
+        # 0.2 MiB less peak RSS (perfbench burgers-large-pure, 15 runs each).
+        import multiprocessing
+
+        fork = multiprocessing.get_context("fork")
+        pipe, sender = fork.Pipe(duplex=False)
+        args = (system, u0, scenario.a, scenario.b, ref_cells, scenario.t_end, config.bc)
+        child = fork.Process(target=_send_reference, args=(sender, args))
+        child.start()
+        sender.close()  # the child's copy is then the only one: its death ends the pipe
     error = ref = None
     try:
         try:
@@ -414,11 +399,13 @@ def run_scenario(scenario: Scenario, out_dir: str, ref_cells: int = 0):
             final, diag, error = exc.last_state, exc.diagnostics, exc
         except DegenerateSpeedError as exc:  # an initial field with no usable time step
             raise ScenarioError(str(exc)) from exc
-        if reference is not None and error is None:
-            ref = reference.result()
+        if child is not None and error is None:
+            ref = _reference_result(child, pipe)
     finally:
-        if reference is not None:
-            reference.stop()
+        if child is not None:
+            pipe.close()
+            child.kill()
+            child.join()
 
     outputs = {}
     base = os.path.join(out_dir, scenario.name)

@@ -107,7 +107,7 @@ def llf_flux(sides: np.ndarray, system: ConservationSystem) -> np.ndarray:
     """
     u_l, u_r = sides
     flux, work = system.flux_raw(sides)
-    c_max = np.maximum(system.max_signal_speed_raw(u_l), system.max_signal_speed_raw(u_r))
+    c_max = np.maximum(*system.max_signal_speed_raw(sides))
     np.multiply(np.add(flux, work, out=flux), 0.5, out=flux)
     np.multiply(np.subtract(u_r, u_l, out=work), (0.5 * c_max)[:, None], out=work)
     return np.subtract(flux, work, out=flux)

@@ -7,7 +7,6 @@ lines. The heavyweight cases (convergence study, shock tubes) sit at the end.
 import time
 
 import numpy as np
-import pytest
 
 from specvol.cli import BUILTIN_SCENARIOS, run_convergence
 from specvol.filters import apply_generator, build_generator, jensen_dissipation_check

@@ -2,6 +2,8 @@ import builtins
 import math
 import os
 import signal
+import subprocess
+import sys
 import time
 import warnings
 from dataclasses import replace
@@ -12,7 +14,6 @@ import pytest
 from specvol import cli, filters, reconstruction
 from specvol.cli import (
     BUILTIN_SCENARIOS,
-    Scenario,
     list_scenarios,
     load_scenario,
     main,
@@ -767,6 +768,23 @@ class TestOverlappedReference:
         with pytest.raises(ValueError, match="inside the solve"):
             main(["run", "sod", "--ref-cells", "300", "--out-dir", str(tmp_path)])
         assert_no_child_left()
+
+    def test_child_does_not_repeat_buffered_output(self, tmp_path):
+        # stdout is a pipe, so the line waits in the buffer the child
+        # inherits; a child that flushed that buffer would print it again.
+        argv = ["run", "burgers-sine", "--nsv", "10", "--t-end", "0.02",
+                "--ref-cells", "300", "--out-dir", str(tmp_path / "out")]
+        code = ("import sys\n"
+                "from specvol.cli import main\n"
+                "sys.stdout.write('before the run\\n')\n"
+                f"sys.exit(main({argv!r}))\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        env.pop("PYTHONUNBUFFERED", None)  # which would write the line at once
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("before the run\n") == 1
+        assert "reference: " in proc.stdout
 
     def test_operators_are_built_before_the_fork(self, tmp_path, monkeypatch):
         # Built after the fork, C and H would add to the set-up the pages

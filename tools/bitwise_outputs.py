@@ -26,9 +26,11 @@ writes only into a fresh temporary directory:
   kind=bad-config`` line, exit status 2 and no output file;
 * ``sod --nsv 40 --cfl 0.95``, a stabilized run that fails with ``error
   kind=step-failure`` on an inadmissible boundary trace (``sv=19
-  trace=4``) and exit status 1.
+  trace=4``) and exit status 1;
+* the same run with ``--ref-cells 3000``: the failed solve kills its
+  reference child, and the run writes no reference file.
 
-That makes 16 runs. It then prints one line per run, comparing the exit
+That makes 17 runs. It then prints one line per run, comparing the exit
 statuses; for a run that exits with a non-zero status in any checkout, one
 comparing the last line of stderr, the ``error kind=...`` line; and one per
 output file, saying whether every checkout wrote the same bytes. It exits
@@ -62,6 +64,8 @@ RUNS = {
                                            "--cfl", "1", "--t-end", "340"],
     "burgers-sine-dt-underflows": ["run", "burgers-sine", "--cfl", "1e-320"],
     "sod-trace-fails": ["run", "sod", "--nsv", "40", "--cfl", "0.95"],
+    "sod-trace-fails-with-reference": ["run", "sod", "--nsv", "40", "--cfl", "0.95",
+                                       "--ref-cells", "3000"],
 }
 
 
