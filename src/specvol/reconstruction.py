@@ -4,10 +4,10 @@ Within each spectral volume the k cell averages determine a unique polynomial
 of degree k-1, expressed in the Legendre basis on [-1, 1]. The moment matrix M
 maps Legendre coefficients to cell averages; A evaluates the basis at the k+1
 CV boundaries; C = A @ inv(M) goes straight from averages to boundary traces.
-M is inverted once and reused for every time step. The operator depends
-only on the reference subdivision, so ``build_reconstruction`` assembles it
-once per process for each subdivision and hands every grid that shares one
-the same operator, with read-only matrices.
+M is inverted once, and the operator keeps only C, which every time step
+reuses. The operator depends only on the reference subdivision, so
+``build_reconstruction`` assembles it once per process for each subdivision
+and hands every grid that shares one the same operator, with C read-only.
 
 Every SV shares the reference subdivision, so applying C (or any other (p, k)
 per-SV operator, such as the filter generator) to all N SVs is one matrix
@@ -104,28 +104,21 @@ def moment_matrix(grid: SpectralGrid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReconstructionOperator:
-    """Precomputed matrices for one grid; shared by all SVs."""
+    """The trace operator C of one subdivision, and its cached product blocks."""
 
-    moments: np.ndarray = field(repr=False)  # (k, k) cell-average moment matrix
-    moments_inv: np.ndarray = field(repr=False)  # (k, k)
-    evaluation: np.ndarray = field(repr=False)  # (k+1, k) Legendre values at nodes
     combined: np.ndarray = field(repr=False)  # (k+1, k) averages -> traces
     _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_cv(self) -> int:
-        return self.moments.shape[0]
-
-    def coefficients(self, averages: np.ndarray) -> np.ndarray:
-        """Legendre coefficients from cell averages (last-but-one axis = CV)."""
-        return np.einsum("ml,...lc->...mc", self.moments_inv, averages)
+        return self.combined.shape[1]
 
 
 _OPERATORS = {}  # (ref_nodes bytes, ref_widths bytes) -> ReconstructionOperator
 
 
 def build_reconstruction(grid: SpectralGrid) -> ReconstructionOperator:
-    """M, inv(M), A and C = A @ inv(M) for the grid's subdivision.
+    """The operator C = A @ inv(M) of the grid's subdivision.
 
     Assembled on the first call for a reference subdivision; later grids
     with the same ``ref_nodes`` and ``ref_widths`` get the same operator.
@@ -134,18 +127,14 @@ def build_reconstruction(grid: SpectralGrid) -> ReconstructionOperator:
     if key in _OPERATORS:
         return _OPERATORS[key]
     k = grid.num_cv
-    moments = moment_matrix(grid)
     try:
-        moments_inv = np.linalg.inv(moments)
+        moments_inv = np.linalg.inv(moment_matrix(grid))
     except np.linalg.LinAlgError as exc:  # distinct nodes make M regular
         raise np.linalg.LinAlgError(f"singular moment matrix for k={k}") from exc
     evaluation = np.empty((k + 1, k))
     for m in range(k):
         evaluation[:, m] = legendre_eval(m, grid.ref_nodes)
-    combined = evaluation @ moments_inv
-    op = _OPERATORS[key] = ReconstructionOperator(
-        *map(_read_only, (moments, moments_inv, evaluation, combined))
-    )
+    op = _OPERATORS[key] = ReconstructionOperator(_read_only(evaluation @ moments_inv))
     return op
 
 

@@ -9,7 +9,8 @@ size the stabilization. ``llf_flux`` computes the LLF flux alone, for the
 stage without stabilization. ``interface_terms`` computes all of the terms,
 for the stabilized stage and for the tests alike. It takes the sides' flux,
 speeds, entropies, entropy fluxes and gradients from the caller: one
-``stage_terms`` pass that the stage shares with its cell averages.
+``stage_terms`` pass that the stage shares with its cell averages. Both
+write the LLF flux into the caller's ``out``, the stage's CV faces.
 
 Interface arrays are indexed s = 0..N where interface s is the left boundary
 of SV s and interface N is the right end of the domain. ``interface_states``
@@ -65,9 +66,8 @@ def _check_bc(bc) -> None:
 
 
 class InterfaceTerms(NamedTuple):
-    """Per-interface results of ``interface_terms``, arrays over the S interfaces."""
+    """The entropy terms of ``interface_terms``, arrays over the S interfaces."""
 
-    flux: np.ndarray  # LLF flux, (S, m)
     sigma: np.ndarray  # dissipation estimate, <= 0
     sigma_fallbacks: int  # interfaces whose sigma fell back to 0
     f_star: np.ndarray  # numerical entropy flux F*
@@ -96,37 +96,40 @@ def _sigma_from_parts(u_l, u_r, f_l, f_r, c, ent_l, ent_r, eflux_l, eflux_r, sys
     return sigma, int(np.count_nonzero(live) - np.count_nonzero(ok))
 
 
-def llf_flux(sides: np.ndarray, system: ConservationSystem) -> np.ndarray:
+def llf_flux(sides: np.ndarray, system: ConservationSystem, out: np.ndarray) -> np.ndarray:
     """The LLF flux of the one-sided states ``sides``, shape (2, S, m).
 
     ``sides[0]`` holds the left states u_l and ``sides[1]`` the right states
     u_r, which must be admissible; nothing is checked here. The flux is
     0.5 (f_l + f_r) - (c_max/2)(u_r - u_l), where c_max is the larger signal
-    speed of the two sides. It is built in the array of the sides' fluxes
-    with the operations, and so the bits, of ``interface_terms``' flux.
+    speed of the two sides: the bits of ``interface_terms``' flux, written into
+    and returned as the (S, m) float array ``out``.
     """
     u_l, u_r = sides
     flux, work = system.flux_raw(sides)
     c_max = np.maximum(*system.max_signal_speed_raw(sides))
+    # Built in the sides' fluxes: only the last pass writes the strided ``out``.
     np.multiply(np.add(flux, work, out=flux), 0.5, out=flux)
     np.multiply(np.subtract(u_r, u_l, out=work), (0.5 * c_max)[:, None], out=work)
-    return np.subtract(flux, work, out=flux)
+    return np.subtract(flux, work, out=out)
 
 
-def interface_terms(sides: np.ndarray, system: ConservationSystem, side_terms) -> InterfaceTerms:
+def interface_terms(
+    sides: np.ndarray, system: ConservationSystem, side_terms, out: np.ndarray
+) -> InterfaceTerms:
     """Every interface term of the one-sided states ``sides``, shape (2, S, m).
 
     ``sides`` is laid out as for ``llf_flux``. ``side_terms`` is the
     ``StageTerms`` of ``system.stage_terms(rows, 2 * S)``, where ``rows``
     begins with the stacked states ``sides.reshape(2 * S, m)``; only the
-    first 2S rows of each term are read. From it come the LLF flux,
-    the dissipation estimate sigma with its fallback count, the numerical
-    entropy flux F* = 0.5 (F_l + F_r) - (c_max/2)(U_r - U_l) and the entropy
-    the LLF flux dissipates, d_llf = (c_max/2)(u_r - u_l).(dU/du_r - dU/du_l)
-    >= 0. F* uses the same one-sided traces as the state flux: on smooth
-    data the two traces agree to reconstruction order, so the entropy budget
-    F*_l - F*_r tracks the actual production instead of drowning it in O(h)
-    dissipation from adjacent-average jumps.
+    first 2S rows of each term are read. From it come the LLF flux, written into
+    ``out`` as by ``llf_flux``, and the returned dissipation estimate sigma with
+    its fallback count, numerical entropy flux F* = 0.5 (F_l + F_r) -
+    (c_max/2)(U_r - U_l) and entropy the LLF flux dissipates, d_llf =
+    (c_max/2)(u_r - u_l).(dU/du_r - dU/du_l) >= 0. F* uses the same one-sided
+    traces as the state flux: on smooth data the two traces agree to
+    reconstruction order, so the entropy budget F*_l - F*_r tracks the actual
+    production instead of drowning it in O(h) dissipation from adjacent-average jumps.
     """
     u_l, u_r = sides
     n = u_l.shape[0]
@@ -135,7 +138,6 @@ def interface_terms(sides: np.ndarray, system: ConservationSystem, side_terms) -
     c_max = np.maximum(speed_lr[:n], speed_lr[n : 2 * n])
     jump = u_r - u_l
     half_c = 0.5 * c_max
-    flux = 0.5 * (f_l + f_r) - half_c[:, None] * jump
     ent_lr, eflux_lr, grad_lr = side_terms.entropy, side_terms.entropy_flux, side_terms.gradient
     ent_l, ent_r = ent_lr[:n], ent_lr[n : 2 * n]
     eflux_l, eflux_r = eflux_lr[:n], eflux_lr[n : 2 * n]
@@ -144,7 +146,9 @@ def interface_terms(sides: np.ndarray, system: ConservationSystem, side_terms) -
     )
     f_star = 0.5 * (eflux_l + eflux_r) - half_c * (ent_r - ent_l)
     d_llf = half_c * np.einsum("sc,sc->s", jump, grad_lr[n : 2 * n] - grad_lr[:n])
-    return InterfaceTerms(flux, sigma, fallbacks, f_star, d_llf)
+    # jump is free now for (c_max/2)(u_r - u_l); only the last pass writes ``out``.
+    np.subtract(0.5 * (f_l + f_r), np.multiply(jump, half_c[:, None], out=jump), out=out)
+    return InterfaceTerms(sigma, fallbacks, f_star, d_llf)
 
 
 def interface_states(first, last, bc, out=None):

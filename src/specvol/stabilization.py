@@ -84,15 +84,11 @@ class CorrectionReport(NamedTuple):
 def corrected_rhs(base_rhs: np.ndarray, lam: np.ndarray, v: np.ndarray, work=None) -> np.ndarray:
     """Add the per-SV correction into the time derivative: D += lambda_i v_i.
 
-    ``base_rhs`` is a float array that is updated in place and returned.
-    ``work``, when given, is a float array shaped like ``v`` that receives
-    the product lambda_i v_i, so no array is allocated for it. Negative or
-    NaN sizes raise before anything is written.
+    All are float arrays; ``base_rhs`` is updated in place and returned.
+    ``work``, when given, shaped like ``v``, receives the product lambda_i
+    v_i. Nothing is checked: a NaN size, from a correction that overflowed,
+    reaches D and fails the stage's check of its new averages.
     """
-    lam = np.asarray(lam, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if not (lam >= 0.0).all():  # nan fails too
-        raise ValueError("correction sizes must be nonnegative")
     base_rhs += np.multiply(lam[:, None, None], v, out=work)
     return base_rhs
 
@@ -119,7 +115,8 @@ def compute_correction(
     :func:`specvol.riemann.interface_terms` returns it; its sigma, F*, LLF
     dissipation and sigma fallback count are read. For non-periodic runs the
     missing-neighbour inner products at the domain ends count as zero.
-    Nothing here converts its inputs: all of them are float arrays.
+    Nothing here converts or checks its inputs (float arrays, ``dt`` > 0)
+    or raises: the final sizes are >= 0, or NaN where a product overflowed.
 
     The LLF entropy dissipation of each interface jump, ``terms.d_llf`` =
     (c/2)(u_r - u_l).(dU_r - dU_l) >= 0, bounds the entropy demands
@@ -132,8 +129,6 @@ def compute_correction(
     scheme degrades to first order. At discontinuities the cap is slack of
     order one and the stabilization acts at full strength.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
     production, direction_ip = np.einsum("ijc,bijc,j->bi", gradient, rates, gen.cv_widths)
     eps_den = DEN_FLOOR * np.maximum(1.0, np.abs(np.einsum("j,ij->i", gen.cv_widths, entropy)))
     n_sv = direction_ip.size

@@ -8,10 +8,10 @@ makes four passes of the system over its states:
    and right interface states, shape (2, N+1, m), and the cell averages. It
    gives the sides' flux, signal speed, entropy, entropy flux and gradient,
    and the averages' entropy and gradient. ``riemann.interface_terms`` takes
-   the sides' terms and gives their ``InterfaceTerms``: the LLF flux, the
-   dissipation estimate sigma, the numerical entropy flux F* and the LLF
-   dissipation. ``compute_correction`` takes that record whole, with the
-   averages' entropies and gradients;
+   the sides' terms, writes their LLF flux into the CV faces and gives their
+   ``InterfaceTerms``: the dissipation estimate sigma, the numerical entropy
+   flux F* and the LLF dissipation. ``compute_correction`` takes that record
+   whole, with the averages' entropies and gradients;
 3. the Riemann-fan mean states of sigma, in ``interface_terms``;
 4. the admissibility check of the new averages
 
@@ -29,9 +29,10 @@ each SV's first and last trace. The fluxes go into the N*k + 1 CV faces,
 left to right: face i*k + j is boundary j of SV i, so every SV interface has
 one slot shared by its two SVs. Both stage kinds write the analytical flux
 of the first N*k traces straight into faces[:-1] in one contiguous pass
-(``flux_raw``'s ``out``), the interface fluxes then overwrite the SV
-interfaces faces[::k], and D = (faces[:-1] - faces[1:]) / h is one
-contiguous pass with the CV widths tiled once per run.
+(``flux_raw``'s ``out``), ``llf_flux`` or ``interface_terms`` then writes
+the interface fluxes over the SV interfaces faces[::k] (their ``out``), and
+D = (faces[:-1] - faces[1:]) / h is one contiguous pass with the CV widths
+tiled once per run.
 
 A run keeps its operators and arrays in a stage plan that ``integrate``
 builds once from the state's grid and system alone, with one layout for both
@@ -339,11 +340,10 @@ def euler_adapted(state: CellAverageField, dt: float, config: SolverConfig, *, p
         # One pass over the interface sides and the averages.
         plan.averages[...] = u
         row_terms = system.stage_terms(plan.rows, plan.n_sides)
-        terms = interface_terms(plan.sides, system, row_terms)
-        faces[::k] = terms.flux
+        terms = interface_terms(plan.sides, system, row_terms, faces[::k])
         rhs = plan.rates[0]
     else:
-        faces[::k] = llf_flux(plan.sides, system)
+        llf_flux(plan.sides, system, faces[::k])
         rhs = out
     d = rhs.reshape(n_sv * k, m)
     np.subtract(faces[:-1], faces[1:], out=d)

@@ -156,6 +156,20 @@ class TestRunScenario:
         assert sorted(os.listdir(tmp_path)) == ["burgers-sine_l2.csv", "burgers-sine_solution.csv"]
         assert np.geterr() == errstate
 
+    def test_correction_that_overflows_fails_the_run(self, tmp_path, capsys):
+        # gamma = 1e300 overflows the entropy production of Sod's states, so
+        # the correction sizes are NaN and the first stage's new averages
+        # are inadmissible: a step failure, not an exception out of main.
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text("[scenario]\nsystem = euler\ninitial = sod\na = 0\nb = 10\n"
+                       "n_sv = 40\nn_cv = 4\nbc = fixed\nt_end = 1e-160\ngamma = 1e300\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error kind=step-failure scenario=overflow sv=0 cv=0 t=1e-160"
+        )
+        assert sorted(os.listdir(out)) == ["overflow_l2.csv", "overflow_solution.csv"]
+
     @pytest.mark.parametrize("argv, where", [
         # RK stage 2 of the step from t_n = 0.373167 with dt = 0.0041463.
         (["burgers-sine", "--no-stabilization", "--nsv", "25", "--cfl", "0.3"],

@@ -74,18 +74,16 @@ class TestMomentMatrix:
         np.testing.assert_allclose(m @ np.array([1.0, 0, 0, 0]), np.ones(4), atol=1e-15)
 
     def test_inverse_round_trip(self):
-        grid = build_grid(0.0, 1.0, 2, 4)
-        op = build_reconstruction(grid)
-        np.testing.assert_allclose(op.moments_inv @ op.moments, np.eye(4), atol=1e-12)
-        assert np.isfinite(np.linalg.cond(op.moments))
+        moments = moment_matrix(build_grid(0.0, 1.0, 2, 4))
+        np.testing.assert_allclose(np.linalg.inv(moments) @ moments, np.eye(4), atol=1e-12)
+        assert np.isfinite(np.linalg.cond(moments))
 
 
 class TestOperatorCache:
     def test_grids_with_one_subdivision_share_the_operator(self):
         op = build_reconstruction(build_grid(0.0, 1.0, 3, 4))
         assert build_reconstruction(build_grid(-5.0, 5.0, 40, 4)) is op
-        for arr in (op.moments, op.moments_inv, op.evaluation, op.combined):
-            assert not arr.flags.writeable
+        assert not op.combined.flags.writeable
         with pytest.raises(ValueError):
             op.combined[0, 0] = 1.0
 
@@ -145,31 +143,6 @@ class TestReconstruction:
         traces = reconstruct_all(op, data)
         assert traces[0, -1, 0] == pytest.approx(0.5, abs=1e-14)
         assert traces[1, 0, 0] == pytest.approx(0.5, abs=1e-14)
-
-    def test_random_cubics_exact_and_conservative(self):
-        grid = build_grid(0.0, 1.0, 5, 4)
-        op = build_reconstruction(grid)
-        rng = np.random.default_rng(42)
-        nodes, weights = np.polynomial.legendre.leggauss(6)
-        max_trace_err = 0.0
-        max_avg_err = 0.0
-        for _ in range(100):
-            poly = np.polynomial.Polynomial(rng.uniform(-1, 1, 4))
-            data = cell_averages_of(poly, grid)[..., None]
-            traces = reconstruct_all(op, data)
-            exact = poly(grid.cv_edges)
-            max_trace_err = max(max_trace_err, np.max(np.abs(traces[..., 0] - exact)))
-            # re-average the reconstructed polynomial by quadrature
-            coeffs = op.coefficients(data)  # (N, k, 1)
-            for i in range(grid.num_sv):
-                lo, hi = grid.ref_nodes[:-1], grid.ref_nodes[1:]
-                mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-                pts = mid[:, None] + half[:, None] * nodes[None, :]
-                vals = np.polynomial.legendre.legval(pts, coeffs[i, :, 0])
-                avgs = 0.5 * np.sum(weights * vals, axis=1)
-                max_avg_err = max(max_avg_err, np.max(np.abs(avgs - data[i, :, 0])))
-        assert max_trace_err <= 1e-9
-        assert max_avg_err <= 1e-10
 
     def test_componentwise_application(self):
         grid = build_grid(0.0, 1.0, 3, 4)

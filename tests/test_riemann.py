@@ -24,11 +24,23 @@ def sides_of(u_l, u_r):
     return np.stack([np.atleast_2d(u_l), np.atleast_2d(u_r)])
 
 
-def terms(u_l, u_r, system):
-    """interface_terms of the left states u_l and right states u_r, each (S, m)."""
+def pure_flux(u_l, u_r, system):
+    """llf_flux of the left states u_l and right states u_r, into a new array."""
+    sides = sides_of(u_l, u_r)
+    return llf_flux(sides, system, np.empty(sides.shape[1:]))
+
+
+def terms_and_flux(u_l, u_r, system):
+    """(record, LLF flux) of interface_terms of the left states u_l and right states u_r."""
     sides = sides_of(u_l, u_r)
     side_terms = system.stage_terms(sides.reshape(-1, system.m), 2 * sides.shape[1])
-    return interface_terms(sides, system, side_terms)
+    flux = np.empty(sides.shape[1:])
+    return interface_terms(sides, system, side_terms, flux), flux
+
+
+def terms(u_l, u_r, system):
+    """The InterfaceTerms record of the left states u_l and right states u_r, each (S, m)."""
+    return terms_and_flux(u_l, u_r, system)[0]
 
 
 SYSTEMS = [lambda: advection_system(1.3), burgers_system, euler_system]
@@ -40,7 +52,7 @@ class TestLlfFlux:
         system = make()
         rng = np.random.default_rng(1)
         u = admissible_states(system, rng, 1000)
-        for got in (llf_flux(sides_of(u, u), system), terms(u, u, system).flux):
+        for got in (pure_flux(u, u, system), terms_and_flux(u, u, system)[1]):
             np.testing.assert_allclose(got, system.flux_raw(u), atol=1e-13)
 
     @pytest.mark.parametrize("make", SYSTEMS)
@@ -48,17 +60,22 @@ class TestLlfFlux:
         system = make()
         rng = np.random.default_rng(3)
         u_l, u_r = admissible_states(system, rng, 300), admissible_states(system, rng, 300)
-        pure = llf_flux(sides_of(u_l, u_r), system)
-        full = terms(u_l, u_r, system)
+        sides = sides_of(u_l, u_r)
+        # Into every other row, as the stage writes the SV interfaces of its CV faces.
+        pure, full = np.full((2, 600, system.m), np.nan)[:, ::2]
+        assert llf_flux(sides, system, pure) is pure
+        side_terms = system.stage_terms(sides.reshape(-1, system.m), 600)
+        interface_terms(sides, system, side_terms, full)
         # The flux carries c_max, so equal bytes mean equal c_max too.
-        assert pure.tobytes() == full.flux.tobytes()
+        assert pure.tobytes() == full.tobytes()
+        assert pure.tobytes() == pure_flux(u_l, u_r, system).tobytes()
 
     def test_advection_upwind(self):
-        flux = terms(np.array([1.0]), np.array([0.0]), advection_system(1.0)).flux
+        flux = terms_and_flux(np.array([1.0]), np.array([0.0]), advection_system(1.0))[1]
         assert flux[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_burgers_opposed_states(self):
-        flux = terms(np.array([1.0]), np.array([-1.0]), burgers_system()).flux
+        flux = terms_and_flux(np.array([1.0]), np.array([-1.0]), burgers_system())[1]
         assert flux[0, 0] == pytest.approx(1.5, abs=1e-15)
 
 
@@ -207,7 +224,7 @@ class TestInterfaceSpeed:
         c_max = np.maximum(system.max_signal_speed_raw(u_l), system.max_signal_speed_raw(u_r))
         mean = 0.5 * (system.flux_raw(u_l) + system.flux_raw(u_r))
         want = mean - (0.5 * c_max)[:, None] * (u_r - u_l)
-        for got in (llf_flux(sides_of(u_l, u_r), system), terms(u_l, u_r, system).flux):
+        for got in (pure_flux(u_l, u_r, system), terms_and_flux(u_l, u_r, system)[1]):
             assert got.tobytes() == want.tobytes()
 
 

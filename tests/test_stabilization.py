@@ -16,12 +16,11 @@ def correction(averages, rhs, direction, sigma, f_star, system, dt, gen, periodi
     """compute_correction with U and dU/du of the cell averages of ``system``.
 
     The interface record carries the given sigma, F*, LLF dissipation and
-    fallback count, and a zero flux, which the correction does not read.
+    fallback count.
     """
     averages_terms = system.stage_terms(averages, len(averages))
     rates = np.stack([rhs, direction])
-    flux = np.zeros((len(sigma), system.m))
-    terms = InterfaceTerms(flux, sigma, sigma_fallbacks, f_star, d_llf)
+    terms = InterfaceTerms(sigma, sigma_fallbacks, f_star, d_llf)
     return compute_correction(
         averages_terms.entropy, averages_terms.gradient, rates, terms, dt, gen, periodic
     )
@@ -53,13 +52,14 @@ class TestCorrectedRhs:
         after = np.einsum("j,ijc->", widths, corrected_rhs(rhs, lam, v))
         assert after == pytest.approx(before, abs=1e-12)
 
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            corrected_rhs(np.zeros((2, 4, 1)), np.array([-1.0, 0.0]), np.zeros((2, 4, 1)))
-
-    def test_nan_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            corrected_rhs(np.zeros((2, 4, 1)), np.array([0.0, np.nan]), np.ones((2, 4, 1)))
+    def test_nan_lambda_reaches_the_rhs(self):
+        # An overflowed correction is not refused here: its NaN goes into D
+        # of its own SV only, where the stage's check of the new averages
+        # names it.
+        rhs = np.ones((2, 4, 1))
+        got = corrected_rhs(rhs, np.array([0.0, np.nan]), np.ones((2, 4, 1)))
+        assert got is rhs
+        assert np.all(rhs[0] == 1.0) and np.all(np.isnan(rhs[1]))
 
     def test_adds_into_the_given_array(self):
         # The stage adds the correction into its own D array.
@@ -71,13 +71,6 @@ class TestCorrectedRhs:
         got = corrected_rhs(rhs, lam, v)
         assert got is rhs
         assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("bad", [-1.0, np.nan])
-    def test_bad_lambda_rejected_in_place_before_writing(self, bad):
-        rhs = np.ones((2, 4, 1))
-        with pytest.raises(ValueError):
-            corrected_rhs(rhs, np.array([0.0, bad]), np.ones((2, 4, 1)))
-        assert np.all(rhs == 1.0)
 
 
 class TestComputeCorrection:
@@ -414,10 +407,3 @@ class TestComputeCorrectionComposition:
             assert got.den_fallbacks >= 1
         if dt == 10.0 or limit is not None:
             assert dropped > 0  # the positivity limit dropped some demands
-
-    def test_nonpositive_dt_rejected(self):
-        data, rhs, direction, sigma, f_star, system, gen, d_llf = self.inputs("burgers", 0)
-        with pytest.raises(ValueError):
-            correction(
-                data, rhs, direction, sigma, f_star, system, 0.0, gen, True, d_llf
-            )

@@ -382,7 +382,7 @@ def reference_stage(state, dt, config):
         system.entropy_gradient_raw(u_r) - system.entropy_gradient_raw(u_l),
     )
     direction = apply_generator(gen, state.data)
-    terms = InterfaceTerms(interface_flux, sigma, fallbacks, f_star, d_llf)
+    terms = InterfaceTerms(sigma, fallbacks, f_star, d_llf)
     report = compute_correction(
         system.entropy_raw(state.data), system.entropy_gradient_raw(state.data),
         np.stack([rhs, direction]), terms, dt, gen, config.bc.periodic,
@@ -535,6 +535,18 @@ class TestIntegrate:
         dt = select_dt(state, 0.1)
         with pytest.raises(DegenerateSpeedError, match="step count"):
             integrate(state, SolverConfig(t_end=dt * 2.0**53, cfl=0.1, bc=PeriodicBC()))
+
+    def test_correction_that_overflows_fails_the_step(self):
+        # The entropy production of states near 1e150 overflows, so the
+        # correction sizes come out NaN: the stage's check of its new
+        # averages names the first SV, as for any other bad average.
+        grid = build_grid(0.0, 2.0, 10, 4)
+        u0 = lambda x: 1e150 * (np.sin(np.pi * x) + 0.3 * np.cos(3 * np.pi * x))
+        state = init_field(u0, grid, burgers_system())
+        with pytest.raises(StepFailureError) as err:
+            integrate(state, SolverConfig(t_end=1e-150, cfl=0.1))
+        assert (err.value.part, err.value.where) == ("cv", (0, 0))
+        assert err.value.last_state.time == 0.0 and err.value.diagnostics.steps == 0
 
     def test_lands_exactly_on_t_end(self):
         grid, system, state = setup_burgers(n_sv=10)
@@ -864,11 +876,12 @@ def step_peak(state, config):
 
 class TestStepAllocation:
     def test_pure_step_on_a_plan_allocates_little(self):
-        # Measured: 1.28 * N*k*m*8 bytes at N = 2000, the interface terms'
-        # arrays over the 2(N+1) sides: the sides' flux, which the LLF flux
-        # is built in, and the signal speeds. It was 2.02 while Burgers' flux
-        # over the N*k interior traces made two temporaries before it was
-        # copied into the faces; without the plan a step peaked at 10.0
+        # Measured: 1.435 * N*k*m*8 bytes at N = 2000 (Python 3.11, numpy
+        # 2.4), the interface terms' arrays over the 2(N+1) sides: the
+        # sides' flux, in which the LLF flux is built before it goes into
+        # the CV faces, and the signal speeds. It was 2.02 while Burgers'
+        # flux over the N*k interior traces made two temporaries before it
+        # was copied into the faces; without the plan a step peaked at 10.0
         # times the field's size.
         assert step_peak(*burgers_setup(2000, 4, stab=False)) <= 1.51
 
@@ -876,13 +889,13 @@ class TestStepAllocation:
         "system_name, bound", [("euler", 6.6), ("burgers", 14.0)], ids=["euler", "burgers"]
     )
     def test_stabilized_step_on_a_plan(self, system_name, bound):
-        # Measured at N = 2000: 6.39 (Euler) and 13.63 (Burgers) times the
-        # field's size, against 7.38 and 15.24 when the filter direction and
-        # lambda*v were new arrays each stage, the system pass's fluxes were
-        # copied into the CV faces and Euler's gradient was stacked from
-        # separate components. Writing Burgers' flux in place left 13.63 as
-        # it was: the peak is inside compute_correction, whose per-SV arrays
-        # and the stages' reports are large beside a field of m = 1.
+        # Measured at N = 2000: 5.96 (Euler) and 13.62 (Burgers) times the
+        # field's size (Python 3.11, numpy 2.4), against 7.38 and 15.24 when
+        # the filter direction and lambda*v were new arrays each stage, the
+        # system pass's fluxes were copied into the CV faces and Euler's
+        # gradient was stacked from separate components. Burgers' peak is
+        # inside compute_correction, whose per-SV arrays and the stages'
+        # reports are large beside a field of m = 1.
         setup = sod_setup(2000) if system_name == "euler" else burgers_setup(2000, 4)
         assert step_peak(*setup) <= bound
 

@@ -28,9 +28,14 @@ writes only into a fresh temporary directory:
   kind=step-failure`` on an inadmissible boundary trace (``sv=19
   trace=4``) and exit status 1;
 * the same run with ``--ref-cells 3000``: the failed solve kills its
-  reference child, and the run writes no reference file.
+  reference child, and the run writes no reference file;
+* ``run euler-correction-overflows.ini``, a config written into each
+  checkout's run directory: Sod's data with ``gamma = 1e300`` on 40 SVs to
+  ``t_end = 1e-160``, whose entropy production overflows, so the correction
+  sizes are NaN. It ends in ``error kind=step-failure`` (``sv=0 cv=0``) and
+  exit status 1, and writes the solution and L2 files.
 
-That makes 17 runs. It then prints one line per run, comparing the exit
+That makes 18 runs. It then prints one line per run, comparing the exit
 statuses; for a run that exits with a non-zero status in any checkout, one
 comparing the last line of stderr, the ``error kind=...`` line; and one per
 output file, saying whether every checkout wrote the same bytes. It exits
@@ -66,7 +71,19 @@ RUNS = {
     "sod-trace-fails": ["run", "sod", "--nsv", "40", "--cfl", "0.95"],
     "sod-trace-fails-with-reference": ["run", "sod", "--nsv", "40", "--cfl", "0.95",
                                        "--ref-cells", "3000"],
+    "euler-correction-overflows": ["run", "euler-correction-overflows.ini"],
 }
+OVERFLOW_CONFIG = """[scenario]
+system = euler
+initial = sod
+a = 0
+b = 10
+n_sv = 40
+n_cv = 4
+bc = fixed
+t_end = 1e-160
+gamma = 1e300
+"""
 
 
 def run_all(src: str, out_root: str):
@@ -74,6 +91,8 @@ def run_all(src: str, out_root: str):
     run against ``src``."""
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("SPECVOL_OUT_DIR", None)
+    with open(os.path.join(out_root, "euler-correction-overflows.ini"), "w") as fh:
+        fh.write(OVERFLOW_CONFIG)
     results = {}
     for label, argv in RUNS.items():
         # Not in the working directory: a directory there named like a
