@@ -11,7 +11,6 @@ from .reference import (
     exact_burgers_rarefaction,
     exact_euler_density_bump,
     lax_friedrichs_solver,
-    least_squares_order,
     observed_order,
 )
 from .riemann import FixedBC, PeriodicBC

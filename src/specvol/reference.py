@@ -30,7 +30,6 @@ __all__ = [
     "exact_euler_density_bump",
     "error_norms",
     "observed_order",
-    "least_squares_order",
 ]
 
 
@@ -212,11 +211,3 @@ def observed_order(errors, resolutions) -> np.ndarray:
     if np.any(ns[1:] == ns[:-1]):
         raise ValueError(f"consecutive resolutions must differ, got {ns.tolist()}")
     return np.log(errors[:-1] / errors[1:]) / np.log(ns[1:] / ns[:-1])
-
-
-def least_squares_order(errors, resolutions) -> float:
-    """Slope of -ln(e) against ln(N); the overall convergence order."""
-    errors = np.asarray(errors, dtype=float)
-    ns = np.asarray(resolutions, dtype=float)
-    slope = np.polyfit(np.log(ns), np.log(errors), 1)[0]
-    return float(-slope)

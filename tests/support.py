@@ -40,8 +40,12 @@ def admissible_states(system, rng, n):
 
 
 def builtin_setup(name, **overrides):
-    """(state at t = 0, config) of builtin ``name`` with ``overrides``, diagnostics off."""
-    scen = dataclasses.replace(BUILTIN_SCENARIOS[name], diagnostics_every=0, **overrides)
+    """(state at t = 0, config) of builtin ``name``, set up by ``cli._setup``.
+
+    ``overrides`` replace fields of the builtin's ``Scenario``; diagnostics
+    are off unless ``diagnostics_every`` is among them.
+    """
+    scen = dataclasses.replace(BUILTIN_SCENARIOS[name], **{"diagnostics_every": 0, **overrides})
     system, grid, u0, breakpoints, config = cli._setup(scen)
     return init_field(u0, grid, system, breakpoints=breakpoints), config
 

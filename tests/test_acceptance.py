@@ -12,25 +12,18 @@ from specvol.cli import BUILTIN_SCENARIOS, run_convergence
 from specvol.filters import apply_generator, build_generator, jensen_dissipation_check
 from specvol.mesh import build_grid
 from specvol.reconstruction import build_reconstruction, moment_matrix, reconstruct_all
-from specvol.reference import (
-    error_norms,
-    exact_burgers_rarefaction,
-    lax_friedrichs_solver,
-    least_squares_order,
-)
-from specvol.riemann import FixedBC, PeriodicBC, interface_terms
+from specvol.reference import error_norms, exact_burgers_rarefaction, lax_friedrichs_solver
+from specvol.riemann import interface_terms
 from specvol.systems import burgers_system, euler_system
 from specvol.timeint import (
-    SolverConfig,
     _StagePlan,
     discrete_l2,
     euler_adapted,
-    init_field,
     integrate,
     select_dt,
     ssp_rk3_step,
 )
-from support import admissible_states
+from support import admissible_states, builtin_setup, scenario_state
 
 
 def report(number, description, ok, detail=""):
@@ -115,13 +108,10 @@ def test_criterion_3_jensen_dissipation():
 
 
 def test_criterion_4_conservation_100_steps():
-    grid = build_grid(0.0, 2.0, 50, 4)
-    system = burgers_system()
-    state0 = init_field(lambda x: np.sin(np.pi * x), grid, system, 8)
-    scale = float(np.einsum("j,ijc->", grid.cv_widths, np.abs(state0.data)))
     worst = 0.0
     for stab in (True, False):
-        config = SolverConfig(t_end=1.0, cfl=0.1, bc=PeriodicBC(), stabilization_enabled=stab)
+        state0, config = builtin_setup("burgers-sine", n_sv=50, t_end=1.0, stabilization=stab)
+        scale = float(np.einsum("j,ijc->", state0.grid.cv_widths, np.abs(state0.data)))
         dt = select_dt(state0, config.cfl)
         state = state0
         for _ in range(100):
@@ -137,11 +127,8 @@ def test_criterion_4_conservation_100_steps():
 
 
 def test_criterion_5_per_sv_entropy_inequality():
-    grid = build_grid(0.0, 2.0, 50, 4)
-    system = burgers_system()
-    state = init_field(lambda x: np.sin(np.pi * x), grid, system, 8)
-    config = SolverConfig(t_end=0.35, cfl=0.1, bc=PeriodicBC())
-    state, _ = integrate(state, config)  # just past shock formation at 1/pi
+    state, config = scenario_state("burgers-sine", 0.35, 50)  # just past shock formation at 1/pi
+    grid, system = state.grid, state.system
 
     widths = grid.cv_widths
     dt = select_dt(state, config.cfl)
@@ -170,18 +157,10 @@ def test_criterion_5_per_sv_entropy_inequality():
 
 def test_criterion_6_stability_contrast():
     start = time.perf_counter()
-    grid = build_grid(0.0, 1.0, 60, 4)
-    system = __import__("specvol").advection_system(1.0)
-    state = init_field(
-        lambda x: 1.0 if 0.25 <= x <= 0.75 else 0.0, grid, system, 8, (0.25, 0.75)
-    )
-    l2_0 = discrete_l2(state)
     ratios = {}
     for stab in (False, True):
-        config = SolverConfig(
-            t_end=1.0, cfl=0.1, bc=PeriodicBC(), stabilization_enabled=stab,
-            diagnostics_every=20,
-        )
+        state, config = builtin_setup("advect-rect", stabilization=stab, diagnostics_every=20)
+        l2_0 = discrete_l2(state)
         final, diag = integrate(state, config)
         ratios[stab] = (discrete_l2(final) / l2_0, max(diag.l2_values) / l2_0)
     elapsed = time.perf_counter() - start
@@ -202,7 +181,7 @@ def test_criterion_7_convergence_order(tmp_path):
     )
     ns = [r[0] for r in results]
     l1 = [r[1] for r in results]
-    eoc = least_squares_order(l1, ns)
+    eoc = -np.polyfit(np.log(ns), np.log(l1), 1)[0]  # slope of -ln(e) against ln(N)
     elapsed = time.perf_counter() - start
     report(
         7,
@@ -214,19 +193,17 @@ def test_criterion_7_convergence_order(tmp_path):
 
 def _run_tube(name):
     """SV run plus both FV references for one tube; safe to run per-process."""
-    system = euler_system(1.4)
-    u0, breakpoints = BUILTIN_SCENARIOS[name].initial_condition()
-    grid = build_grid(0.0, 10.0, 200, 4)
-    state = init_field(u0, grid, system, 8, breakpoints)
-    bc = FixedBC(left=u0(0.0), right=u0(10.0))
-    config = SolverConfig(t_end=2.0, cfl=0.1, bc=bc, stabilization_enabled=True)
+    scen = BUILTIN_SCENARIOS[name]
+    u0, _ = scen.initial_condition()
+    state, config = builtin_setup(name)
+    system = state.system
     final, _ = integrate(state, config)
-    fine = lax_friedrichs_solver(system, u0, 0.0, 10.0, 30000, 2.0, bc)
-    coarse = lax_friedrichs_solver(system, u0, 0.0, 10.0, 3000, 2.0, bc)
+    fine = lax_friedrichs_solver(system, u0, scen.a, scen.b, 30000, scen.t_end, config.bc)
+    coarse = lax_friedrichs_solver(system, u0, scen.a, scen.b, 3000, scen.t_end, config.bc)
     dist = error_norms(final, fine, "L1", component=0)
     gap = float(
         np.sum(np.abs(coarse.values[:, 0] - fine.sample(coarse.positions)[:, 0]))
-        * (10.0 / 3000)
+        * ((scen.b - scen.a) / 3000)
     )
     finite = bool(np.all(np.isfinite(final.data)))
     admissible = bool(np.all(system.admissible(final.data)))
@@ -251,13 +228,10 @@ def test_criterion_8_shock_tubes_vs_reference():
 
 
 def test_criterion_9_burgers_rarefaction():
-    grid = build_grid(0.0, 2.0, 200, 4)
-    system = burgers_system()
-    state = init_field(lambda x: -1.0 if x <= 1.0 else 1.0, grid, system, 8, (1.0,))
-    bc = FixedBC(left=np.array([-1.0]), right=np.array([1.0]))
-    config = SolverConfig(t_end=0.5, cfl=0.1, bc=bc, stabilization_enabled=True)
+    state, config = builtin_setup("burgers-rarefaction")
+    grid = state.grid
     final, _ = integrate(state, config)
-    exact = lambda xs: exact_burgers_rarefaction(0.5, np.asarray(xs)).reshape(-1, 1)
+    exact = lambda xs: exact_burgers_rarefaction(config.t_end, np.asarray(xs)).reshape(-1, 1)
     l1 = error_norms(final, exact, "L1")
     centers = grid.cv_centers().ravel()
     vals = final.data[:, :, 0].ravel()

@@ -235,6 +235,14 @@ class TestRunConvergence:
         with pytest.raises(ValueError):
             run_convergence(BUILTIN_SCENARIOS["sod"], [10], str(tmp_path))
 
+    @pytest.mark.parametrize("t", [0.0, 2.0, 3.7, 10.0])
+    def test_exact_bump_is_the_advected_initial_condition(self, t):
+        scen = BUILTIN_SCENARIOS["density-bump"]
+        u0, _ = scen.initial_condition()
+        x = np.linspace(0.0, 10.0, 100001)
+        want = u0(np.mod(x - t, 10.0))
+        np.testing.assert_allclose(cli._periodic_exact(scen, t)(x), want, rtol=0.0, atol=1e-14)
+
 
 class TestMain:
     def test_list_command(self, capsys):

@@ -36,11 +36,10 @@ from specvol.timeint import (
 from support import REPORT_ATTRIBUTES, builtin_setup, scenario_state
 
 
-def setup_burgers(n_sv=20, k=4, domain=(0.0, 2.0)):
-    grid = build_grid(domain[0], domain[1], n_sv, k)
-    system = burgers_system()
-    state = init_field(lambda x: np.sin(np.pi * x), grid, system, 8)
-    return grid, system, state
+def setup_burgers(n_sv=20):
+    """(grid, system, state at t = 0) of burgers-sine on ``n_sv`` SVs."""
+    state, _ = builtin_setup("burgers-sine", n_sv=n_sv)
+    return state.grid, state.system, state
 
 
 class TestInitField:
@@ -390,7 +389,7 @@ def reference_stage(state, dt, config):
     return state.data + dt * (rhs + report.lambda_final[:, None, None] * direction), report
 
 
-class TestStageMatchesCheckedApi:
+class TestStageMatchesReferenceStage:
     """The solver's stage equals the same stage built from the textbook formulas, bitwise."""
 
     @pytest.mark.parametrize(
@@ -574,27 +573,19 @@ class TestIntegrate:
     @pytest.mark.parametrize("name", ["advection", "burgers", "euler"])
     @pytest.mark.parametrize("stab", [False, True])
     def test_conservation_all_systems(self, name, stab):
-        if name == "euler":
-            grid = build_grid(0.0, 10.0, 12, 4)
-            system = euler_system(1.4)
-            u0 = lambda x: primitive_to_conserved(1.0 + np.exp(-0.5 * (x - 5.0) ** 2), 1.0, 1.0)
-        else:
+        if name == "advection":
             grid = build_grid(0.0, 2.0, 12, 4)
-            system = advection_system(1.0) if name == "advection" else burgers_system()
-            u0 = lambda x: np.sin(np.pi * x)
-        state = init_field(u0, grid, system, 8)
-        cfg = SolverConfig(t_end=0.05, cfl=0.1, bc=PeriodicBC(), stabilization_enabled=stab)
+            state = init_field(lambda x: np.sin(np.pi * x), grid, advection_system(1.0), 8)
+            cfg = SolverConfig(t_end=0.05, cfl=0.1, bc=PeriodicBC(), stabilization_enabled=stab)
+        else:
+            builtin = "density-bump" if name == "euler" else "burgers-sine"
+            state, cfg = builtin_setup(builtin, n_sv=12, t_end=0.05, stabilization=stab)
         final, _ = integrate(state, cfg)
         scale = np.maximum(1.0, np.abs(state.total_mass()))
         assert np.all(np.abs(final.total_mass() - state.total_mass()) / scale <= 1e-12)
 
     def test_fixed_bc_burgers_step(self):
-        grid = build_grid(0.0, 2.0, 40, 4)
-        system = burgers_system()
-        state = init_field(lambda x: -1.0 if x <= 1.0 else 1.0, grid, system, 8, (1.0,))
-        bc = FixedBC(left=np.array([-1.0]), right=np.array([1.0]))
-        cfg = SolverConfig(t_end=0.2, cfl=0.1, bc=bc)
-        final, _ = integrate(state, cfg)
+        final, _ = integrate(*builtin_setup("burgers-rarefaction", n_sv=40, t_end=0.2))
         assert final.data[0, 0, 0] == pytest.approx(-1.0, abs=1e-10)
         assert final.data[-1, -1, 0] == pytest.approx(1.0, abs=1e-10)
 

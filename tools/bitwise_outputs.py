@@ -19,6 +19,9 @@ writes only into a fresh temporary directory:
   kind=step-failure`` on an inadmissible boundary trace (``sv=100
   trace=0``) and exit status 1, and writes the same two files;
 * ``convergence density-bump --nsv-list 8,10,12 --t-end 2``;
+* ``convergence advect-rect --nsv-list 7,9,11 --t-end 0.5``, an advection
+  study that completes: its exact solution, and grids on which the
+  rectangle's jumps at 0.25 and 0.75 fall inside CVs;
 * ``convergence advect-rect --ncv 8 --no-stabilization --nsv-list 8 --cfl 1
   --t-end 340``, a study whose solve fails (``n_sv=8 sv=3 cv=1``): one
   ``error kind=step-failure`` line, exit status 1 and no table;
@@ -35,7 +38,7 @@ writes only into a fresh temporary directory:
   sizes are NaN. It ends in ``error kind=step-failure`` (``sv=0 cv=0``) and
   exit status 1, and writes the solution and L2 files.
 
-That makes 18 runs. It then prints one line per run, comparing the exit
+That makes 19 runs. It then prints one line per run, comparing the exit
 statuses; for a run that exits with a non-zero status in any checkout, one
 comparing the last line of stderr, the ``error kind=...`` line; and one per
 output file, saying whether every checkout wrote the same bytes. It exits
@@ -64,6 +67,8 @@ RUNS = {
     "lax-pure-fails": ["run", "lax", "--no-stabilization"],
     "density-bump-convergence": ["convergence", "density-bump", "--nsv-list", "8,10,12",
                                  "--t-end", "2"],
+    "advect-rect-convergence": ["convergence", "advect-rect", "--nsv-list", "7,9,11",
+                                "--t-end", "0.5"],
     "advect-rect-pure-convergence-fails": ["convergence", "advect-rect", "--ncv", "8",
                                            "--no-stabilization", "--nsv-list", "8",
                                            "--cfl", "1", "--t-end", "340"],
